@@ -110,7 +110,7 @@ int main() {
   }
   std::printf(
       "\nExpected shape: both are a few round trips; spawn additionally"
-      " waits for child INIT_DONE messages but needs no port polling —"
+      " waits for child INIT_DONE messages but needs no published port —"
       " comparable costs, which is why the paper picks spawn for its"
       " simpler communicator handling.\n");
   return 0;

@@ -243,8 +243,10 @@ void serve(Proc& proc, Comm merged, gpusim::Device& device,
   st.merged = std::move(merged);
 
   // Backend heartbeats: sent whenever the serve loop has been idle for one
-  // interval. A daemon busy with a long kernel beats less often — that is
-  // what the server's generous stale factor absorbs.
+  // interval, and only then — the node's mom already beats from boot, so a
+  // daemon that lives less than an interval adds no server traffic. A
+  // daemon busy with a long kernel beats less often — that is what the
+  // server's generous stale factor absorbs.
   const bool heartbeats = options.server.valid() &&
                           options.heartbeat_interval.count() > 0 &&
                           !options.hostname.empty();
@@ -272,7 +274,6 @@ void serve(Proc& proc, Comm merged, gpusim::Device& device,
       send_heartbeat();
     }
   };
-  if (heartbeats) send_heartbeat();
 
   while (true) {
     auto msg = next_msg();

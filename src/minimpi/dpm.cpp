@@ -6,7 +6,6 @@
 
 #include "simtime/clock.hpp"
 #include "minimpi/proc.hpp"
-#include "svc/backoff.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -79,21 +78,11 @@ Comm Proc::comm_connect(const std::string& port, const Comm& comm, int root,
     // Resolve the port name, waiting for the accept side to publish it (the
     // paper's compute node likewise waits for the daemons' port file). This
     // wait is the dominant share of Figure 7(a)'s AC_Init time.
-    const auto deadline = simtime::now() + timeout;
-    std::optional<vnet::Address> accept_root;
-    svc::Backoff backoff(svc::BackoffPolicy{std::chrono::microseconds(100),
-                                            2.0,
-                                            std::chrono::microseconds(5000),
-                                            0.0});
-    while (true) {
-      accept_root = runtime_.lookup_port(port);
-      if (accept_root) break;
-      if (process_.stop_requested()) throw util::StoppedError();
-      if (simtime::now() >= deadline) {
-        throw util::ProtocolError("comm_connect: port '" + port +
-                                  "' not published within timeout");
-      }
-      backoff.sleep();
+    const auto accept_root =
+        runtime_.await_port(port, simtime::now() + timeout, process_);
+    if (!accept_root) {
+      throw util::ProtocolError("comm_connect: port '" + port +
+                                "' not published within timeout");
     }
 
     util::ByteWriter w;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "minimpi/proc.hpp"
+#include "util/error.hpp"
 #include "util/logging.hpp"
 
 namespace dac::minimpi {
@@ -158,6 +159,7 @@ std::string Runtime::open_port(const vnet::Address& root_addr) {
   ScopedLock lock(ports_mu_);
   std::string name = "mpiport-" + std::to_string(next_port_id_++);
   ports_[name] = root_addr;
+  ports_cv_.notify_all();
   return name;
 }
 
@@ -165,6 +167,7 @@ void Runtime::publish_port(const std::string& name,
                            const vnet::Address& root_addr) {
   ScopedLock lock(ports_mu_);
   ports_[name] = root_addr;
+  ports_cv_.notify_all();
 }
 
 std::optional<vnet::Address> Runtime::lookup_port(
@@ -172,6 +175,33 @@ std::optional<vnet::Address> Runtime::lookup_port(
   ScopedLock lock(ports_mu_);
   if (auto it = ports_.find(name); it != ports_.end()) return it->second;
   return std::nullopt;
+}
+
+std::optional<vnet::Address> Runtime::await_port(
+    const std::string& name, std::optional<simtime::TimePoint> deadline,
+    vnet::Process& stop) {
+  // Declared before the lock, so it is released after it: the waker takes
+  // ports_mu_ under the process's endpoint lock.
+  struct WakerGuard {
+    vnet::Process& proc;
+    std::uint64_t id;
+    ~WakerGuard() { proc.remove_stop_waker(id); }
+  } waker{stop, stop.add_stop_waker([this] {
+            ScopedLock lock(ports_mu_);
+            ports_cv_.notify_all();
+          })};
+  UniqueLock lock(ports_mu_);
+  while (true) {
+    if (auto it = ports_.find(name); it != ports_.end()) return it->second;
+    if (stop.stop_requested()) throw util::StoppedError();
+    if (!deadline) {
+      ports_cv_.wait(lock);
+    } else if (simtime::now() >= *deadline) {
+      return std::nullopt;
+    } else {
+      (void)ports_cv_.wait_until(lock, *deadline);
+    }
+  }
 }
 
 void Runtime::close_port(const std::string& name) {

@@ -99,6 +99,13 @@ class Runtime {
   void publish_port(const std::string& name, const vnet::Address& root_addr);
   [[nodiscard]] std::optional<vnet::Address> lookup_port(
       const std::string& name) const;
+  // Blocks until `name` is bound and returns its address: woken by the
+  // open_port/publish_port that binds it, not by polling. Returns nullopt
+  // once `deadline` passes first (no deadline waits indefinitely) and throws
+  // StoppedError if `stop` is killed during the wait.
+  [[nodiscard]] std::optional<vnet::Address> await_port(
+      const std::string& name, std::optional<simtime::TimePoint> deadline,
+      vnet::Process& stop);
   void close_port(const std::string& name);
 
   // ---- context ids ------------------------------------------------------
@@ -120,6 +127,7 @@ class Runtime {
 
   mutable Mutex ports_mu_{"mpi.ports"};
   std::map<std::string, vnet::Address> ports_ DAC_GUARDED_BY(ports_mu_);
+  CondVar ports_cv_;  // a port was bound, or an awaiting process was killed
   std::uint64_t next_port_id_ DAC_GUARDED_BY(ports_mu_) = 0;
 
   std::atomic<std::uint32_t> next_context_{kFirstUserContext};

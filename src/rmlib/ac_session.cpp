@@ -49,15 +49,10 @@ std::vector<AcHandle> AcSession::ac_init(InitTiming* timing) {
       torque::static_ac_port_name(config_.job, config_.cn_index);
 
   // Waiting phase: the daemons publish the port only once all of them are
-  // up (they barrier first), so polling for the port measures exactly the
+  // up (they barrier first), so waiting for the port measures exactly the
   // "waiting until the daemons were prepared" share of Figure 7(a).
   util::Stopwatch watch;
-  svc::Backoff backoff(config_.port_wait,
-                       static_cast<std::uint64_t>(config_.job));
-  while (!proc_.runtime().lookup_port(port)) {
-    if (proc_.process().stop_requested()) throw util::StoppedError();
-    backoff.sleep();
-  }
+  (void)proc_.runtime().await_port(port, std::nullopt, proc_.process());
   const double waiting_s = watch.lap_seconds();
 
   // Connect phase: MPI_Comm_connect + MPI_Intercomm_merge. The compute node

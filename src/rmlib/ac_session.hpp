@@ -32,7 +32,6 @@
 #include "dacc/daemon.hpp"
 #include "dacc/frontend.hpp"
 #include "minimpi/proc.hpp"
-#include "svc/backoff.hpp"
 #include "torque/ifl.hpp"
 #include "torque/launch_info.hpp"
 #include "torque/task_registry.hpp"
@@ -67,9 +66,6 @@ struct AcSessionConfig {
   // AC_Get a replacement. Copied into `transfer.reply_timeout` too unless
   // that is set explicitly.
   std::chrono::milliseconds call_timeout{0};
-  // Backoff while polling for the static daemons' published port.
-  svc::BackoffPolicy port_wait{std::chrono::microseconds(100), 2.0,
-                               std::chrono::microseconds(2000), 0.0};
 };
 
 struct InitTiming {

@@ -24,6 +24,10 @@ constexpr std::chrono::milliseconds kUnattendedStall{2};
 // advance far more often than this, so it never perturbs them.
 constexpr std::chrono::milliseconds kChurnBackstop{250};
 
+// Stall-rescue steps in virtual time (see advancer_main).
+constexpr std::int64_t kRescueStepNs = 1'000'000;              // 1 ms
+constexpr std::int64_t kMaxRescueStepNs = 3'600'000'000'000;  // 1 h
+
 std::int64_t to_ns(TimePoint tp) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              tp.time_since_epoch())
@@ -83,6 +87,7 @@ Clock& Clock::instance() {
 }
 
 Clock::Clock() {
+  joins_.reserve(64);
   if (const char* e = std::getenv("DACSCHED_VTIME_STALL_MS");
       e != nullptr && *e != '\0') {
     stall_ = std::chrono::milliseconds(std::max(1, std::atoi(e)));
@@ -154,8 +159,12 @@ bool Clock::current_thread_is_actor() const { return t_state.is_actor; }
 
 bool Clock::quiescent_locked() const {
   // The exit-hold term: a joined thread has finished but its joiner has not
-  // resumed yet — an invisible wake-in-flight, same reason debt_ gates.
-  if (exit_holds_ > 0 && external_waiters_ > 0) return false;
+  // resumed yet — an invisible wake-in-flight, same reason debt_ gates. A
+  // join without a target might be on any held thread.
+  if (exit_holds_ > 0 && external_waiters_ > joins_.size()) return false;
+  for (const auto* exited : joins_) {
+    if (exited->load(std::memory_order_acquire)) return false;
+  }
   return actors_ > 0 && blocked_ >= actors_ && debt_ == 0 &&
          !deadlines_.empty();
 }
@@ -304,11 +313,12 @@ void Clock::on_notify(std::condition_variable* cv) {
   }
 }
 
-void Clock::external_block_begin() {
+void Clock::external_block_begin(const std::atomic<bool>* joined_exited) {
   std::unique_lock<std::mutex> lk(mu_);
   // Counted in every mode so pairing survives mode switches; arms the
   // exit-hold quiescence gate (see exit_hold()).
   ++external_waiters_;
+  if (joined_exited != nullptr) joins_.push_back(joined_exited);
   ++activity_epoch_;
   if (!t_state.is_actor) {
     // A non-actor about to block natively (a join) is not runnable: pay off
@@ -330,9 +340,14 @@ void Clock::external_block_begin() {
   }
 }
 
-void Clock::external_block_end() {
+void Clock::external_block_end(const std::atomic<bool>* joined_exited) {
   std::unique_lock<std::mutex> lk(mu_);
   --external_waiters_;
+  if (joined_exited != nullptr) {
+    const auto it = std::find(joins_.begin(), joins_.end(), joined_exited);
+    *it = joins_.back();
+    joins_.pop_back();
+  }
   ++activity_epoch_;
   if (!t_state.is_actor) {
     // Runnable again; restore the debt so the invariant "the clock never
@@ -390,15 +405,29 @@ void Clock::advancer_main() {
     if (quiescent_locked()) continue;  // re-evaluate at loop top
     const auto real_now =
         std::chrono::steady_clock::now();
-    if (activity_epoch_ == epoch ||
-        real_now - last_advance_real_ > kChurnBackstop) {
+    if (activity_epoch_ == epoch) {
+      // A stall cannot tell a thread blocked where the clock cannot see
+      // from one merely starved of CPU on a loaded host, and the earliest
+      // deadline may be that thread's own timeout. So step: a short one
+      // after any activity, doubling while nothing stirs, which reaches a
+      // far deadline in a few dozen rescues without skipping a starved
+      // thread past it.
+      rescue_step_ns_ = rescue_epoch_ == activity_epoch_
+                            ? std::min(2 * rescue_step_ns_, kMaxRescueStepNs)
+                            : kRescueStepNs;
+      advance_locked(lk, now_ns_.load(std::memory_order_relaxed) +
+                             rescue_step_ns_);
+      rescue_epoch_ = activity_epoch_;
+    } else if (real_now - last_advance_real_ > kChurnBackstop) {
       advance_locked(lk);
     }
   }
 }
 
-void Clock::advance_locked(std::unique_lock<std::mutex>& lk) {
-  const std::int64_t target = deadlines_.begin()->first.first;
+void Clock::advance_locked(std::unique_lock<std::mutex>& lk,
+                           std::int64_t limit_ns) {
+  const std::int64_t target =
+      std::min(deadlines_.begin()->first.first, limit_ns);
   if (target > now_ns_.load(std::memory_order_relaxed)) {
     now_ns_.store(target, std::memory_order_release);
   }

@@ -54,6 +54,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,6 +62,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace dac::simtime {
 
@@ -148,21 +150,24 @@ class Clock {
   void on_notify(std::condition_variable* cv);
 
   // Brackets native blocking the clock cannot observe (thread joins): the
-  // calling actor counts as quiescent for the duration.
-  void external_block_begin();
-  void external_block_end();
+  // calling actor counts as quiescent for the duration. A join passes the
+  // flag its thread sets right before exit_hold(); see there.
+  void external_block_begin(const std::atomic<bool>* joined_exited = nullptr);
+  void external_block_end(const std::atomic<bool>* joined_exited = nullptr);
 
   // Exit-hold handshake for joined threads. A terminating actor whose thread
   // somebody will join calls exit_hold() after its last useful work; the
-  // joiner calls exit_release() after the native join returns. While a hold
-  // is outstanding AND some thread is parked in an ExternalWaitScope, the
-  // clock refuses to advance: the join is about to return and make the
-  // joiner runnable, but that resume is invisible to the clock — without the
-  // hold, the joined thread's actor_finished() can make the world look
-  // quiescent in the instant before join() comes back, and the advancer
-  // jumps to a far deadline (typically the joiner's own RPC timeout). A hold
-  // with no one joining does not block time, so exited-but-not-yet-joined
-  // processes cost nothing.
+  // joiner calls exit_release() after the native join returns. While a join
+  // waits on a thread that has exited, the clock refuses to advance: the
+  // join is about to return and make the joiner runnable, but that resume
+  // is invisible to the clock — without the hold, the joined thread's
+  // actor_finished() can make the world look quiescent in the instant
+  // before join() comes back, and the advancer jumps to a far deadline
+  // (typically the joiner's own RPC timeout). A join that names its thread
+  // (by exit flag) is gated by that thread alone, so threads that exit while
+  // the joiner still waits on an earlier one cost nothing; a join that does
+  // not is gated by any outstanding hold. A hold with no one joining does
+  // not block time, so exited-but-not-yet-joined processes cost nothing.
   void exit_hold();
   void exit_release();
 
@@ -177,9 +182,12 @@ class Clock {
 
   void ensure_advancer_locked();
   void advancer_main();
-  // Advances virtual time to the earliest deadline and fires everything due.
-  // Called on the advancer thread with `mu_` held; drops it during notify.
-  void advance_locked(std::unique_lock<std::mutex>& lk);
+  // Advances virtual time to the earliest deadline, but not past
+  // `limit_ns`, and fires everything due. Called on the advancer thread
+  // with `mu_` held; drops it during notify.
+  void advance_locked(
+      std::unique_lock<std::mutex>& lk,
+      std::int64_t limit_ns = std::numeric_limits<std::int64_t>::max());
   [[nodiscard]] bool quiescent_locked() const;
 
   mutable std::mutex mu_;
@@ -213,9 +221,16 @@ class Clock {
   // are counted in every mode so the pairing survives mode switches; they
   // only gate quiescence together (see exit_hold above).
   int exit_holds_ = 0;
-  int external_waiters_ = 0;
+  std::size_t external_waiters_ = 0;
+  // Exit flags of the threads the targeted joins among them wait for.
+  // Reserved up front: registering a join does not allocate.
+  std::vector<const std::atomic<bool>*> joins_;
   std::uint64_t seq_ = 0;
   std::uint64_t activity_epoch_ = 0;  // bumped on every state change
+  // Stall rescue: the current step, and the epoch right after the last
+  // rescue (unchanged since means nothing stirred in between).
+  std::int64_t rescue_step_ns_ = 0;
+  std::uint64_t rescue_epoch_ = 0;
   ClockStats stats_;
   std::chrono::milliseconds stall_{50};
   // Real timestamp of the last advance, for the churn-liveness backstop.
@@ -257,9 +272,17 @@ class ActorScope {
 class ExternalWaitScope {
  public:
   ExternalWaitScope() { Clock::instance().external_block_begin(); }
-  ~ExternalWaitScope() { Clock::instance().external_block_end(); }
+  // A join of a thread that sets `exited` right before Clock::exit_hold().
+  explicit ExternalWaitScope(const std::atomic<bool>& exited)
+      : exited_(&exited) {
+    Clock::instance().external_block_begin(exited_);
+  }
+  ~ExternalWaitScope() { Clock::instance().external_block_end(exited_); }
   ExternalWaitScope(const ExternalWaitScope&) = delete;
   ExternalWaitScope& operator=(const ExternalWaitScope&) = delete;
+
+ private:
+  const std::atomic<bool>* exited_ = nullptr;
 };
 
 // Child-thread half of the actor handoff: the parent calls
@@ -286,11 +309,13 @@ class ActorThread {
  public:
   ActorThread() = default;
   template <typename Fn>
-  explicit ActorThread(Fn fn) {
+  explicit ActorThread(Fn fn)
+      : exited_(std::make_shared<std::atomic<bool>>(false)) {
     Clock::instance().actor_started();
-    thread_ = std::thread([fn = std::move(fn)]() mutable {
+    thread_ = std::thread([fn = std::move(fn), exited = exited_]() mutable {
       AdoptScope actor;
       fn();
+      exited->store(true, std::memory_order_release);
       Clock::instance().exit_hold();  // released by join()
     });
   }
@@ -303,7 +328,7 @@ class ActorThread {
   void join() {
     if (thread_.joinable()) {
       {
-        ExternalWaitScope quiescent;  // native join, clock-invisible
+        ExternalWaitScope quiescent(*exited_);  // native join, clock-invisible
         thread_.join();
       }
       Clock::instance().exit_release();
@@ -312,6 +337,7 @@ class ActorThread {
 
  private:
   std::thread thread_;
+  std::shared_ptr<std::atomic<bool>> exited_;  // shared with the thread
 };
 
 }  // namespace dac::simtime

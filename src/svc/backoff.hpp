@@ -1,7 +1,7 @@
-// Exponential backoff with optional jitter. The one implementation behind
-// every wait-and-retry loop in the tree: Caller retransmissions, rmlib's
-// wait-for-ARM-port poll, and minimpi's wait-for-rank-port poll all used to
-// hand-roll this with three different growth curves.
+// Exponential backoff with optional jitter, behind svc::Caller's
+// retransmissions. Waits for an event do not poll: port waits block on the
+// port registry (minimpi::Runtime::await_port) and job waits are one held
+// WAIT_JOB request.
 #pragma once
 
 #include <algorithm>

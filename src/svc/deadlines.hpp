@@ -23,4 +23,9 @@ inline constexpr std::chrono::milliseconds kControl{10'000};
 // so a silent agent must not pin a reservation for long.
 inline constexpr std::chrono::milliseconds kElasticAck{5'000};
 
+// Held replies that carry the client's own budget (WAIT_JOB): the server
+// answers "not reached" when the budget runs out, and the client listens
+// this much longer, so that answer never arrives at a closed endpoint.
+inline constexpr std::chrono::milliseconds kHeldReplySlack{1'000};
+
 }  // namespace dac::svc::deadlines

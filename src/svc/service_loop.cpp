@@ -63,7 +63,23 @@ void ServiceLoop::add_tick(std::chrono::milliseconds interval, TickFn fn) {
   ticks_.push_back(Tick{interval, std::move(fn), {}});
 }
 
+ServiceLoop::TimerId ServiceLoop::add_timer(
+    std::chrono::steady_clock::time_point at, TickFn fn) {
+  DAC_DCHECK(std::this_thread::get_id() == loop_thread_,
+             "{}: timer armed off the loop thread", cfg_.name);
+  const TimerId id{at, next_timer_seq_++};
+  timers_.emplace(id, std::move(fn));
+  return id;
+}
+
+void ServiceLoop::cancel_timer(const TimerId& id) {
+  DAC_DCHECK(std::this_thread::get_id() == loop_thread_,
+             "{}: timer cancelled off the loop thread", cfg_.name);
+  timers_.erase(id);
+}
+
 void ServiceLoop::run() {
+  loop_thread_ = std::this_thread::get_id();
   const auto now = simtime::now();
   for (auto& t : ticks_) t.last = now;
   trace::set_thread_actor(cfg_.name);
@@ -273,25 +289,31 @@ void ServiceLoop::forget_pending(std::uint64_t id) {
 }
 
 std::optional<std::chrono::milliseconds> ServiceLoop::next_tick_timeout() {
-  if (ticks_.empty()) return std::nullopt;
+  if (ticks_.empty() && timers_.empty()) return std::nullopt;
   const auto now = simtime::now();
   auto soonest = std::chrono::milliseconds::max();
-  for (const auto& t : ticks_) {
-    const auto due = t.last + t.interval;
-    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(due - now);
-    soonest = std::min(soonest, wait);
-  }
+  const auto until = [&](std::chrono::steady_clock::time_point due) {
+    soonest = std::min(
+        soonest, std::chrono::ceil<std::chrono::milliseconds>(due - now));
+  };
+  for (const auto& t : ticks_) until(t.last + t.interval);
+  if (!timers_.empty()) until(timers_.begin()->first.at);
   return std::max(soonest, std::chrono::milliseconds(1));
 }
 
 void ServiceLoop::fire_due_ticks() {
-  if (ticks_.empty()) return;
   const auto now = simtime::now();
   for (auto& t : ticks_) {
     if (now - t.last >= t.interval) {
       t.last = now;
       t.fn();
     }
+  }
+  // A timer may arm or cancel others, so take one at a time.
+  while (!timers_.empty() && timers_.begin()->first.at <= now) {
+    auto fn = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    fn();
   }
 }
 

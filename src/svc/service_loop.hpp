@@ -20,8 +20,9 @@
 //
 // Handlers reply through a Responder, which may outlive the handler call:
 // storing the Responder and completing it later is the supported way to defer
-// a reply (the dyn-wait replies of pbs_dynget). Each request is answered at
-// most once.
+// a reply (pbs_dynget's grant, WAIT_JOB's state change). Each request is
+// answered at most once. A held reply that must also go out at a deadline
+// arms a one-shot timer (add_timer) from its handler.
 //
 // The loop remembers the last `dedup_window` completed request-ids together
 // with their reply payloads: a retransmitted request is answered from the
@@ -119,6 +120,18 @@ class ServiceLoop {
   // mutating handler.
   void add_tick(std::chrono::milliseconds interval, TickFn fn);
 
+  // One-shot work on the loop thread once the clock reaches `at`, fired like
+  // a tick. Only the loop thread may arm or cancel timers: kMutating
+  // handlers, ticks and other timers.
+  struct TimerId {
+    std::chrono::steady_clock::time_point at;
+    std::uint64_t seq = 0;
+    auto operator<=>(const TimerId&) const = default;
+  };
+  TimerId add_timer(std::chrono::steady_clock::time_point at, TickFn fn);
+  // Disarms a timer; a no-op once it fired.
+  void cancel_timer(const TimerId& id);
+
   // Serves until the endpoint is closed and drained. Workers are joined
   // before run() returns.
   void run();
@@ -154,6 +167,7 @@ class ServiceLoop {
   void finish_reply(detail::ResponderState& st, const util::Bytes& payload,
                     const vnet::Address& to, bool error);
   void forget_pending(std::uint64_t id);
+  // Time until the next tick or timer is due (nullopt: none armed).
   std::optional<std::chrono::milliseconds> next_tick_timeout();
   void fire_due_ticks();
 
@@ -163,6 +177,9 @@ class ServiceLoop {
 
   std::map<std::uint32_t, Entry> handlers_;
   std::vector<Tick> ticks_;
+  std::map<TimerId, TickFn> timers_;  // loop thread only; soonest first
+  std::uint64_t next_timer_seq_ = 0;
+  std::thread::id loop_thread_;
 
   Mutex dedup_mu_{"svc.dedup"};
   std::unordered_map<std::uint64_t, util::Bytes> completed_

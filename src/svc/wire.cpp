@@ -104,6 +104,7 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kSubmit): return "SUBMIT";
     case as_u32(MsgType::kStatJobs): return "STAT_JOBS";
     case as_u32(MsgType::kStatJob): return "STAT_JOB";
+    case as_u32(MsgType::kWaitJob): return "WAIT_JOB";
     case as_u32(MsgType::kStatNodes): return "STAT_NODES";
     case as_u32(MsgType::kDeleteJob): return "DELETE_JOB";
     case as_u32(MsgType::kAlterJob): return "ALTER_JOB";

@@ -1,7 +1,4 @@
 #include "torque/ifl.hpp"
-#include "simtime/clock.hpp"
-
-#include <thread>
 
 #include "torque/rpc.hpp"
 
@@ -97,20 +94,17 @@ void Ifl::dynfree(JobId id, std::uint64_t client_id) {
 }
 
 std::optional<JobInfo> Ifl::wait_for_state(JobId id, JobState state,
-                                           std::chrono::milliseconds timeout,
-                                           std::chrono::milliseconds poll) {
-  const auto deadline = simtime::now() + timeout;
-  while (simtime::now() < deadline) {
-    auto info = stat_job(id);
-    if (info) {
-      if (info->state == state) return info;
-      const bool terminal = info->state == JobState::kComplete ||
-                            info->state == JobState::kCancelled;
-      if (terminal) return info;
-    }
-    simtime::sleep_for(poll);
-  }
-  return std::nullopt;
+                                           std::chrono::milliseconds timeout) {
+  util::ByteWriter w;
+  w.put<std::uint64_t>(id);
+  w.put_enum(state);
+  w.put<std::int64_t>(timeout.count());
+  // The server answers by `timeout` itself; the slack only covers transit.
+  auto reply = call(MsgType::kWaitJob, std::move(w).take(),
+                    timeout + svc::deadlines::kHeldReplySlack);
+  util::ByteReader r(reply);
+  if (!r.get_bool()) return std::nullopt;
+  return get_job_info(r);
 }
 
 }  // namespace dac::torque

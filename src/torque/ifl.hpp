@@ -69,12 +69,13 @@ class Ifl {
   // pbs_dynfree(): releases the dynamic set identified by `client_id`.
   void dynfree(JobId id, std::uint64_t client_id);
 
-  // Polling helper: waits until the job reaches `state` (or a terminal
-  // state); returns the last observed info, or nullopt on timeout.
+  // Waits until the job reaches `state` (or a terminal state) and returns
+  // its info then; nullopt if `timeout` passes first or the job is unknown.
+  // One WAIT_JOB request: the server holds the reply until the transition,
+  // so the caller wakes at the transition's instant, not on a poll grid.
   std::optional<JobInfo> wait_for_state(
       JobId id, JobState state,
-      std::chrono::milliseconds timeout = std::chrono::milliseconds(30'000),
-      std::chrono::milliseconds poll = std::chrono::milliseconds(2));
+      std::chrono::milliseconds timeout = std::chrono::milliseconds(30'000));
 
  private:
   util::Bytes call(MsgType type, util::Bytes body,

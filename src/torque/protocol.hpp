@@ -29,6 +29,7 @@ enum class MsgType : std::uint32_t {
   kMsDynReady,                // MS -> server: dynjoin finished (req id)
   kMsReleaseDone,             // MS -> server: disjoin finished (client id)
   kStatJob,                   // job id -> found flag + JobInfo
+  kWaitJob,                   // job id, state, budget -> held until reached
 
   // scheduler <-> server
   // Consumed by the scheduler's plain wake endpoint, not a ServiceLoop.

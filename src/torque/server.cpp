@@ -19,6 +19,19 @@ std::uint64_t steady_ns() {
           simtime::now().time_since_epoch())
           .count());
 }
+
+bool wait_reached(const JobInfo& info, JobState state) {
+  return info.state == state || info.state == JobState::kComplete ||
+         info.state == JobState::kCancelled;
+}
+
+// WAIT_JOB reply body: a reached flag, then the job's info if reached.
+util::Bytes wait_reply(const JobInfo* reached) {
+  util::ByteWriter w;
+  w.put_bool(reached != nullptr);
+  if (reached != nullptr) put_job_info(w, *reached);
+  return std::move(w).take();
+}
 }  // namespace
 
 void put_host_refs(util::ByteWriter& w, const std::vector<HostRef>& hosts) {
@@ -102,10 +115,11 @@ void PbsServer::run(vnet::Process& proc) {
   // Failure detector: advance liveness at the heartbeat cadence so a dead
   // node is declared suspect/down even when nobody runs pbsnodes. The same
   // tick sweeps elastic offers whose ack deadline passed.
-  loop.add_tick(timing_.mom_heartbeat_interval, [this] {
+  loop.add_tick(timing_.mom_heartbeat_interval, [this, &loop] {
     WriterLock lock(state_mu_);
     refresh_liveness();
     sweep_elastic_offers();
+    settle_job_waits(loop);
   });
   loop.run();
   kLog.info("pbs_server shutting down");
@@ -116,22 +130,25 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   using svc::Request;
   using svc::Responder;
 
-  // Mutating handlers: serialized lane, exclusive state lock.
+  // Mutating handlers: serialized lane, exclusive state lock. Any of them
+  // may move a job, so each ends by answering the waits it satisfied.
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
     loop.on(type, ExecClass::kMutating,
-            [this, fn](const Request& req, Responder& resp) {
+            [this, fn, &loop](const Request& req, Responder& resp) {
               WriterLock lock(state_mu_);
               (this->*fn)(req, resp);
+              settle_job_waits(loop);
             });
   };
   // Mutating notifications (no reply expected).
   const auto note = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&)) {
     loop.on(type, ExecClass::kMutating,
-            [this, fn](const Request& req, Responder&) {
+            [this, fn, &loop](const Request& req, Responder&) {
               WriterLock lock(state_mu_);
               (this->*fn)(req);
+              settle_job_waits(loop);
             });
   };
   // Pure reads: may run on the read pool under a shared lock.
@@ -191,6 +208,12 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
 
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
   read(MsgType::kStatJob, &PbsServer::on_stat_job);
+  // Arms a loop timer, so it must run on the loop thread.
+  loop.on(MsgType::kWaitJob, ExecClass::kMutating,
+          [this, &loop](const Request& req, Responder& resp) {
+            WriterLock lock(state_mu_);
+            on_wait_job(req, resp, loop);
+          });
   // Queue fetches drain the dirty-feed bookkeeping, so they need the lock
   // exclusively even though they do not change job state.
   read_excl(MsgType::kGetQueue, &PbsServer::on_get_queue);
@@ -304,8 +327,8 @@ void PbsServer::on_stat_jobs(const rpc::Request& req, svc::Responder& resp) {
 }
 
 void PbsServer::on_stat_job(const rpc::Request& req, svc::Responder& resp) {
-  // Point query for pollers (wait_for_state): O(1) instead of shipping the
-  // whole — ever-growing — job table on every poll.
+  // Point query: O(1) instead of shipping the whole — ever-growing — job
+  // table.
   util::ByteReader r(req.body);
   const auto id = r.get<std::uint64_t>();
   util::ByteWriter w;
@@ -316,6 +339,49 @@ void PbsServer::on_stat_job(const rpc::Request& req, svc::Responder& resp) {
     w.put_bool(false);
   }
   resp.ok(std::move(w).take());
+}
+
+void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp,
+                            svc::ServiceLoop& loop) {
+  util::ByteReader r(req.body);
+  const auto id = r.get<std::uint64_t>();
+  const auto state = r.get_enum<JobState>();
+  const auto budget = std::chrono::milliseconds(r.get<std::int64_t>());
+  trace::note("job", std::to_string(id));
+  const auto it = jobs_.find(id);
+  if (it == jobs_.end()) {
+    resp.ok(wait_reply(nullptr));
+    return;
+  }
+  if (wait_reached(it->second.info, state)) {
+    resp.ok(wait_reply(&it->second.info));
+    return;
+  }
+  // Held like a pbs_dynget reply. The budget timer answers "not reached"
+  // while the client still listens: its own deadline is longer.
+  const auto wait_id = next_wait_id_++;
+  const auto timer =
+      loop.add_timer(simtime::now() + budget, [this, wait_id] {
+        WriterLock lock(state_mu_);
+        if (auto w = job_waits_.find(wait_id); w != job_waits_.end()) {
+          w->second.responder.ok(wait_reply(nullptr));
+          job_waits_.erase(w);
+        }
+      });
+  job_waits_.emplace(wait_id, JobWait{id, state, resp, timer});
+}
+
+void PbsServer::settle_job_waits(svc::ServiceLoop& loop) {
+  for (auto w = job_waits_.begin(); w != job_waits_.end();) {
+    const auto& info = jobs_.at(w->second.job).info;
+    if (!wait_reached(info, w->second.state)) {
+      ++w;
+      continue;
+    }
+    w->second.responder.ok(wait_reply(&info));
+    loop.cancel_timer(w->second.timer);
+    w = job_waits_.erase(w);
+  }
 }
 
 void PbsServer::on_stat_nodes(const rpc::Request& req, svc::Responder& resp) {
@@ -379,6 +445,7 @@ void PbsServer::fail_jobs_on(const std::string& hostname) {
     }
     nodes_.release_all(id);
     elastic_.cancel_job(id);  // reservations freed by release_all above
+    rec.releasing.clear();
     reject_job_dyns(rec);
     rec.dyn_sets.clear();
     rec.info.compute_hosts.clear();
@@ -542,11 +609,12 @@ void PbsServer::on_dynget(const rpc::Request& req, svc::Responder& resp) {
   dyn_.emplace(dyn_id, dyn);
 
   // The paper's server services one dynamic request at a time per job;
-  // later requests wait at the server (§III-D).
-  if (rec.dyn_active != 0) {
+  // later requests wait at the server (§III-D). So do requests that arrive
+  // while a set the job freed is still being released.
+  if (rec.dyn_active != 0 || !rec.releasing.empty()) {
     rec.dyn_waiting.push_back(dyn_id);
-    kLog.debug("dyn {} for job {} waits behind dyn {}", dyn_id, job_id,
-               rec.dyn_active);
+    kLog.debug("dyn {} for job {} waits (active dyn {}, {} release(s))",
+               dyn_id, job_id, rec.dyn_active, rec.releasing.size());
     return;
   }
   rec.dyn_active = dyn_id;
@@ -564,6 +632,7 @@ void PbsServer::activate_next_dyn(JobRecord& job) {
   if (job.info.state == JobState::kDynQueued) {
     job.info.state = JobState::kRunning;
   }
+  if (!job.releasing.empty()) return;
   while (!job.dyn_waiting.empty()) {
     const auto next_id = job.dyn_waiting.front();
     job.dyn_waiting.pop_front();
@@ -639,6 +708,7 @@ bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
     w.put<std::uint64_t>(client_id);
     put_host_refs(w, host_refs(live));
     rpc::notify(*endpoint_, rec.ms, MsgType::kMomRelease, std::move(w).take());
+    rec.releasing.insert(client_id);
     return true;
   }
   // No mother superior (already exiting) or nothing left alive: free
@@ -660,6 +730,12 @@ void PbsServer::on_ms_release_done(const rpc::Request& req) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
   auto& rec = it->second;
+  // The release is over, so requests that waited for it may go to the
+  // scheduler. It sees the slots freed below: this handler runs first.
+  rec.releasing.erase(client_id);
+  if (rec.dyn_active == 0 && rec.info.state == JobState::kRunning) {
+    activate_next_dyn(rec);
+  }
   auto set = rec.dyn_sets.find(client_id);
   if (set == rec.dyn_sets.end()) return;
   for (const auto& h : set->second) nodes_.release(h, job_id);
@@ -733,13 +809,10 @@ void PbsServer::on_job_complete(const rpc::Request& req) {
   rec.info.end_time = now_s();
   rec.ms_valid = false;
   touch_job(id);
-  // Fail any dynamic request still pending for the departed job.
-  if (rec.dyn_active != 0) {
-    if (auto dit = dyn_.find(rec.dyn_active); dit != dyn_.end()) {
-      DynGetReply reply;  // rejected
-      finish_dyn(dit->second, reply);
-    }
-  }
+  // Fail every dynamic request still pending for the departed job, waiting
+  // ones first so none is handed to the scheduler on the way.
+  rec.releasing.clear();
+  reject_job_dyns(rec);
   kLog.info("job {} complete", id);
   wake_scheduler();
 }

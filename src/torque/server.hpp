@@ -24,6 +24,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,6 +109,15 @@ class PbsServer {
     std::uint64_t origin_span = 0;
   };
 
+  // A held WAIT_JOB: answered when the job reaches `state` or a terminal
+  // state, or with "not reached" when the client's budget runs out.
+  struct JobWait {
+    JobId job = kInvalidJob;
+    JobState state = JobState::kQueued;
+    svc::Responder responder;
+    svc::ServiceLoop::TimerId timer;  // answers at the client's budget
+  };
+
   struct JobRecord {
     JobInfo info;
     vnet::Address ms;  // mother superior's mom
@@ -115,6 +125,11 @@ class PbsServer {
     std::map<std::uint64_t, std::vector<std::string>> dyn_sets;  // client-id
     std::deque<std::uint64_t> dyn_waiting;  // queued dyn request ids
     std::uint64_t dyn_active = 0;           // currently serviced dyn id
+    // Sets forwarded to the mother superior for release whose
+    // MS_RELEASE_DONE is still out. While any is, new dyn requests wait:
+    // their slots are on the way back, so deciding now would reject a
+    // request that fits a moment later.
+    std::set<std::uint64_t> releasing;  // client ids
   };
 
   void register_handlers(svc::ServiceLoop& loop);
@@ -131,6 +146,14 @@ class PbsServer {
   void on_stat_job(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES_SHARED(state_mu_);
   void on_stat_nodes(const rpc::Request& req, svc::Responder& resp);
+  // WAIT_JOB: answers at once if the job is already there, else holds the
+  // Responder until settle_job_waits or the budget timer answers it.
+  void on_wait_job(const rpc::Request& req, svc::Responder& resp,
+                   svc::ServiceLoop& loop) DAC_REQUIRES(state_mu_);
+  // Answers every held wait whose job is now where it was awaited. Runs
+  // after each mutating handler, notification and liveness tick, so no path
+  // that changes a job's state can skip it.
+  void settle_job_waits(svc::ServiceLoop& loop) DAC_REQUIRES(state_mu_);
   void on_delete_job(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_alter_job(const rpc::Request& req, svc::Responder& resp)
@@ -230,6 +253,8 @@ class PbsServer {
   // Records a synthetic detector/recovery event in the metrics table.
   void record_event(MsgType ev) { metrics_.record(as_u32(ev), 0.0); }
 
+  // Hands the scheduler the job's next waiting dyn request, unless one of
+  // its sets is still being released (on_ms_release_done resumes then).
   void activate_next_dyn(JobRecord& job) DAC_REQUIRES(state_mu_);
   void finish_dyn(DynRecord& dyn, const DynGetReply& reply)
       DAC_REQUIRES(state_mu_);
@@ -254,6 +279,8 @@ class PbsServer {
   elastic::Broker elastic_ DAC_GUARDED_BY(state_mu_);
   std::map<JobId, JobRecord> jobs_ DAC_GUARDED_BY(state_mu_);
   std::map<std::uint64_t, DynRecord> dyn_ DAC_GUARDED_BY(state_mu_);
+  std::map<std::uint64_t, JobWait> job_waits_ DAC_GUARDED_BY(state_mu_);
+  std::uint64_t next_wait_id_ DAC_GUARDED_BY(state_mu_) = 1;
   // Active dyn ids, FIFO.
   std::deque<std::uint64_t> dyn_fifo_ DAC_GUARDED_BY(state_mu_);
   // Dirty-job bookkeeping for the incremental scheduler feed.

@@ -111,12 +111,26 @@ void Process::request_stop() {
   for (auto& weak : owned_boxes_) {
     if (auto box = weak.lock()) box->close();
   }
+  for (const auto& [id, wake] : stop_wakers_) wake();
+}
+
+std::uint64_t Process::add_stop_waker(std::function<void()> wake) {
+  ScopedLock lock(eps_mu_);
+  const auto id = next_waker_++;
+  stop_wakers_.emplace(id, std::move(wake));
+  return id;
+}
+
+void Process::remove_stop_waker(std::uint64_t id) {
+  ScopedLock lock(eps_mu_);
+  stop_wakers_.erase(id);
 }
 
 void Process::join() {
   if (thread_.joinable()) {
     {
-      simtime::ExternalWaitScope quiescent;  // native join, clock-invisible
+      // Native join, clock-invisible; gated on this thread's exit only.
+      simtime::ExternalWaitScope quiescent(finished_);
       thread_.join();
     }
     simtime::Clock::instance().exit_release();

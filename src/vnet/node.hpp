@@ -93,8 +93,18 @@ class Process {
   [[nodiscard]] bool stop_requested() const {
     return stop_.load(std::memory_order_acquire);
   }
-  // Cooperative kill: sets the stop flag and closes all owned endpoints.
+  // Cooperative kill: sets the stop flag, closes all owned endpoints and
+  // runs the registered stop wakers.
   void request_stop();
+
+  // A stop waker lets a thread blocked on a condition this process does not
+  // own (a minimpi port wait, say) notice a kill: request_stop() runs every
+  // registered waker once. Register before checking stop_requested(), so no
+  // kill can fall between the check and the wait. A waker runs under the
+  // process's endpoint lock, so once remove_stop_waker() returns it is
+  // neither running nor going to run.
+  [[nodiscard]] std::uint64_t add_stop_waker(std::function<void()> wake);
+  void remove_stop_waker(std::uint64_t id);
 
   [[nodiscard]] bool finished() const {
     return finished_.load(std::memory_order_acquire);
@@ -115,6 +125,9 @@ class Process {
 
   Mutex eps_mu_{"process.endpoints"};
   std::vector<std::weak_ptr<Mailbox>> owned_boxes_ DAC_GUARDED_BY(eps_mu_);
+  std::map<std::uint64_t, std::function<void()>> stop_wakers_
+      DAC_GUARDED_BY(eps_mu_);
+  std::uint64_t next_waker_ DAC_GUARDED_BY(eps_mu_) = 0;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> finished_{false};

@@ -26,6 +26,13 @@ class ArmTest : public ::testing::Test {
         {.name = "arm"}, [this](vnet::Process& p) { arm_->run(p); });
   }
 
+  // Members go before cluster_ would stop the daemon: stop it first, or
+  // its loop runs on a destroyed arm_ (a use-after-free TSan reports).
+  ~ArmTest() override {
+    proc_->request_stop();
+    proc_->join();
+  }
+
   ArmClient client() { return ArmClient(cluster_.node(1), arm_->address()); }
 
   vnet::Cluster cluster_;

@@ -7,6 +7,7 @@
 
 #include "core/cli.hpp"
 #include "core/cluster.hpp"
+#include "harness/scenario.hpp"
 
 namespace dac::core {
 namespace {
@@ -86,6 +87,31 @@ TEST(Integration, IndividualThenCollectivePhases) {
   const auto id = cluster.submit_program("phases", 2, 0);
   ASSERT_TRUE(cluster.wait_job(id, 60'000ms).has_value());
   EXPECT_EQ(ok, 2);
+}
+
+// AC_Free's pbs_dynfree is answered before the mother superior has handed
+// the slots back. An AC_Get right after it must wait for that release, not
+// be rejected for slots that are on their way back. The virtual clock makes
+// the old race lose every time.
+TEST(Integration, GetRightAfterFreeWaitsForTheRelease) {
+  testing::Scenario s;
+  s.compute_nodes(1).accel_nodes(2);
+  s.clock_mode(simtime::Mode::kDiscreteEvent);
+  std::atomic<int> granted{0};
+  s.program("regrow", [&](JobContext& ctx) {
+    auto& session = ctx.session();
+    (void)session.ac_init();
+    for (int round = 0; round < 3; ++round) {
+      auto whole_pool = session.ac_get(2);
+      if (!whole_pool.granted) break;
+      ++granted;
+      session.ac_free(whole_pool.client_id);
+    }
+    session.ac_finalize();
+  });
+  const auto id = s.submit_program("regrow", /*nodes=*/1, /*acpn=*/0);
+  ASSERT_TRUE(s.wait_job(id, 60'000ms));
+  EXPECT_EQ(granted, 3);
 }
 
 TEST(Integration, TwoJobsShareThePoolFairly) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "faults/fault_plan.hpp"
+#include "harness/clock_mode.hpp"
 #include "util/bytes.hpp"
 #include "util/sync.hpp"
 #include "vnet/fabric.hpp"
@@ -24,20 +25,7 @@ using namespace std::chrono_literals;
 // DACSCHED_CLOCK picked) afterwards. Both directions are exercised on
 // purpose: the equivalence tests below run their RealTime leg even when the
 // whole suite runs under DACSCHED_CLOCK=virtual, and vice versa.
-class ModeGuard {
- public:
-  explicit ModeGuard(Mode m) : prev_(Clock::instance().mode()) {
-    if (prev_ != m) Clock::instance().set_mode(m);
-  }
-  ~ModeGuard() {
-    if (Clock::instance().mode() != prev_) Clock::instance().set_mode(prev_);
-  }
-  ModeGuard(const ModeGuard&) = delete;
-  ModeGuard& operator=(const ModeGuard&) = delete;
-
- private:
-  Mode prev_;
-};
+using ModeGuard = dac::testing::ClockModeGuard;
 
 TEST(VirtualClock, SleepAdvancesVirtualTimeExactly) {
   ModeGuard de(Mode::kDiscreteEvent);

@@ -31,6 +31,13 @@ class IflTest : public ::testing::Test {
         [this](vnet::Process& p) { server_->run(p); });
   }
 
+  // Members go before cluster_ would stop the daemon: stop it first, or
+  // its loop runs on a destroyed server_ (a use-after-free TSan reports).
+  ~IflTest() override {
+    proc_->request_stop();
+    proc_->join();
+  }
+
   Ifl client() { return Ifl(cluster_.node(1), server_->address()); }
 
   vnet::Cluster cluster_;
@@ -47,7 +54,7 @@ TEST_F(IflTest, WaitForStateTimesOutOnStuckJob) {
   spec.name = "stuck";
   spec.program = "x";  // never scheduled: no nodes registered
   const auto id = client().submit(spec);
-  auto info = client().wait_for_state(id, JobState::kRunning, 100ms, 5ms);
+  auto info = client().wait_for_state(id, JobState::kRunning, 100ms);
   EXPECT_FALSE(info.has_value());
 }
 

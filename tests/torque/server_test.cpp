@@ -33,6 +33,13 @@ class ServerTest : public ::testing::Test {
         [this](vnet::Process& proc) { server_->run(proc); });
   }
 
+  // Members go before cluster_ would stop the daemon: stop it first, or
+  // its loop runs on a destroyed server_ (a use-after-free TSan reports).
+  ~ServerTest() override {
+    server_proc_->request_stop();
+    server_proc_->join();
+  }
+
   Ifl client() { return Ifl(cluster_.node(1), server_->address()); }
 
   JobId submit_simple(const std::string& program = "") {
