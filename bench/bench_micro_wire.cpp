@@ -1,11 +1,11 @@
 // Microbenchmarks of the wire layer (google-benchmark): byte-buffer
 // serialization, the rpc envelope, and the batch system's larger payloads
-// (job info, queue snapshots). These bound the per-message CPU costs under
-// the protocol latencies measured elsewhere.
+// (job info, the scheduler's GET_SCHED reply). These bound the per-message
+// CPU costs under the protocol latencies measured elsewhere.
 #include <benchmark/benchmark.h>
 
 #include "torque/job.hpp"
-#include "torque/server.hpp"
+#include "torque/sched_feed.hpp"
 #include "util/bytes.hpp"
 
 namespace {
@@ -80,25 +80,28 @@ void BM_JobInfoRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_JobInfoRoundTrip);
 
-void BM_QueueSnapshot(benchmark::State& state) {
-  torque::QueueSnapshot snap;
-  snap.now = 123.0;
+// A GET_SCHED reply carrying range(0) job records, the way a full fetch (or
+// a delta touching that many jobs) ships them.
+void BM_SchedDelta(benchmark::State& state) {
+  torque::SchedDelta delta;
+  delta.epoch = 7;
+  delta.now = 123.0;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
     auto j = sample_job();
     j.id = static_cast<torque::JobId>(i + 1);
-    snap.jobs.push_back(std::move(j));
+    delta.jobs.push_back(std::move(j));
   }
-  snap.dyn.push_back({1, 1, 2, 2, torque::NodeKind::kAccelerator, 1.0});
+  delta.dyn.push_back({1, 1, 2, 2, torque::NodeKind::kAccelerator, 1.0});
   for (auto _ : state) {
     util::ByteWriter w;
-    torque::put_queue_snapshot(w, snap);
+    torque::put_sched_delta(w, delta);
     util::ByteReader r(w.bytes());
-    auto out = torque::get_queue_snapshot(r);
+    auto out = torque::get_sched_delta(r);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_QueueSnapshot)->Arg(20)->Arg(200);
+BENCHMARK(BM_SchedDelta)->Arg(20)->Arg(200);
 
 }  // namespace
 

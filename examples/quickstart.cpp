@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
-#include "core/cli.hpp"
 #include "core/cluster.hpp"
+#include "svc/metrics.hpp"
 
 using namespace dac;
 
@@ -103,6 +103,6 @@ int main() {
   std::printf("]\n");
 
   std::printf("\npbs_server per-RPC metrics:\n%s",
-              core::render_metrics(cluster.metrics_snapshot()).c_str());
+              svc::render_metrics(cluster.metrics_snapshot()).c_str());
   return 0;
 }

@@ -77,22 +77,4 @@ std::string render_pbsnodes(const std::vector<torque::NodeStatus>& nodes) {
   return out.str();
 }
 
-std::string render_metrics(const svc::MetricsSnapshot& snap) {
-  const std::vector<int> w{20, 8, 8, 10, 10, 10, 10};
-  std::ostringstream out;
-  row(out,
-      {"RPC", "Calls", "Errors", "Mean[ms]", "P50[ms]", "P99[ms]", "Max[ms]"},
-      w);
-  row(out, {"---", "-----", "------", "--------", "-------", "-------",
-            "-------"},
-      w);
-  for (const auto& r : snap.rpcs) {
-    row(out,
-        {r.name, std::to_string(r.calls), std::to_string(r.errors),
-         fixed(r.mean_ms), fixed(r.p50_ms), fixed(r.p99_ms), fixed(r.max_ms)},
-        w);
-  }
-  return out.str();
-}
-
 }  // namespace dac::core

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "svc/metrics.hpp"
 #include "torque/job.hpp"
 #include "torque/node_db.hpp"
 
@@ -19,9 +18,5 @@ std::string render_qstat(const std::vector<torque::JobInfo>& jobs);
 // pbsnodes-like table:
 //   Host  Kind  State  Slots  Jobs
 std::string render_pbsnodes(const std::vector<torque::NodeStatus>& nodes);
-
-// Per-RPC metrics table of a daemon (counts, errors, latency percentiles):
-//   RPC  Calls  Errors  Mean[ms]  P50[ms]  P99[ms]  Max[ms]
-std::string render_metrics(const svc::MetricsSnapshot& snap);
 
 }  // namespace dac::core

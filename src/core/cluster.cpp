@@ -95,7 +95,6 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
   sched.elastic_policy = config_.elastic_policy;
   sched.elastic_defer_window = config_.elastic_defer_window;
   sched.retry = config_.svc.retry;
-  sched.incremental_fetch = config_.sched_incremental_fetch;
   sched.full_rescan_every = config_.sched_full_rescan_every;
   sched.batched_dyn = config_.sched_batched_dyn;
   scheduler_ = std::make_unique<maui::MauiScheduler>(head(), sched);

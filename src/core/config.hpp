@@ -52,12 +52,10 @@ struct DacClusterConfig {
   svc::ServiceTuning svc;
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
-  // Incremental kGetSched cycles folded into the scheduler's QueueMirror;
-  // off = the legacy full kGetQueue + kGetNodes fetch pair (ablation).
-  bool sched_incremental_fetch = true;
-  // Forced full-rescan cadence while incremental (drift backstop).
+  // Cycles between forced full kGetSched fetches; the ones between fetch
+  // deltas (drift backstop). 1 = every cycle fetches in full (ablation).
   int sched_full_rescan_every = 16;
-  // One kDynDecide batch per cycle instead of per-request kRunDyn/kRejectDyn.
+  // One kDynDecide batch per cycle; off = one kDynDecide per decision.
   bool sched_batched_dyn = true;
   // Lock shards in the server's node database; <= 0 uses the default.
   int node_db_shards = 0;

@@ -85,52 +85,23 @@ void MauiScheduler::run(vnet::Process& proc) {
 void MauiScheduler::cycle(vnet::Process& proc) {
   const auto cycle_no = cycles_.fetch_add(1, std::memory_order_relaxed);
 
+  // One combined fetch: a delta against the mirror's epoch, or a full
+  // rescan on first contact and every full_rescan_every cycles. The
+  // reconstruction is byte-identical either way (queue_mirror.hpp).
+  const bool force_full =
+      mirror_.epoch() == 0 ||
+      (config_.full_rescan_every > 0 &&
+       cycle_no % static_cast<std::uint64_t>(config_.full_rescan_every) == 0);
+  util::ByteWriter w;
+  w.put<std::uint64_t>(mirror_.epoch());
+  w.put_bool(force_full);
   const svc::Caller caller(proc, config_.server, config_.retry);
-  torque::QueueSnapshot snap;
-  std::vector<NodeView> view;
-  if (config_.incremental_fetch) {
-    // One combined fetch: a delta against the mirror's epoch, or a full
-    // rescan on first contact and every full_rescan_every cycles. The
-    // reconstruction is byte-identical either way (queue_mirror.hpp).
-    const bool force_full =
-        mirror_.epoch() == 0 ||
-        (config_.full_rescan_every > 0 &&
-         cycle_no % static_cast<std::uint64_t>(config_.full_rescan_every) ==
-             0);
-    util::ByteWriter w;
-    w.put<std::uint64_t>(mirror_.epoch());
-    w.put_bool(force_full);
-    auto reply = caller.call(torque::MsgType::kGetSched, std::move(w).take(),
-                             {.deadline = svc::deadlines::kDefault});
-    util::ByteReader r(reply);
-    mirror_.apply(torque::get_sched_delta(r));
-    snap = mirror_.queue();
-    view = mirror_.node_views();
-  } else {
-    // Legacy (ablation) path: full queue + full node list, two round trips.
-    auto queue_reply = caller.call(torque::MsgType::kGetQueue, {},
-                                   {.deadline = svc::deadlines::kDefault});
-    util::ByteReader qr(queue_reply);
-    snap = torque::get_queue_snapshot(qr);
-
-    auto nodes_reply = caller.call(torque::MsgType::kGetNodes, {},
-                                   {.deadline = svc::deadlines::kDefault});
-    util::ByteReader nr(nodes_reply);
-    const auto count = nr.get<std::uint32_t>();
-    view.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const auto st = torque::get_node_status(nr);
-      // Only place on kUp nodes: `up` is false for both suspect and down
-      // (NodeStatus invariant), so a flapping node is skipped without being
-      // reclaimed.
-      if (!st.up) continue;
-      view.push_back(NodeView{st.hostname, st.kind, st.free_slots()});
-    }
-    std::sort(view.begin(), view.end(),
-              [](const NodeView& a, const NodeView& b) {
-                return a.hostname < b.hostname;
-              });
-  }
+  auto reply = caller.call(torque::MsgType::kGetSched, std::move(w).take(),
+                           {.deadline = svc::deadlines::kDefault});
+  util::ByteReader r(reply);
+  mirror_.apply(torque::get_sched_delta(r));
+  const auto snap = mirror_.queue();
+  auto view = mirror_.node_views();
 
   decay_fairshare(snap.now);
 
@@ -240,11 +211,25 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
   }
 
   // Strictly FIFO, one at a time — the serialization the paper's Figure 9
-  // observes across concurrent requesters. In batched mode the decisions
-  // are still made one at a time against the same shared view (identical
-  // outcomes), but they ship to the server as one kDynDecide message, and
-  // the per-request base cost is charged once for the whole batch.
-  std::vector<torque::DynDecision> decisions;
+  // observes across concurrent requesters. Decisions are made one at a time
+  // against the same shared view either way. Batched, they ship to the
+  // server as one kDynDecide after the loop and the per-request base cost
+  // is charged once for the whole batch; serial, each ships alone inside
+  // its decision span and pays the base cost itself.
+  std::vector<torque::DynDecision> batch;
+  const auto ship = [&] {
+    if (batch.empty()) return;
+    util::ByteWriter w;
+    torque::put_dyn_decisions(w, batch);
+    try {
+      (void)caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
+                        {.deadline = svc::deadlines::kDefault});
+    } catch (const util::ProtocolError& e) {
+      kLog.warn("dyn decision batch ({} decision(s)) not applied: {}",
+                batch.size(), e.what());
+    }
+    batch.clear();
+  };
   bool batch_base_charged = false;
   for (const auto& d : snap.dyn) {
     // A request deferred for an in-flight shrink negotiation is skipped
@@ -345,10 +330,8 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
     if (capped) span.note("capped", "1");
     if (grant) span.note("hosts", std::to_string(hosts.size()));
 
-    // Stats count the *decision*; in batched mode a grant the server later
-    // rolls back (allocation race) is still counted as granted here, the
-    // same optimism the per-request path has between call and conflict
-    // reply.
+    // Stats count the *decision*: a grant the server later rolls back
+    // (allocation race) still counts as granted here.
     if (grant) {
       dyn_granted_.fetch_add(1, std::memory_order_relaxed);
       if (auto it = job_by_id.find(d.job); it != job_by_id.end()) {
@@ -359,50 +342,20 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
       if (capped) dyn_capped_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    if (config_.batched_dyn) {
-      torque::DynDecision dec;
-      dec.dyn_id = d.dyn_id;
-      dec.grant = grant;
-      dec.pickup_ns = pickup;
-      if (grant) dec.hosts = std::move(hosts);
-      // Ship the decision span's identity so the server-side application
-      // runs as its child — same causal tree as the per-request path.
-      const auto ctx = span.context();
-      dec.trace_id = ctx.trace;
-      dec.span = ctx.span;
-      decisions.push_back(std::move(dec));
-      continue;
-    }
-
-    util::ByteWriter w;
-    w.put<std::uint64_t>(d.dyn_id);
-    w.put<std::uint64_t>(pickup);
-    try {
-      if (grant) {
-        w.put_string_vector(hosts);
-        (void)caller.call(torque::MsgType::kRunDyn, std::move(w).take(),
-                          {.deadline = svc::deadlines::kDefault});
-      } else {
-        (void)caller.call(torque::MsgType::kRejectDyn, std::move(w).take(),
-                          {.deadline = svc::deadlines::kDefault});
-      }
-    } catch (const util::ProtocolError& e) {
-      span.note("error", e.what());
-      kLog.warn("dyn {} decision not applied: {}", d.dyn_id, e.what());
-    }
+    torque::DynDecision dec;
+    dec.dyn_id = d.dyn_id;
+    dec.grant = grant;
+    dec.pickup_ns = pickup;
+    if (grant) dec.hosts = std::move(hosts);
+    // Ship the decision span's identity so the server-side application runs
+    // as its child, whichever batch the decision rides in.
+    const auto ctx = span.context();
+    dec.trace_id = ctx.trace;
+    dec.span = ctx.span;
+    batch.push_back(std::move(dec));
+    if (!config_.batched_dyn) ship();
   }
-
-  if (!decisions.empty()) {
-    util::ByteWriter w;
-    torque::put_dyn_decisions(w, decisions);
-    try {
-      (void)caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
-                        {.deadline = svc::deadlines::kDefault});
-    } catch (const util::ProtocolError& e) {
-      kLog.warn("dyn decision batch ({} decision(s)) not applied: {}",
-                decisions.size(), e.what());
-    }
-  }
+  ship();
 }
 
 double MauiScheduler::priority_of(const torque::JobInfo& job,
@@ -503,7 +456,7 @@ bool MauiScheduler::send_run_job(vnet::Process& proc,
                                  const torque::JobInfo& job,
                                  const Allocation& alloc) {
   // Join the trace recorded at submission: the scheduling decision is part
-  // of the job's causal story, not of the GetQueue poll that revealed it.
+  // of the job's causal story, not of the GetSched poll that revealed it.
   trace::SpanScope span("maui.run_job",
                         trace::Context{job.trace_id, job.origin_span});
   span.note("job", std::to_string(job.id));
@@ -542,15 +495,13 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
 
   // Prioritization phase: Maui evaluates every queued job each cycle (this
   // per-job cost is what delays a mid-cycle dynamic request — Figure 8).
-  // Incremental cycles re-evaluate only the jobs the delta touched and use
-  // cached priorities for the rest, so the modeled cost is bounded by the
-  // delta size; the decisions themselves are unchanged (same sort, same
+  // Delta cycles re-evaluate only the jobs the delta touched and use cached
+  // priorities for the rest, so the modeled cost is bounded by the delta
+  // size; a full fetch touches every live job, so it evaluates the whole
+  // queue. The decisions themselves are unchanged (same sort, same
   // allocation attempts).
   if (config_.timing.sched_job_eval_cost.count() > 0) {
-    auto evaluated = queued.size();
-    if (config_.incremental_fetch) {
-      evaluated = std::min(evaluated, mirror_.last_changed());
-    }
+    const auto evaluated = std::min(queued.size(), mirror_.last_changed());
     if (evaluated > 0) {
       simtime::sleep_for(evaluated * config_.timing.sched_job_eval_cost);
     }

@@ -65,18 +65,16 @@ struct SchedulerConfig {
   std::chrono::milliseconds elastic_defer_window{5'000};
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
-  // Fetch the cycle's state through one incremental kGetSched call folded
-  // into a local QueueMirror, instead of the full kGetQueue + kGetNodes
-  // pair. Decisions are identical either way (the equivalence contract in
-  // tests/maui); only the fetch volume and modeled evaluation cost change.
-  bool incremental_fetch = true;
-  // Cycles between forced full rescans while incremental (drift backstop;
-  // the equivalence tests assert the rescan changes nothing). <= 0 never
-  // forces a rescan after the first fetch.
+  // Each cycle fetches its state with one kGetSched call folded into a local
+  // QueueMirror: a delta, or a forced full rescan every this many cycles
+  // (drift backstop; the equivalence tests assert the rescan changes
+  // nothing). 1 rescans every cycle, the full-fetch ablation. <= 0 never
+  // forces a rescan after the first fetch. Decisions are identical either
+  // way; only the fetch volume and modeled evaluation cost change.
   int full_rescan_every = 16;
   // Ship all of a cycle's dynamic grant/reject decisions in one kDynDecide
-  // batch instead of one kRunDyn/kRejectDyn round-trip each. Decision logic
-  // is unchanged; the per-request scheduling cost drops from
+  // batch instead of one kDynDecide per decision. Decision logic is
+  // unchanged; the per-request scheduling cost drops from
   // (base + count*per_node) to per-node only, with the base charged once
   // per batch.
   bool batched_dyn = true;
@@ -143,7 +141,7 @@ class MauiScheduler {
   vnet::Node& node_;
   SchedulerConfig config_;
 
-  // Local fold of kGetSched deltas (incremental_fetch mode).
+  // Local fold of kGetSched replies.
   QueueMirror mirror_;
 
   std::map<std::string, double> usage_;  // owner -> node-seconds (decayed)

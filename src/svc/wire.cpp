@@ -117,11 +117,7 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kMsDynReady): return "MS_DYN_READY";
     case as_u32(MsgType::kMsReleaseDone): return "MS_RELEASE_DONE";
     case as_u32(MsgType::kSchedWake): return "SCHED_WAKE";
-    case as_u32(MsgType::kGetQueue): return "GET_QUEUE";
-    case as_u32(MsgType::kGetNodes): return "GET_NODES";
     case as_u32(MsgType::kRunJob): return "RUN_JOB";
-    case as_u32(MsgType::kRunDyn): return "RUN_DYN";
-    case as_u32(MsgType::kRejectDyn): return "REJECT_DYN";
     case as_u32(MsgType::kGetSched): return "GET_SCHED";
     case as_u32(MsgType::kDynDecide): return "DYN_DECIDE";
     case as_u32(MsgType::kMomRunJob): return "MOM_RUN_JOB";

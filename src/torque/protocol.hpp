@@ -34,14 +34,9 @@ enum class MsgType : std::uint32_t {
   // scheduler <-> server
   // Consumed by the scheduler's plain wake endpoint, not a ServiceLoop.
   kSchedWake = 0x5430'0100,   // NOLINT-DACSCHED(handler-coverage)
-  kGetQueue,                  // scheduler -> server -> QueueSnapshot
-  kGetNodes,                  // scheduler -> server -> vector<NodeStatus>
   kRunJob,                    // scheduler -> server: job id + host lists
-  kRunDyn,                    // scheduler -> server: dyn req id + hosts
-  kRejectDyn,                 // scheduler -> server: dyn req id
-  // High-throughput extensions (docs/SCHEDULING.md): one combined
-  // (incremental) state fetch per cycle, one batched decision message per
-  // cycle. Wire structs live in sched_feed.hpp.
+  // One state fetch (full or delta) and one dynamic-decision batch per
+  // cycle (docs/SCHEDULING.md). Wire structs live in sched_feed.hpp.
   kGetSched,                  // scheduler -> server: epoch -> SchedDelta
   kDynDecide,                 // scheduler -> server: vector<DynDecision>
 

@@ -2,17 +2,18 @@
 // bookkeeping for the incremental (delta-driven) Maui cycle and for batched
 // dynamic-request servicing.
 //
-// kGetSched replaces the kGetQueue + kGetNodes pair with one fetch that is
-// either *full* (every non-terminal job, every node) or a *delta* (only the
-// jobs and nodes whose scheduler-visible state changed since the previous
-// fetch). The server feeds DirtyTracker from its mutation handlers and the
-// NodeDb's own dirty sets; the scheduler folds deltas into a QueueMirror
+// kGetSched is the scheduler's one state fetch. It is either *full* (every
+// non-terminal job, every node) or a *delta* (only the jobs and nodes whose
+// scheduler-visible state changed since the previous fetch). The server
+// feeds DirtyTracker from its mutation handlers and the NodeDb's own dirty
+// sets; the scheduler folds deltas into a QueueMirror
 // (src/maui/queue_mirror.hpp) that reconstructs bit-identical fetch inputs —
 // the incremental ≡ full-rescan contract pinned by tests/maui.
 //
-// kDynDecide carries one cycle's worth of dynamic grant/reject decisions in
-// a single message, applied under one server lock acquisition instead of one
-// kRunDyn/kRejectDyn round-trip per request (docs/SCHEDULING.md).
+// kDynDecide is the scheduler's one decision message: a batch of dynamic
+// grant/reject decisions, applied under one server lock acquisition. The
+// scheduler ships a whole cycle's decisions at once, or (serial ablation)
+// each decision alone (docs/SCHEDULING.md).
 #pragma once
 
 #include <cstdint>

@@ -181,8 +181,6 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   mut(MsgType::kRegisterNode, &PbsServer::on_register_node);
   mut(MsgType::kRegisterScheduler, &PbsServer::on_register_scheduler);
   mut(MsgType::kRunJob, &PbsServer::on_run_job);
-  mut(MsgType::kRunDyn, &PbsServer::on_run_dyn);
-  mut(MsgType::kRejectDyn, &PbsServer::on_reject_dyn);
   mut(MsgType::kElastRegister, &PbsServer::on_elast_register);
   mut(MsgType::kElastPropose, &PbsServer::on_elast_propose);
   mut(MsgType::kElastAck, &PbsServer::on_elast_ack);
@@ -214,13 +212,11 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
             WriterLock lock(state_mu_);
             on_wait_job(req, resp, loop);
           });
-  // Queue fetches drain the dirty-feed bookkeeping, so they need the lock
-  // exclusively even though they do not change job state.
-  read_excl(MsgType::kGetQueue, &PbsServer::on_get_queue);
+  // The queue fetch drains the dirty-feed bookkeeping, so it needs the lock
+  // exclusively even though it does not change job state.
   read_excl(MsgType::kGetSched, &PbsServer::on_get_sched);
   mut(MsgType::kDynDecide, &PbsServer::on_dyn_decide);
   node_only(MsgType::kStatNodes, &PbsServer::on_stat_nodes);
-  node_only(MsgType::kGetNodes, &PbsServer::on_get_nodes);
   // Mom and dacc-backend heartbeats carry the same body (hostname) and feed
   // the same detector; two codes keep the metrics table honest about who is
   // beating. They touch only the NodeDb: no state lock.
@@ -859,33 +855,6 @@ std::vector<elastic::JobView> PbsServer::elastic_views() const {
   return out;
 }
 
-void PbsServer::on_get_queue(const rpc::Request& req, svc::Responder& resp) {
-  (void)req;
-  // The legacy full-fetch path. It still drains the incremental feed's
-  // bookkeeping: a scheduler running in ablation (incremental off) would
-  // otherwise grow the dirty sets without bound.
-  wake_gate_.disarm();
-  (void)sched_feed_.begin_fetch(0, /*force_full=*/true);
-  (void)nodes_.drain_dirty();
-  QueueSnapshot snap;
-  snap.now = now_s();
-  snap.jobs.reserve(jobs_.size());
-  for (const auto& [id, rec] : jobs_) {
-    // Terminal jobs are invisible to scheduling; copying them would make
-    // every cycle O(all jobs ever submitted) — quadratic over a long run.
-    if (rec.info.state == JobState::kComplete ||
-        rec.info.state == JobState::kCancelled) {
-      continue;
-    }
-    snap.jobs.push_back(rec.info);
-  }
-  snap.dyn = dyn_entries();
-  snap.elastic = elastic_views();
-  util::ByteWriter w;
-  put_queue_snapshot(w, snap);
-  resp.ok(std::move(w).take());
-}
-
 void PbsServer::on_get_sched(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto client_epoch = r.get<std::uint64_t>();
@@ -927,10 +896,6 @@ void PbsServer::on_get_sched(const rpc::Request& req, svc::Responder& resp) {
   util::ByteWriter w;
   put_sched_delta(w, d);
   resp.ok(std::move(w).take());
-}
-
-void PbsServer::on_get_nodes(const rpc::Request& req, svc::Responder& resp) {
-  on_stat_nodes(req, resp);
 }
 
 void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
@@ -1009,14 +974,13 @@ void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
             compute_hosts.front());
 }
 
-PbsServer::DynApply PbsServer::apply_dyn_grant(
-    std::uint64_t dyn_id, std::uint64_t pickup_ns,
-    const std::vector<std::string>& hosts) {
+bool PbsServer::apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
+                                const std::vector<std::string>& hosts) {
   auto dit = dyn_.find(dyn_id);
-  if (dit == dyn_.end()) return DynApply::kUnknownRequest;
+  if (dit == dyn_.end()) return false;
   auto& dyn = dit->second;
   auto jit = jobs_.find(dyn.job);
-  if (jit == jobs_.end()) return DynApply::kJobVanished;
+  if (jit == jobs_.end()) return false;
   auto& rec = jit->second;
 
   std::vector<std::pair<std::string, int>> applied;
@@ -1036,7 +1000,7 @@ PbsServer::DynApply PbsServer::apply_dyn_grant(
     reply.queue_wait_seconds =
         static_cast<double>(pickup_ns - dyn.arrival_ns) * 1e-9;
     finish_dyn(dyn, reply);
-    return DynApply::kConflict;
+    return false;
   }
 
   // The grant came entirely from the free pool (every assign succeeded) and
@@ -1081,7 +1045,7 @@ PbsServer::DynApply PbsServer::apply_dyn_grant(
   kLog.info("dyn {} for job {} granted: {} accelerator(s), client id {}",
             dyn_id, dyn.job, reply.hosts.size(), client_id);
   finish_dyn(dyn, reply);
-  return DynApply::kApplied;
+  return true;
 }
 
 bool PbsServer::apply_dyn_reject(std::uint64_t dyn_id,
@@ -1099,45 +1063,14 @@ bool PbsServer::apply_dyn_reject(std::uint64_t dyn_id,
   return true;
 }
 
-void PbsServer::on_run_dyn(const rpc::Request& req, svc::Responder& resp) {
-  util::ByteReader r(req.body);
-  const auto dyn_id = r.get<std::uint64_t>();
-  const auto pickup_ns = r.get<std::uint64_t>();
-  const auto hosts = r.get_string_vector();
-  switch (apply_dyn_grant(dyn_id, pickup_ns, hosts)) {
-    case DynApply::kApplied:
-      resp.ok();
-      break;
-    case DynApply::kUnknownRequest:
-      resp.error(ReplyCode::kBadRequest, "run_dyn: unknown dyn request");
-      break;
-    case DynApply::kJobVanished:
-      resp.error(ReplyCode::kUnknownJob, "run_dyn: job vanished");
-      break;
-    case DynApply::kConflict:
-      resp.error(ReplyCode::kError, "run_dyn: allocation conflict");
-      break;
-  }
-}
-
-void PbsServer::on_reject_dyn(const rpc::Request& req, svc::Responder& resp) {
-  util::ByteReader r(req.body);
-  const auto dyn_id = r.get<std::uint64_t>();
-  const auto pickup_ns = r.get<std::uint64_t>();
-  if (!apply_dyn_reject(dyn_id, pickup_ns)) {
-    resp.error(ReplyCode::kBadRequest, "reject_dyn: unknown dyn request");
-    return;
-  }
-  resp.ok();
-}
-
 void PbsServer::on_dyn_decide(const rpc::Request& req, svc::Responder& resp) {
-  // One cycle's worth of scheduler decisions, applied under a single lock
-  // acquisition. Each decision replays inside the requester's trace (the
-  // scheduler shipped its per-decision span), so the causal tree looks the
-  // same as with per-request kRunDyn/kRejectDyn. Stale or conflicting
-  // decisions are not batch errors: the conflict path already rejected the
-  // request, and a vanished id means the job died after the fetch.
+  // A batch of scheduler decisions (a whole cycle's, or one), applied under
+  // a single lock acquisition. Each decision replays inside the requester's
+  // trace (the scheduler shipped its per-decision span), so each decision's
+  // causal tree is the same whether it shipped alone or in a batch. Stale or
+  // conflicting decisions are not batch errors: the conflict path already
+  // rejected the request, and a vanished id means the job died after the
+  // fetch.
   util::ByteReader r(req.body);
   const auto decisions = get_dyn_decisions(r);
   std::uint32_t applied = 0;
@@ -1145,12 +1078,8 @@ void PbsServer::on_dyn_decide(const rpc::Request& req, svc::Responder& resp) {
     trace::SpanScope span("serve.dyn_apply",
                           trace::Context{dec.trace_id, dec.span});
     trace::note("dyn", std::to_string(dec.dyn_id));
-    if (dec.grant) {
-      if (apply_dyn_grant(dec.dyn_id, dec.pickup_ns, dec.hosts) ==
-          DynApply::kApplied) {
-        ++applied;
-      }
-    } else if (apply_dyn_reject(dec.dyn_id, dec.pickup_ns)) {
+    if (dec.grant ? apply_dyn_grant(dec.dyn_id, dec.pickup_ns, dec.hosts)
+                  : apply_dyn_reject(dec.dyn_id, dec.pickup_ns)) {
       ++applied;
     }
   }

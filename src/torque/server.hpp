@@ -54,8 +54,9 @@ struct HostRef {
 void put_host_refs(util::ByteWriter& w, const std::vector<HostRef>& hosts);
 std::vector<HostRef> get_host_refs(util::ByteReader& r);
 
-// What GET_QUEUE returns to the scheduler (the legacy full-fetch path; the
-// incremental path is SchedDelta in sched_feed.hpp).
+// The scheduler's per-cycle view of the queue, as maui::QueueMirror folds
+// it from kGetSched deltas (SchedDelta in sched_feed.hpp). The wire form is
+// the byte oracle of the incremental ≡ full equivalence suite.
 struct QueueSnapshot {
   double now = 0.0;                   // server clock, for backfill horizons
   std::vector<JobInfo> jobs;          // every known job, all states
@@ -171,32 +172,24 @@ class PbsServer {
   void on_heartbeat(const rpc::Request& req);
 
   // Scheduler-facing handlers.
-  void on_get_queue(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES(state_mu_);
   void on_get_sched(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
-  void on_get_nodes(const rpc::Request& req, svc::Responder& resp);
   void on_run_job(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES(state_mu_);
-  void on_run_dyn(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES(state_mu_);
-  void on_reject_dyn(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_dyn_decide(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
 
-  // Decision application shared by the per-request handlers and the
-  // kDynDecide batch. kConflict means the allocation raced a concurrent
-  // assignment; the request is then already finished as rejected.
-  enum class DynApply { kApplied, kUnknownRequest, kJobVanished, kConflict };
-  DynApply apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
-                           const std::vector<std::string>& hosts)
+  // Apply one kDynDecide decision; true when applied. A stale decision (the
+  // request or its job vanished) returns false. So does a grant whose
+  // allocation raced a concurrent assignment; that request is finished as
+  // rejected.
+  bool apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
+                       const std::vector<std::string>& hosts)
       DAC_REQUIRES(state_mu_);
-  // False only when the request vanished (stale decision).
   bool apply_dyn_reject(std::uint64_t dyn_id, std::uint64_t pickup_ns)
       DAC_REQUIRES(state_mu_);
 
-  // Queue-snapshot building blocks shared by kGetQueue and kGetSched.
+  // Building blocks of every kGetSched reply, full or delta.
   [[nodiscard]] std::vector<DynQueueEntry> dyn_entries() const
       DAC_REQUIRES_SHARED(state_mu_);
   [[nodiscard]] std::vector<elastic::JobView> elastic_views() const

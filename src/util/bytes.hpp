@@ -46,9 +46,7 @@ class ByteWriter {
 
   void put_string(std::string_view s) {
     put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
-    const auto old = buf_.size();
-    buf_.resize(old + s.size());
-    std::memcpy(buf_.data() + old, s.data(), s.size());
+    put_raw(s.data(), s.size());
   }
 
   void put_bytes(const Bytes& b) {
@@ -56,8 +54,10 @@ class ByteWriter {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
-  // Raw append without a length prefix; reader must know the size.
+  // Raw append without a length prefix; reader must know the size. An
+  // empty append may pass a null `data` (memcpy forbids that even for n=0).
   void put_raw(const void* data, std::size_t n) {
+    if (n == 0) return;
     const auto old = buf_.size();
     buf_.resize(old + n);
     std::memcpy(buf_.data() + old, data, n);
@@ -67,7 +67,7 @@ class ByteWriter {
     requires std::is_arithmetic_v<T>
   void put_vector(const std::vector<T>& v) {
     put<std::uint32_t>(static_cast<std::uint32_t>(v.size()));
-    if (!v.empty()) put_raw(v.data(), v.size() * sizeof(T));
+    put_raw(v.data(), v.size() * sizeof(T));
   }
 
   void put_string_vector(const std::vector<std::string>& v) {

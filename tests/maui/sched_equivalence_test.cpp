@@ -6,7 +6,7 @@
 // any prefix of incremental deltas reconstructs byte-identical fetch inputs
 // to a full fetch taken at the same instant.
 //
-// This is the property that makes incremental_fetch safe to ship as the
+// This is the property that makes delta fetches safe to ship as the
 // default: the scheduler's decisions are a pure function of (queue(),
 // node_views()), so reconstruction equivalence implies decision equivalence.
 // The suite runs ≥1000 seeded random event streams; each stream also

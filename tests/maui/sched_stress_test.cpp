@@ -6,13 +6,14 @@
 //   - no slot is ever double-granted (trace replay over alloc events),
 //   - slot conservation: every grant is matched by a release and the node
 //     table drains to zero used slots,
-// and that the batched/serial and incremental/full-fetch ablations all
-// uphold them — the decision *logic* is shared, only the message shape and
-// the modeled costs differ.
+// and that the batched/serial and delta/full-fetch ablations all uphold
+// them — the decision *logic* and the wire protocol are shared, only the
+// batch sizes, fetch volume and modeled costs differ.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -34,7 +35,7 @@ struct StormSpec {
   std::size_t compute = 2;
   std::size_t accel = 4;
   bool batched = true;
-  bool incremental = true;
+  int full_rescan_every = 16;
 };
 
 struct StormStats {
@@ -42,6 +43,11 @@ struct StormStats {
   int decided = 0;
   int granted = 0;
   util::Samples wait_s;  // per-call decision latency, virtual seconds
+  std::uint64_t sched_decisions = 0;  // scheduler-side grants + rejects
+  std::uint64_t dyn_decide_calls = 0;  // DYN_DECIDE messages served
+  // Served message types with no protocol name (e.g. a second decision
+  // message that crept back in).
+  std::vector<std::string> unnamed_rpcs;
 };
 
 // Boots a cluster, parks `jobs` holder jobs in kRunning, then fires
@@ -54,7 +60,7 @@ void run_storm(const StormSpec& spec, StormStats* out) {
   s.compute_nodes(spec.compute).accel_nodes(spec.accel);
   s.clock_mode(simtime::Mode::kDiscreteEvent);
   s.config().sched_batched_dyn = spec.batched;
-  s.config().sched_incremental_fetch = spec.incremental;
+  s.config().sched_full_rescan_every = spec.full_rescan_every;
   s.program("hold", [&release](core::JobContext&) {
     (void)testing::await([&release] { return release.load(); }, 120'000ms);
   });
@@ -128,6 +134,16 @@ void run_storm(const StormSpec& spec, StormStats* out) {
   for (const auto& n : cluster.client().stat_nodes()) {
     EXPECT_EQ(n.used, 0) << n.hostname << " leaked slots";
   }
+
+  const auto sched = cluster.scheduler_stats();
+  out->sched_decisions = sched.dyn_granted + sched.dyn_rejected;
+  const auto metrics = cluster.metrics_snapshot();
+  const auto* decide =
+      metrics.find(torque::as_u32(torque::MsgType::kDynDecide));
+  if (decide != nullptr) out->dyn_decide_calls = decide->calls;
+  for (const auto& r : metrics.rpcs) {
+    if (r.name.starts_with("0x")) out->unnamed_rpcs.push_back(r.name);
+  }
 }
 
 // The headline storm: 256 concurrent dynget callers (16 jobs x 16 threads)
@@ -156,7 +172,8 @@ TEST(SchedStorm, Storm256CallersBoundedWait) {
 
 // Batched and serial servicing must uphold the same invariants and decide
 // the same number of requests — the batch is a transport change, not a
-// policy change.
+// policy change. Both ship every decision in DYN_DECIDE: serial as batches
+// of one, batched as fewer, larger batches.
 TEST(SchedStorm, BatchedAndSerialBothConserve) {
   for (const bool batched : {true, false}) {
     SCOPED_TRACE(::testing::Message() << "batched=" << batched);
@@ -171,21 +188,33 @@ TEST(SchedStorm, BatchedAndSerialBothConserve) {
     if (::testing::Test::HasFatalFailure()) return;
     EXPECT_EQ(stats.decided, stats.expected);
     EXPECT_GT(stats.granted, 0);
+    EXPECT_EQ(stats.sched_decisions,
+              static_cast<std::uint64_t>(stats.expected));
+    if (batched) {
+      EXPECT_GT(stats.dyn_decide_calls, 0u);
+      EXPECT_LT(stats.dyn_decide_calls, stats.sched_decisions);
+    } else {
+      EXPECT_EQ(stats.dyn_decide_calls, stats.sched_decisions);
+    }
+    EXPECT_TRUE(stats.unnamed_rpcs.empty())
+        << "unexpected message type " << stats.unnamed_rpcs.front();
   }
 }
 
-// Same for the fetch path: incremental deltas and the legacy full fetch
-// feed the same decision logic (the mirror-level contract is pinned by
-// sched_equivalence_test.cpp; this is the end-to-end spot check).
+// Same for the fetch path: deltas with the default rescan cadence and a
+// forced full fetch every cycle feed the same decision logic (the
+// mirror-level contract is pinned by sched_equivalence_test.cpp; this is the
+// end-to-end spot check).
 TEST(SchedStorm, IncrementalAndFullFetchBothConserve) {
-  for (const bool incremental : {true, false}) {
-    SCOPED_TRACE(::testing::Message() << "incremental=" << incremental);
+  for (const int full_rescan_every : {16, 1}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "full_rescan_every=" << full_rescan_every);
     StormSpec spec;
     spec.jobs = 4;
     spec.callers_per_job = 4;
     spec.rounds = 2;
     spec.accel = 4;
-    spec.incremental = incremental;
+    spec.full_rescan_every = full_rescan_every;
     StormStats stats;
     run_storm(spec, &stats);
     if (::testing::Test::HasFatalFailure()) return;

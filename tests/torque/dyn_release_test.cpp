@@ -13,16 +13,7 @@
 namespace dac::torque {
 namespace {
 
-using namespace std::chrono_literals;
 using testing::HandServer;
-
-// Issues pbs_dynget(1) from its own process at the current instant.
-vnet::ProcessPtr dynget_now(HandServer& s, JobId id,
-                            std::optional<DynGetReply>& out) {
-  return s.at(simtime::now(), [&s, id, &out] { out = s.client().dynget(id, 1); });
-}
-
-void settle() { simtime::sleep_until(simtime::now() + 1ms); }
 
 TEST(DynRelease, GetDuringAReleaseWaitsForIt) {
   HandServer s(simtime::Mode::kDiscreteEvent);
@@ -31,8 +22,8 @@ TEST(DynRelease, GetDuringAReleaseWaitsForIt) {
   s.run_job(id);
 
   std::optional<DynGetReply> first;
-  auto g1 = dynget_now(s, id, first);
-  settle();
+  auto g1 = s.dynget_now(id, first);
+  s.settle();
   auto q = s.queue();
   ASSERT_EQ(q.dyn.size(), 1u);
   s.grant_dyn(q.dyn[0].dyn_id, {"ac0"});
@@ -42,13 +33,13 @@ TEST(DynRelease, GetDuringAReleaseWaitsForIt) {
   // Freed, but the mother superior has not released ac0 yet.
   s.client().dynfree(id, first->client_id);
   std::optional<DynGetReply> second;
-  auto g2 = dynget_now(s, id, second);
-  settle();
+  auto g2 = s.dynget_now(id, second);
+  s.settle();
   EXPECT_TRUE(s.queue().dyn.empty());
   EXPECT_EQ(s.client().stat_job(id)->state, JobState::kRunning);
 
   s.release_done(id, first->client_id);
-  settle();
+  s.settle();
   q = s.queue();
   ASSERT_EQ(q.dyn.size(), 1u);
   EXPECT_EQ(s.client().stat_job(id)->state, JobState::kDynQueued);
@@ -65,10 +56,10 @@ TEST(DynRelease, CompletionRejectsActiveAndWaitingRequests) {
 
   std::optional<DynGetReply> active;
   std::optional<DynGetReply> waiting;
-  auto g1 = dynget_now(s, id, active);
-  settle();
-  auto g2 = dynget_now(s, id, waiting);
-  settle();
+  auto g1 = s.dynget_now(id, active);
+  s.settle();
+  auto g2 = s.dynget_now(id, waiting);
+  s.settle();
   ASSERT_EQ(s.queue().dyn.size(), 1u);  // one at a time per job
 
   s.complete_job(id);

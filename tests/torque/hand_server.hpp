@@ -1,11 +1,12 @@
 // A pbs_server driven by hand for protocol tests: the test plays scheduler
-// (RUN_JOB, RUN_DYN, GET_QUEUE) and mother superior (JOB_COMPLETE,
+// (RUN_JOB, DYN_DECIDE, GET_SCHED) and mother superior (JOB_COMPLETE,
 // MS_RELEASE_DONE). The "moms" are one plain endpoint that swallows what the
 // server sends them, so no message lands in a closed mailbox.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,20 +93,25 @@ class HandServer {
                     std::move(w).take());
   }
 
-  // Scheduler-style grant of one dyn request onto `hosts`.
+  // Scheduler-style decisions on one dyn request, each shipped as a
+  // one-decision DYN_DECIDE.
   void grant_dyn(std::uint64_t dyn_id, const std::vector<std::string>& hosts) {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(dyn_id);
-    w.put<std::uint64_t>(0);
-    w.put_string_vector(hosts);
-    (void)rpc::call(cluster_.node(2), server(), MsgType::kRunDyn,
-                    std::move(w).take());
+    decide(DynDecision{.dyn_id = dyn_id, .grant = true, .hosts = hosts});
+  }
+  void reject_dyn(std::uint64_t dyn_id) {
+    decide(DynDecision{.dyn_id = dyn_id});
   }
 
-  [[nodiscard]] QueueSnapshot queue() {
-    auto reply = rpc::call(cluster_.node(2), server(), MsgType::kGetQueue, {});
+  // Scheduler-style forced-full GET_SCHED: every live job, every node, and
+  // the active dyn requests in FIFO order.
+  [[nodiscard]] SchedDelta queue() {
+    util::ByteWriter w;
+    w.put<std::uint64_t>(0);  // epoch
+    w.put_bool(true);         // force_full
+    auto reply = rpc::call(cluster_.node(2), server(), MsgType::kGetSched,
+                           std::move(w).take());
     util::ByteReader r(reply);
-    return get_queue_snapshot(r);
+    return get_sched_delta(r);
   }
 
   // Mother-superior-style notifications.
@@ -132,6 +138,17 @@ class HandServer {
         });
   }
 
+  // Issues pbs_dynget(1) from its own process at the current instant.
+  vnet::ProcessPtr dynget_now(JobId id, std::optional<DynGetReply>& out) {
+    return at(simtime::now(),
+              [this, id, &out] { out = client().dynget(id, 1); });
+  }
+
+  // Lets one millisecond pass, enough for every message in flight to land.
+  static void settle() {
+    simtime::sleep_until(simtime::now() + std::chrono::milliseconds(1));
+  }
+
   [[nodiscard]] std::uint64_t calls(MsgType type) const {
     const auto snap = server_->metrics().snapshot();
     const auto* s = snap.find(as_u32(type));
@@ -139,6 +156,13 @@ class HandServer {
   }
 
  private:
+  void decide(const DynDecision& dec) {
+    util::ByteWriter w;
+    put_dyn_decisions(w, {dec});
+    (void)rpc::call(cluster_.node(2), server(), MsgType::kDynDecide,
+                    std::move(w).take());
+  }
+
   dac::testing::ClockModeGuard mode_;  // first: everything runs on it
   vnet::Cluster cluster_;
   std::unique_ptr<vnet::Endpoint> mom_;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "hand_server.hpp"
 #include "torque/ifl.hpp"
 #include "vnet/cluster.hpp"
 
@@ -14,6 +17,7 @@ namespace dac::torque {
 namespace {
 
 using namespace std::chrono_literals;
+using testing::HandServer;
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -74,12 +78,6 @@ class ServerTest : public ::testing::Test {
     (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRunJob,
                     std::move(w).take());
     return id;
-  }
-
-  QueueSnapshot get_queue(vnet::Node& from) {
-    auto reply = rpc::call(from, server_->address(), MsgType::kGetQueue, {});
-    util::ByteReader r(reply);
-    return get_queue_snapshot(r);
   }
 
   vnet::Cluster cluster_;
@@ -202,98 +200,15 @@ TEST_F(ServerTest, SchedulerWakeOnSubmit) {
   // gets exactly one wake per fetch no matter how many events pile up.
   (void)submit_simple();
   EXPECT_FALSE(sched_ep->recv_for(50ms).has_value());  // still coalesced
-  (void)rpc::call(cluster_.node(1), server_->address(), MsgType::kGetQueue,
-                  {});
+  util::ByteWriter fetch;
+  fetch.put<std::uint64_t>(0);  // epoch
+  fetch.put_bool(true);         // force_full
+  (void)rpc::call(cluster_.node(1), server_->address(), MsgType::kGetSched,
+                  std::move(fetch).take());
   (void)submit_simple();
   auto wake = sched_ep->recv_for(1000ms);
   ASSERT_TRUE(wake.has_value());
   EXPECT_EQ(wake->type, as_u32(MsgType::kSchedWake));
-}
-
-TEST_F(ServerTest, QueueSnapshotContainsDynEntries) {
-  register_node("cn0", NodeKind::kCompute, 8, {1, 50});
-  register_node("ac0", NodeKind::kAccelerator, 1, {2, 50});
-  const auto id = start_running_job();
-
-  // Issue a dynget from a helper thread (it blocks); then inspect the
-  // queue from here.
-  std::thread getter([&] {
-    auto ifl = client();
-    try {
-      (void)ifl.dynget(id, 1, 5'000ms);
-    } catch (const std::exception&) {
-    }
-  });
-  // Wait for the dyn entry to appear.
-  QueueSnapshot snap;
-  for (int i = 0; i < 100 && snap.dyn.empty(); ++i) {
-    dac::simtime::sleep_for(5ms);  // NOLINT-DACSCHED(sleep-poll)
-    snap = get_queue(cluster_.node(2));
-  }
-  ASSERT_EQ(snap.dyn.size(), 1u);
-  EXPECT_EQ(snap.dyn[0].job, id);
-  EXPECT_EQ(snap.dyn[0].count, 1);
-  // Job must be in the special DYNQUEUED state.
-  auto info = client().stat_job(id);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->state, JobState::kDynQueued);
-
-  // Reject it like a scheduler would, releasing the blocked dynget.
-  util::ByteWriter w;
-  w.put<std::uint64_t>(snap.dyn[0].dyn_id);
-  w.put<std::uint64_t>(0);
-  (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRejectDyn,
-                  std::move(w).take());
-  getter.join();
-  info = client().stat_job(id);
-  EXPECT_EQ(info->state, JobState::kRunning);
-}
-
-TEST_F(ServerTest, SecondDynRequestWaitsBehindFirst) {
-  register_node("cn0", NodeKind::kCompute, 8, {1, 50});
-  const auto id = start_running_job();
-  std::atomic<int> rejected{0};
-  auto getter = [&] {
-    auto ifl = client();
-    auto r = ifl.dynget(id, 1, 10'000ms);
-    if (!r.granted) ++rejected;
-  };
-  std::thread g1(getter);
-  // Wait for the first to become active.
-  QueueSnapshot snap;
-  for (int i = 0; i < 100 && snap.dyn.empty(); ++i) {
-    dac::simtime::sleep_for(5ms);  // NOLINT-DACSCHED(sleep-poll)
-    snap = get_queue(cluster_.node(2));
-  }
-  ASSERT_EQ(snap.dyn.size(), 1u);
-  std::thread g2(getter);
-  dac::simtime::sleep_for(50ms);  // NOLINT-DACSCHED(sleep-poll)
-  // The second request must NOT be visible yet (one at a time per job).
-  snap = get_queue(cluster_.node(2));
-  ASSERT_EQ(snap.dyn.size(), 1u);
-  const auto first_dyn = snap.dyn[0].dyn_id;
-
-  // Reject the first; the second must then surface.
-  util::ByteWriter w;
-  w.put<std::uint64_t>(first_dyn);
-  w.put<std::uint64_t>(0);
-  (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRejectDyn,
-                  std::move(w).take());
-  for (int i = 0; i < 100; ++i) {
-    snap = get_queue(cluster_.node(2));
-    if (!snap.dyn.empty() && snap.dyn[0].dyn_id != first_dyn) break;
-    dac::simtime::sleep_for(5ms);  // NOLINT-DACSCHED(sleep-poll)
-  }
-  ASSERT_EQ(snap.dyn.size(), 1u);
-  EXPECT_NE(snap.dyn[0].dyn_id, first_dyn);
-  w = {};
-  w.put<std::uint64_t>(snap.dyn[0].dyn_id);
-  w.put<std::uint64_t>(0);
-  (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRejectDyn,
-                  std::move(w).take());
-  g1.join();
-  g2.join();
-  EXPECT_EQ(rejected, 2);
 }
 
 TEST_F(ServerTest, RunJobAllocatesAndEmptyProgramCompletes) {
@@ -351,6 +266,65 @@ TEST_F(ServerTest, RunJobAllocationConflictRollsBack) {
   for (const auto& n : client().stat_nodes()) EXPECT_EQ(n.used, 0);
   auto info = client().stat_job(id);
   EXPECT_EQ(info->state, JobState::kQueued);
+}
+
+// The dynamic-request queue as the scheduler fetches it, with the test
+// playing scheduler on a HandServer. Virtual clock: every step lands at an
+// exact instant.
+TEST(ServerDynQueue, QueueSnapshotContainsDynEntries) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+
+  std::optional<DynGetReply> reply;
+  auto getter = s.dynget_now(id, reply);
+  s.settle();
+  const auto q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+  EXPECT_EQ(q.dyn[0].job, id);
+  EXPECT_EQ(q.dyn[0].count, 1);
+  // Job must be in the special DYNQUEUED state.
+  EXPECT_EQ(s.client().stat_job(id)->state, JobState::kDynQueued);
+
+  // Reject it like a scheduler would, releasing the blocked dynget.
+  s.reject_dyn(q.dyn[0].dyn_id);
+  getter->join();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->granted);
+  EXPECT_EQ(s.client().stat_job(id)->state, JobState::kRunning);
+}
+
+TEST(ServerDynQueue, SecondDynRequestWaitsBehindFirst) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  const auto id = s.submit();
+  s.run_job(id);
+
+  std::optional<DynGetReply> first;
+  std::optional<DynGetReply> second;
+  auto g1 = s.dynget_now(id, first);
+  s.settle();
+  auto q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+  const auto first_dyn = q.dyn[0].dyn_id;
+  auto g2 = s.dynget_now(id, second);
+  s.settle();
+  // The second request must NOT be visible yet (one at a time per job).
+  q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+  EXPECT_EQ(q.dyn[0].dyn_id, first_dyn);
+
+  // Reject the first; the second surfaces in the same step.
+  s.reject_dyn(first_dyn);
+  q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+  EXPECT_NE(q.dyn[0].dyn_id, first_dyn);
+  s.reject_dyn(q.dyn[0].dyn_id);
+  g1->join();
+  g2->join();
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_FALSE(first->granted);
+  EXPECT_FALSE(second->granted);
 }
 
 }  // namespace

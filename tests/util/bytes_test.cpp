@@ -118,5 +118,11 @@ TEST(Bytes, PutRawIsUnprefixed) {
   EXPECT_EQ(r.get<std::uint32_t>(), x);
 }
 
+TEST(Bytes, PutRawOfNothingAcceptsNull) {
+  ByteWriter w;
+  w.put_raw(nullptr, 0);
+  EXPECT_EQ(w.size(), 0u);
+}
+
 }  // namespace
 }  // namespace dac::util
