@@ -100,7 +100,7 @@ void PrototypeArm::run(vnet::Process& proc) {
             resp.ok(std::move(reply).take());
           });
 
-  loop.on(msg(kArmStatus), svc::ExecClass::kReadOnly,
+  loop.on(msg(kArmStatus), svc::ExecClass::kMutating,
           [this](const svc::Request&, svc::Responder& resp) {
             util::ByteWriter reply;
             int free = 0;

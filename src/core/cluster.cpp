@@ -60,8 +60,8 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
   // The server object must exist before the daemon executables register:
   // back-end heartbeats need its address, and the fault plan exports its
   // event counters into the server's metrics registry.
-  server_ = std::make_unique<torque::PbsServer>(
-      head(), config_.timing, config_.svc, config_.node_db_shards);
+  server_ = std::make_unique<torque::PbsServer>(head(), config_.timing,
+                                                config_.svc);
 
   fault_plan_ = config_.fault_plan ? config_.fault_plan : plan_from_env();
   if (fault_plan_) {

@@ -47,8 +47,8 @@ struct DacClusterConfig {
   // Mother superiors kill jobs exceeding their requested walltime.
   bool enforce_walltime = true;
 
-  // Service-runtime knobs (read pool, dedup window, client retries). The
-  // defaults keep the seed behavior — and the Figure 7-9 shapes — unchanged.
+  // Service-runtime knobs (dedup window, client retries). The defaults keep
+  // the seed behavior — and the Figure 7-9 shapes — unchanged.
   svc::ServiceTuning svc;
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
@@ -57,8 +57,6 @@ struct DacClusterConfig {
   int sched_full_rescan_every = 16;
   // One kDynDecide batch per cycle; off = one kDynDecide per decision.
   bool sched_batched_dyn = true;
-  // Lock shards in the server's node database; <= 0 uses the default.
-  int node_db_shards = 0;
 
   // Deterministic failure injection (docs/FAULTS.md): when set, the plan is
   // installed as the fabric's fault injector and wired into the server's

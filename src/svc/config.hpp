@@ -1,6 +1,5 @@
 // Cluster-wide service-runtime knobs, carried inside DacClusterConfig. The
-// defaults reproduce the seed behavior exactly: a fully serialized server
-// lane (read_workers = 0) and clients that retransmit only on silence.
+// defaults give clients that retransmit only on silence.
 #pragma once
 
 #include <cstddef>
@@ -10,10 +9,6 @@
 namespace dac::svc {
 
 struct ServiceTuning {
-  // Worker threads for read-only requests (qstat, pbsnodes, heartbeats) on
-  // the pbs_server. 0 keeps every request on the serialized mutating lane,
-  // which is the paper's Figure 8/9 configuration.
-  int server_read_workers = 0;
   // Completed request-ids each daemon remembers for duplicate suppression.
   std::size_t dedup_window = 256;
   // Retry policy for clients (IFL, scheduler, rmlib sessions, ARM clients).

@@ -84,22 +84,6 @@ void ServiceLoop::run() {
   for (auto& t : ticks_) t.last = now;
   trace::set_thread_actor(cfg_.name);
 
-  workers_.reserve(static_cast<std::size_t>(std::max(0, cfg_.read_workers)));
-  for (int i = 0; i < cfg_.read_workers; ++i) {
-    simtime::Clock::instance().actor_started();
-    workers_.emplace_back([this] {
-      simtime::AdoptScope actor;
-      trace::set_thread_actor(cfg_.name);
-      while (auto work = read_queue_.pop()) {
-        try {
-          execute(std::move(*work));
-        } catch (const util::StoppedError&) {
-          break;
-        }
-      }
-    });
-  }
-
   const bool want_conc =
       std::any_of(handlers_.begin(), handlers_.end(), [](const auto& h) {
         return h.second.klass == ExecClass::kConcurrent;
@@ -120,11 +104,8 @@ void ServiceLoop::run() {
   }
 
   const auto drain = [this] {
-    read_queue_.close();
     conc_queue_.close();
-    simtime::ExternalWaitScope quiescent;  // native joins, clock-invisible
-    for (auto& w : workers_) w.join();
-    workers_.clear();
+    simtime::ExternalWaitScope quiescent;  // native join, clock-invisible
     if (conc_worker_.joinable()) conc_worker_.join();
   };
 
@@ -201,8 +182,8 @@ void ServiceLoop::serve(vnet::Message msg) {
   work.st->to = req.from;
   work.req = std::move(req);
   {
-    // Registered before dispatch so a retransmit racing with a pooled
-    // execution is recognized as a duplicate.
+    // Registered before dispatch so a retransmit racing with a
+    // concurrent-lane execution is recognized as a duplicate.
     ScopedLock lock(dedup_mu_);
     pending_[work.st->id] = work.st;
   }
@@ -211,12 +192,6 @@ void ServiceLoop::serve(vnet::Message msg) {
     if (!conc_queue_.push(std::move(work))) {
       DAC_CHECK(false, "{}: concurrent-lane queue closed while serving",
                 cfg_.name);
-    }
-  } else if (work.entry->klass == ExecClass::kReadOnly && !workers_.empty()) {
-    if (!read_queue_.push(std::move(work))) {
-      // The pool queue only closes after run() exits, so this cannot happen
-      // while serving; if it ever does, the request was dropped silently.
-      DAC_CHECK(false, "{}: read-queue closed while serving", cfg_.name);
     }
   } else {
     execute(std::move(work));

@@ -3,11 +3,8 @@
 // handler is registered under an execution class:
 //
 //  - kMutating requests run inline on the loop thread — one serialized lane,
-//    exactly the paper's single-threaded pbs_server (Figures 8/9).
-//  - kReadOnly requests run on an optional worker pool (`read_workers`), so
-//    qstat/pbsnodes/heartbeats stop queueing behind scheduling work. With
-//    read_workers = 0 (the default) they stay on the serialized lane and the
-//    daemon behaves exactly like the seed implementation.
+//    exactly the paper's single-threaded pbs_server (Figures 8/9). Reads
+//    (qstat, pbsnodes, heartbeats) take this lane too.
 //  - kConcurrent requests run on their own dedicated lane: one extra thread,
 //    serialized among themselves, spawned iff any handler registered for it.
 //    This is for handlers that BLOCK in outbound calls (a mother superior's
@@ -50,17 +47,14 @@ namespace dac::svc {
 
 enum class ExecClass {
   kMutating,    // serialized lane (the loop thread)
-  kReadOnly,    // worker pool when read_workers > 0
   kConcurrent,  // dedicated serialized lane; may block in outbound calls
 };
 
 struct ServiceConfig {
   std::string name = "svc";
   // Simulated per-request service cost charged before each handler runs (the
-  // paper's server_service_cost). Charged on the executing thread, so pooled
-  // read-only requests pay it concurrently.
+  // paper's server_service_cost). Charged on the executing lane.
   std::chrono::microseconds service_cost{0};
-  int read_workers = 0;
   std::size_t dedup_window = 256;
 };
 
@@ -132,8 +126,8 @@ class ServiceLoop {
   // Disarms a timer; a no-op once it fired.
   void cancel_timer(const TimerId& id);
 
-  // Serves until the endpoint is closed and drained. Workers are joined
-  // before run() returns.
+  // Serves until the endpoint is closed and drained. The kConcurrent lane is
+  // joined before run() returns.
   void run();
 
   [[nodiscard]] vnet::Endpoint& endpoint() const { return ep_; }
@@ -189,8 +183,6 @@ class ServiceLoop {
       pending_ DAC_GUARDED_BY(dedup_mu_);
   std::atomic<std::uint64_t> deduped_{0};
 
-  util::BlockingQueue<Work> read_queue_;
-  std::vector<std::thread> workers_;
   // kConcurrent lane: one thread, created in run() iff any handler was
   // registered under kConcurrent. Serialized among its own requests.
   util::BlockingQueue<Work> conc_queue_;

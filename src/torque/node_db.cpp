@@ -49,32 +49,13 @@ NodeStatus get_node_status(util::ByteReader& r) {
   return n;
 }
 
-NodeDb::NodeDb(int shards)
-    : shards_(static_cast<std::size_t>(std::max(1, shards))) {}
-
-NodeDb::Shard& NodeDb::shard_of(const std::string& hostname) {
-  return shards_[std::hash<std::string>{}(hostname) % shards_.size()];
-}
-
-const NodeDb::Shard& NodeDb::shard_of(const std::string& hostname) const {
-  return shards_[std::hash<std::string>{}(hostname) % shards_.size()];
-}
-
-void NodeDb::mark_dirty(Shard& s, const std::string& hostname) {
-  if (std::find(s.dirty.begin(), s.dirty.end(), hostname) == s.dirty.end()) {
-    s.dirty.push_back(hostname);
-  }
-}
-
 void NodeDb::upsert(NodeStatus status) {
-  auto& s = shard_of(status.hostname);
-  ScopedLock lock(s.mu);
-  mark_dirty(s, status.hostname);
-  auto it = s.nodes.find(status.hostname);
-  if (it == s.nodes.end()) {
+  dirty_.insert(status.hostname);
+  auto it = nodes_.find(status.hostname);
+  if (it == nodes_.end()) {
     Entry e;
     e.status = std::move(status);
-    s.nodes.emplace(e.status.hostname, std::move(e));
+    nodes_.emplace(e.status.hostname, std::move(e));
     return;
   }
   // Refresh identity fields but keep current assignments. A re-registering
@@ -88,52 +69,21 @@ void NodeDb::upsert(NodeStatus status) {
 }
 
 std::optional<NodeStatus> NodeDb::lookup(const std::string& hostname) const {
-  const auto& s = shard_of(hostname);
-  ScopedLock lock(s.mu);
-  auto it = s.nodes.find(hostname);
-  if (it == s.nodes.end()) return std::nullopt;
+  auto it = nodes_.find(hostname);
+  if (it == nodes_.end()) return std::nullopt;
   return it->second.status;
 }
 
-std::vector<NodeStatus> NodeDb::snapshot() const
-    DAC_NO_THREAD_SAFETY_ANALYSIS {
-  // One consistent cut across every shard: the scheduler's allocation pass
-  // and the conservation invariants want a point-in-time view, not a merge
-  // of per-shard views taken at different moments.
-  const auto all = lock_all();
+std::vector<NodeStatus> NodeDb::snapshot() const {
   std::vector<NodeStatus> out;
-  for (const auto& s : shards_) {
-    for (const auto& [name, e] : s.nodes) out.push_back(e.status);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const NodeStatus& a, const NodeStatus& b) {
-              return a.hostname < b.hostname;
-            });
+  out.reserve(nodes_.size());
+  for (const auto& [name, e] : nodes_) out.push_back(e.status);
   return out;
 }
 
-void NodeDb::for_each(
-    const std::function<void(const NodeStatus&)>& fn) const {
-  for (const auto& s : shards_) {
-    ScopedLock lock(s.mu);
-    for (const auto& [name, e] : s.nodes) fn(e.status);
-  }
-}
-
-std::size_t NodeDb::size() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    ScopedLock lock(s.mu);
-    total += s.nodes.size();
-  }
-  return total;
-}
-
 bool NodeDb::assign(const std::string& hostname, JobId job, int slots) {
-  auto& sh = shard_of(hostname);
-  ScopedLock lock(sh.mu);
-  auto it = sh.nodes.find(hostname);
-  if (it == sh.nodes.end()) return false;
+  auto it = nodes_.find(hostname);
+  if (it == nodes_.end()) return false;
   auto& e = it->second;
   if (e.status.free_slots() < slots) return false;
   e.status.used += slots;
@@ -145,7 +95,7 @@ bool NodeDb::assign(const std::string& hostname, JobId job, int slots) {
       e.status.jobs.end()) {
     e.status.jobs.push_back(job);
   }
-  mark_dirty(sh, hostname);
+  dirty_.insert(hostname);
   // Instantaneous trace event; the property tests replay these to check
   // slot conservation and overlap invariants.
   trace::event("alloc.assign", {{"host", hostname},
@@ -155,10 +105,8 @@ bool NodeDb::assign(const std::string& hostname, JobId job, int slots) {
 }
 
 void NodeDb::release(const std::string& hostname, JobId job) {
-  auto& sh = shard_of(hostname);
-  ScopedLock lock(sh.mu);
-  auto it = sh.nodes.find(hostname);
-  if (it == sh.nodes.end()) return;
+  auto it = nodes_.find(hostname);
+  if (it == nodes_.end()) return;
   auto& e = it->second;
   auto held = e.held.find(job);
   if (held == e.held.end()) return;
@@ -169,97 +117,77 @@ void NodeDb::release(const std::string& hostname, JobId job) {
             e.status.used, job);
   e.held.erase(held);
   std::erase(e.status.jobs, job);
-  mark_dirty(sh, hostname);
+  dirty_.insert(hostname);
   trace::event("alloc.release", {{"host", hostname},
                                  {"job", std::to_string(job)},
                                  {"slots", std::to_string(slots)}});
 }
 
-void NodeDb::release_all(JobId job) DAC_NO_THREAD_SAFETY_ANALYSIS {
-  const auto all = lock_all();
-  for (auto& s : shards_) {
-    for (auto& [name, e] : s.nodes) {
-      auto held = e.held.find(job);
-      if (held == e.held.end()) continue;
-      const int slots = held->second;
-      e.status.used -= slots;
-      DAC_CHECK(e.status.used >= 0,
-                "node {} slot count went negative ({}) releasing job {}", name,
-                e.status.used, job);
-      e.held.erase(held);
-      std::erase(e.status.jobs, job);
-      mark_dirty(s, name);
-      trace::event("alloc.release", {{"host", name},
-                                     {"job", std::to_string(job)},
-                                     {"slots", std::to_string(slots)}});
-    }
+void NodeDb::release_all(JobId job) {
+  for (auto& [name, e] : nodes_) {
+    auto held = e.held.find(job);
+    if (held == e.held.end()) continue;
+    const int slots = held->second;
+    e.status.used -= slots;
+    DAC_CHECK(e.status.used >= 0,
+              "node {} slot count went negative ({}) releasing job {}", name,
+              e.status.used, job);
+    e.held.erase(held);
+    std::erase(e.status.jobs, job);
+    dirty_.insert(name);
+    trace::event("alloc.release", {{"host", name},
+                                   {"job", std::to_string(job)},
+                                   {"slots", std::to_string(slots)}});
   }
 }
 
 std::optional<vnet::Address> NodeDb::mom_of(const std::string& hostname) const {
-  const auto& s = shard_of(hostname);
-  ScopedLock lock(s.mu);
-  auto it = s.nodes.find(hostname);
-  if (it == s.nodes.end()) return std::nullopt;
+  auto it = nodes_.find(hostname);
+  if (it == nodes_.end()) return std::nullopt;
   return it->second.status.mom_addr;
 }
 
 bool NodeDb::heartbeat(const std::string& hostname, double now) {
-  auto& sh = shard_of(hostname);
-  ScopedLock lock(sh.mu);
-  auto it = sh.nodes.find(hostname);
-  if (it == sh.nodes.end()) return false;
+  auto it = nodes_.find(hostname);
+  if (it == nodes_.end()) return false;
   it->second.last_seen = now;
   const bool revived = it->second.status.liveness != Liveness::kUp;
   it->second.status.up = true;
   it->second.status.liveness = Liveness::kUp;
   // A bare timestamp refresh is not scheduler-visible; only a revival is.
-  if (revived) mark_dirty(sh, hostname);
+  if (revived) dirty_.insert(hostname);
   return revived;
 }
 
 NodeDb::LivenessChanges NodeDb::refresh_liveness(double now,
                                                  double suspect_after,
-                                                 double down_after)
-    DAC_NO_THREAD_SAFETY_ANALYSIS {
+                                                 double down_after) {
   LivenessChanges changes;
-  const auto all = lock_all();
-  for (auto& sh : shards_) {
-    for (auto& [name, e] : sh.nodes) {
-      const double silence = now - e.last_seen;
-      Liveness next = e.status.liveness;
-      if (silence >= down_after) {
-        next = Liveness::kDown;
-      } else if (silence >= suspect_after) {
-        // Never promote: a down node stays down until a real heartbeat.
-        if (e.status.liveness == Liveness::kUp) next = Liveness::kSuspect;
-      }
-      if (next == e.status.liveness) continue;
-      e.status.liveness = next;
-      e.status.up = next == Liveness::kUp;
-      mark_dirty(sh, name);
-      if (next == Liveness::kSuspect) {
-        changes.went_suspect.push_back(name);
-      } else if (next == Liveness::kDown) {
-        changes.went_down.push_back(name);
-      }
+  for (auto& [name, e] : nodes_) {
+    const double silence = now - e.last_seen;
+    Liveness next = e.status.liveness;
+    if (silence >= down_after) {
+      next = Liveness::kDown;
+    } else if (silence >= suspect_after) {
+      // Never promote: a down node stays down until a real heartbeat.
+      if (e.status.liveness == Liveness::kUp) next = Liveness::kSuspect;
+    }
+    if (next == e.status.liveness) continue;
+    e.status.liveness = next;
+    e.status.up = next == Liveness::kUp;
+    dirty_.insert(name);
+    if (next == Liveness::kSuspect) {
+      changes.went_suspect.push_back(name);
+    } else if (next == Liveness::kDown) {
+      changes.went_down.push_back(name);
     }
   }
-  // Shard order is hash order; report transitions in a stable order so the
-  // recovery paths (and their logs) are deterministic.
-  std::sort(changes.went_suspect.begin(), changes.went_suspect.end());
-  std::sort(changes.went_down.begin(), changes.went_down.end());
   return changes;
 }
 
 std::vector<std::string> NodeDb::drain_dirty() {
-  std::vector<std::string> out;
-  for (auto& s : shards_) {
-    ScopedLock lock(s.mu);
-    out.insert(out.end(), s.dirty.begin(), s.dirty.end());
-    s.dirty.clear();
-  }
-  std::sort(out.begin(), out.end());
+  std::vector<std::string> out(dirty_.begin(), dirty_.end());
+  dirty_.clear();
   return out;
 }
 

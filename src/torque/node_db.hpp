@@ -2,25 +2,20 @@
 // server tracks which jobs hold slots on which hosts. Accelerator nodes are
 // exclusive (one job at a time); compute nodes have ppn slots.
 //
-// Sharded and internally synchronized: hosts hash onto N lock shards so
-// server-side slot accounting stops being one global mutex — heartbeats,
-// pbsnodes reads, and grant/release traffic on different hosts proceed in
-// parallel. Cross-shard operations (snapshot, release_all, the failure
-// detector) take the whole-DB guard, which locks every shard in index order.
-// The guard is an implementation detail of this file: new code outside the
-// shard API must not take it (dacsched-analyzer rule `global-nodedb-lock`).
+// A plain map keyed by hostname, so every listing comes out in hostname
+// order. It has no lock of its own: the pbs_server guards it with its state
+// lock, like the rest of the server's tables.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "torque/job.hpp"
 #include "util/bytes.hpp"
-#include "util/sync.hpp"
 #include "vnet/message.hpp"
 
 namespace dac::torque {
@@ -58,37 +53,27 @@ NodeStatus get_node_status(util::ByteReader& r);
 
 class NodeDb {
  public:
-  static constexpr int kDefaultShards = 8;
-
-  explicit NodeDb(int shards = kDefaultShards);
+  NodeDb() = default;
 
   NodeDb(const NodeDb&) = delete;
   NodeDb& operator=(const NodeDb&) = delete;
 
-  [[nodiscard]] int shard_count() const {
-    return static_cast<int>(shards_.size());
-  }
-
   // Adds or refreshes a node record (mom registration).
   void upsert(NodeStatus status);
 
-  // Point query; returns a copy so the caller holds no shard lock.
+  // Point query; returns a copy.
   [[nodiscard]] std::optional<NodeStatus> lookup(
       const std::string& hostname) const;
-  // Consistent whole-DB copy (all shards held at once), sorted by hostname.
+  // Whole-DB copy, sorted by hostname.
   [[nodiscard]] std::vector<NodeStatus> snapshot() const;
-  // Per-shard iteration: `fn` runs under one shard lock at a time, so the
-  // view is consistent per host but not across hosts. Cheap for accounting
-  // sweeps that do not need a global cut.
-  void for_each(const std::function<void(const NodeStatus&)>& fn) const;
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   // Assigns `slots` slots on `hostname` to `job`; false if unknown host or
   // not enough free slots.
   bool assign(const std::string& hostname, JobId job, int slots);
   // Releases all slots `job` holds on `hostname`.
   void release(const std::string& hostname, JobId job);
-  // Releases everything `job` holds anywhere (one atomic cross-shard cut).
+  // Releases everything `job` holds anywhere, host by host in hostname order.
   void release_all(JobId job);
 
   [[nodiscard]] std::optional<vnet::Address> mom_of(
@@ -105,15 +90,16 @@ class NodeDb {
   };
   // Advances the failure detector: last heartbeat older than
   // `suspect_after` seconds => kSuspect, older than `down_after` =>
-  // kDown. Returns only the transitions made by this call; recovery to kUp
-  // happens in heartbeat(), not here — silence never improves liveness.
+  // kDown. Returns only the transitions made by this call, in hostname
+  // order; recovery to kUp happens in heartbeat(), not here — silence never
+  // improves liveness.
   LivenessChanges refresh_liveness(double now, double suspect_after,
                                    double down_after);
 
   // ---- dirty tracking (incremental scheduler feed) ---------------------
   // Hostnames whose scheduler-visible status changed since the last drain
   // (registration, slot traffic, liveness transitions — not bare heartbeat
-  // timestamps). Returned sorted; the dirty sets are cleared.
+  // timestamps). Returned sorted; the dirty set is cleared.
   [[nodiscard]] std::vector<std::string> drain_dirty();
 
  private:
@@ -122,40 +108,9 @@ class NodeDb {
     std::map<JobId, int> held;  // job -> slots held
     double last_seen = 0.0;     // server seconds of the last heartbeat
   };
-  struct Shard {
-    mutable Mutex mu{"node_db.shard"};
-    std::map<std::string, Entry> nodes DAC_GUARDED_BY(mu);
-    std::vector<std::string> dirty DAC_GUARDED_BY(mu);  // unsorted, deduped
-  };
 
-  // Whole-DB guard: locks every shard in index order (deadlock-free by
-  // construction). Internal to node_db.cpp — see the analyzer rule note in
-  // the file header.
-  class ExclusiveAll {
-   public:
-    explicit ExclusiveAll(const NodeDb& db) DAC_NO_THREAD_SAFETY_ANALYSIS
-        : db_(db) {
-      for (const auto& s : db_.shards_) s.mu.lock();
-    }
-    ~ExclusiveAll() DAC_NO_THREAD_SAFETY_ANALYSIS {
-      for (auto it = db_.shards_.rbegin(); it != db_.shards_.rend(); ++it) {
-        it->mu.unlock();
-      }
-    }
-    ExclusiveAll(const ExclusiveAll&) = delete;
-    ExclusiveAll& operator=(const ExclusiveAll&) = delete;
-
-   private:
-    const NodeDb& db_;
-  };
-  [[nodiscard]] ExclusiveAll lock_all() const { return ExclusiveAll(*this); }
-
-  [[nodiscard]] Shard& shard_of(const std::string& hostname);
-  [[nodiscard]] const Shard& shard_of(const std::string& hostname) const;
-  static void mark_dirty(Shard& s, const std::string& hostname)
-      DAC_REQUIRES(s.mu);
-
-  std::vector<Shard> shards_;
+  std::map<std::string, Entry> nodes_;
+  std::set<std::string> dirty_;
 };
 
 }  // namespace dac::torque

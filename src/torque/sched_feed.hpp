@@ -6,7 +6,7 @@
 // non-terminal job, every node) or a *delta* (only the jobs and nodes whose
 // scheduler-visible state changed since the previous fetch). The server
 // feeds DirtyTracker from its mutation handlers and the NodeDb's own dirty
-// sets; the scheduler folds deltas into a QueueMirror
+// set; the scheduler folds deltas into a QueueMirror
 // (src/maui/queue_mirror.hpp) that reconstructs bit-identical fetch inputs —
 // the incremental ≡ full-rescan contract pinned by tests/maui.
 //

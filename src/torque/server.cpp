@@ -87,13 +87,12 @@ QueueSnapshot get_queue_snapshot(util::ByteReader& r) {
 }
 
 PbsServer::PbsServer(vnet::Node& node, BatchTiming timing,
-                     svc::ServiceTuning tuning, int node_db_shards)
+                     svc::ServiceTuning tuning)
     : node_(node),
       timing_(timing),
       tuning_(tuning),
       endpoint_(node.open_endpoint()),
-      start_(simtime::now()),
-      nodes_(node_db_shards > 0 ? node_db_shards : NodeDb::kDefaultShards) {}
+      start_(simtime::now()) {}
 
 double PbsServer::now_s() const {
   return std::chrono::duration<double>(simtime::now() -
@@ -103,12 +102,10 @@ double PbsServer::now_s() const {
 
 void PbsServer::run(vnet::Process& proc) {
   proc.adopt_mailbox(endpoint_->mailbox_weak());
-  kLog.info("pbs_server up at {} ({} read worker(s))",
-            endpoint_->address().str(), tuning_.server_read_workers);
+  kLog.info("pbs_server up at {}", endpoint_->address().str());
   svc::ServiceConfig cfg;
   cfg.name = "pbs_server";
   cfg.service_cost = timing_.server_service_cost;
-  cfg.read_workers = tuning_.server_read_workers;
   cfg.dedup_window = tuning_.dedup_window;
   svc::ServiceLoop loop(*endpoint_, cfg, &metrics_);
   register_handlers(loop);
@@ -116,7 +113,7 @@ void PbsServer::run(vnet::Process& proc) {
   // node is declared suspect/down even when nobody runs pbsnodes. The same
   // tick sweeps elastic offers whose ack deadline passed.
   loop.add_tick(timing_.mom_heartbeat_interval, [this, &loop] {
-    WriterLock lock(state_mu_);
+    ScopedLock lock(state_mu_);
     refresh_liveness();
     sweep_elastic_offers();
     settle_job_waits(loop);
@@ -130,45 +127,34 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   using svc::Request;
   using svc::Responder;
 
-  // Mutating handlers: serialized lane, exclusive state lock. Any of them
-  // may move a job, so each ends by answering the waits it satisfied.
+  // Every handler runs on the serialized lane under the state lock. Any
+  // that may move a job ends by answering the waits it satisfied.
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
     loop.on(type, ExecClass::kMutating,
             [this, fn, &loop](const Request& req, Responder& resp) {
-              WriterLock lock(state_mu_);
+              ScopedLock lock(state_mu_);
               (this->*fn)(req, resp);
               settle_job_waits(loop);
             });
   };
-  // Mutating notifications (no reply expected).
+  // Notifications (no reply expected).
   const auto note = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&)) {
     loop.on(type, ExecClass::kMutating,
             [this, fn, &loop](const Request& req, Responder&) {
-              WriterLock lock(state_mu_);
+              ScopedLock lock(state_mu_);
               (this->*fn)(req);
               settle_job_waits(loop);
             });
   };
-  // Pure reads: may run on the read pool under a shared lock.
+  // Requests that move no job: no waits to settle.
   const auto read = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&,
                                               Responder&)) {
-    loop.on(type, ExecClass::kReadOnly,
+    loop.on(type, ExecClass::kMutating,
             [this, fn](const Request& req, Responder& resp) {
-              ReaderLock lock(state_mu_);
-              (this->*fn)(req, resp);
-            });
-  };
-  // Pool-eligible requests that still write (liveness bookkeeping): run off
-  // the mutating lane but take the state lock exclusively.
-  const auto read_excl = [&](MsgType type,
-                             void (PbsServer::*fn)(const rpc::Request&,
-                                                   Responder&)) {
-    loop.on(type, ExecClass::kReadOnly,
-            [this, fn](const Request& req, Responder& resp) {
-              WriterLock lock(state_mu_);
+              ScopedLock lock(state_mu_);
               (this->*fn)(req, resp);
             });
   };
@@ -191,39 +177,27 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   loop.on(MsgType::kMsDynReady, ExecClass::kMutating,
           [](const Request&, Responder&) {});  // informational
 
-  // Node-only handlers: the sharded NodeDb synchronizes itself, so these run
-  // on the read pool without touching state_mu_ at all. Under a 1k-node
-  // heartbeat storm this is the difference between the mutating lane
-  // stalling behind pbsnodes traffic and not noticing it.
-  const auto node_only = [&](MsgType type,
-                             void (PbsServer::*fn)(const rpc::Request&,
-                                                   Responder&)) {
-    loop.on(type, ExecClass::kReadOnly,
-            [this, fn](const Request& req, Responder& resp) {
-              (this->*fn)(req, resp);
-            });
-  };
-
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
   read(MsgType::kStatJob, &PbsServer::on_stat_job);
-  // Arms a loop timer, so it must run on the loop thread.
+  // Takes the loop to arm its budget timer.
   loop.on(MsgType::kWaitJob, ExecClass::kMutating,
           [this, &loop](const Request& req, Responder& resp) {
-            WriterLock lock(state_mu_);
+            ScopedLock lock(state_mu_);
             on_wait_job(req, resp, loop);
           });
-  // The queue fetch drains the dirty-feed bookkeeping, so it needs the lock
-  // exclusively even though it does not change job state.
-  read_excl(MsgType::kGetSched, &PbsServer::on_get_sched);
+  read(MsgType::kGetSched, &PbsServer::on_get_sched);
   mut(MsgType::kDynDecide, &PbsServer::on_dyn_decide);
-  node_only(MsgType::kStatNodes, &PbsServer::on_stat_nodes);
+  read(MsgType::kStatNodes, &PbsServer::on_stat_nodes);
   // Mom and dacc-backend heartbeats carry the same body (hostname) and feed
   // the same detector; two codes keep the metrics table honest about who is
-  // beating. They touch only the NodeDb: no state lock.
+  // beating.
   for (const auto type :
        {MsgType::kMomHeartbeat, MsgType::kBackendHeartbeat}) {
-    loop.on(type, ExecClass::kReadOnly,
-            [this](const Request& req, Responder&) { on_heartbeat(req); });
+    loop.on(type, ExecClass::kMutating,
+            [this](const Request& req, Responder&) {
+              ScopedLock lock(state_mu_);
+              on_heartbeat(req);
+            });
   }
 }
 
@@ -358,7 +332,7 @@ void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp,
   const auto wait_id = next_wait_id_++;
   const auto timer =
       loop.add_timer(simtime::now() + budget, [this, wait_id] {
-        WriterLock lock(state_mu_);
+        ScopedLock lock(state_mu_);
         if (auto w = job_waits_.find(wait_id); w != job_waits_.end()) {
           w->second.responder.ok(wait_reply(nullptr));
           job_waits_.erase(w);

@@ -4,20 +4,16 @@
 // job state, serialized per-job dynamic requests, client-ids for dynamic
 // accelerator sets, and the forward-then-reply ordering of §III-D.
 //
-// The server runs on a svc::ServiceLoop. Mutating and dynamic requests stay
-// on the loop's single serialized lane — the serialization point the paper's
-// Figure 9 measures — while read-only requests (qstat, pbsnodes, heartbeats)
-// can be moved to a worker pool via ServiceTuning::server_read_workers. With
-// the default of 0 workers the server is exactly the paper's single-threaded
-// daemon.
+// The server runs on a svc::ServiceLoop. Every request, read or write, runs
+// on the loop's single serialized lane — the paper's single-threaded daemon
+// and the serialization point its Figure 9 measures — under one state lock
+// that also guards the node database.
 //
-// High-throughput extensions (docs/SCHEDULING.md): the node database is
-// sharded and internally synchronized, so heartbeats and node reads bypass
-// the server state lock entirely; job mutations feed a DirtyTracker that
-// serves the scheduler incremental kGetSched deltas; and one kDynDecide
-// message applies a whole cycle's dynamic grant/reject decisions under a
-// single lock acquisition. A WakeGate coalesces scheduler wakeups to at
-// most one in flight.
+// High-throughput extensions (docs/SCHEDULING.md): job mutations feed a
+// DirtyTracker that serves the scheduler incremental kGetSched deltas, and
+// one kDynDecide message applies a whole cycle's dynamic grant/reject
+// decisions under a single lock acquisition. A WakeGate coalesces scheduler
+// wakeups to at most one in flight.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +69,9 @@ class PbsServer {
  public:
   // Opens the server endpoint on `node` immediately so the address is known
   // before any mom or client starts; run() must then be invoked inside a
-  // process on that node. `node_db_shards <= 0` uses NodeDb::kDefaultShards.
+  // process on that node.
   PbsServer(vnet::Node& node, BatchTiming timing,
-            svc::ServiceTuning tuning = {}, int node_db_shards = 0);
+            svc::ServiceTuning tuning = {});
 
   PbsServer(const PbsServer&) = delete;
   PbsServer& operator=(const PbsServer&) = delete;
@@ -135,18 +131,16 @@ class PbsServer {
 
   void register_handlers(svc::ServiceLoop& loop);
 
-  // IFL / mom-facing handlers. All run with state_mu_ held (shared for the
-  // pure reads, exclusive otherwise); the REQUIRES annotations document and
-  // (under clang) enforce that. Handlers that touch only the internally
-  // synchronized NodeDb (heartbeats, node listings) carry no annotation and
-  // run lock-free on the read pool.
+  // IFL / mom-facing handlers. All run with state_mu_ held; the REQUIRES
+  // annotations document and (under clang) enforce that.
   void on_submit(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_stat_jobs(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES_SHARED(state_mu_);
+      DAC_REQUIRES(state_mu_);
   void on_stat_job(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES_SHARED(state_mu_);
-  void on_stat_nodes(const rpc::Request& req, svc::Responder& resp);
+      DAC_REQUIRES(state_mu_);
+  void on_stat_nodes(const rpc::Request& req, svc::Responder& resp)
+      DAC_REQUIRES(state_mu_);
   // WAIT_JOB: answers at once if the job is already there, else holds the
   // Responder until settle_job_waits or the budget timer answers it.
   void on_wait_job(const rpc::Request& req, svc::Responder& resp,
@@ -163,13 +157,14 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   void on_dynfree(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
-  void on_register_node(const rpc::Request& req, svc::Responder& resp);
+  void on_register_node(const rpc::Request& req, svc::Responder& resp)
+      DAC_REQUIRES(state_mu_);
   void on_register_scheduler(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_job_started(const rpc::Request& req) DAC_REQUIRES(state_mu_);
   void on_job_complete(const rpc::Request& req) DAC_REQUIRES(state_mu_);
   void on_ms_release_done(const rpc::Request& req) DAC_REQUIRES(state_mu_);
-  void on_heartbeat(const rpc::Request& req);
+  void on_heartbeat(const rpc::Request& req) DAC_REQUIRES(state_mu_);
 
   // Scheduler-facing handlers.
   void on_get_sched(const rpc::Request& req, svc::Responder& resp)
@@ -191,9 +186,9 @@ class PbsServer {
 
   // Building blocks of every kGetSched reply, full or delta.
   [[nodiscard]] std::vector<DynQueueEntry> dyn_entries() const
-      DAC_REQUIRES_SHARED(state_mu_);
+      DAC_REQUIRES(state_mu_);
   [[nodiscard]] std::vector<elastic::JobView> elastic_views() const
-      DAC_REQUIRES_SHARED(state_mu_);
+      DAC_REQUIRES(state_mu_);
 
   // Marks `id`'s scheduler-visible state changed since the last fetch.
   // Every mutation of a JobRecord's info must route through here or the
@@ -253,7 +248,8 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   [[nodiscard]] double now_s() const;
   [[nodiscard]] std::vector<HostRef> host_refs(
-      const std::vector<std::string>& hostnames) const;
+      const std::vector<std::string>& hostnames) const
+      DAC_REQUIRES(state_mu_);
 
   vnet::Node& node_;
   BatchTiming timing_;
@@ -262,13 +258,11 @@ class PbsServer {
   std::chrono::steady_clock::time_point start_;
   svc::MetricsRegistry metrics_;
 
-  // Guards the job-side server state below. The mutating lane takes it
-  // exclusively; pooled read-only handlers take it shared. The NodeDb is
-  // NOT under this lock: it is sharded and internally synchronized, so
-  // heartbeat and pbsnodes traffic never contends with job mutations.
-  SharedMutex state_mu_{"server.state"};
+  // Guards all server state below, the node database included. Every
+  // handler, tick and timer takes it on the loop thread.
+  Mutex state_mu_{"server.state"};
 
-  NodeDb nodes_;  // internally synchronized (see node_db.hpp)
+  NodeDb nodes_ DAC_GUARDED_BY(state_mu_);
   elastic::Broker elastic_ DAC_GUARDED_BY(state_mu_);
   std::map<JobId, JobRecord> jobs_ DAC_GUARDED_BY(state_mu_);
   std::map<std::uint64_t, DynRecord> dyn_ DAC_GUARDED_BY(state_mu_);

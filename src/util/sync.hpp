@@ -22,7 +22,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <shared_mutex>
 #include <type_traits>
 
 #include "simtime/clock.hpp"
@@ -53,12 +52,6 @@
   DAC_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 #define DAC_TRY_ACQUIRE(...) \
   DAC_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define DAC_ACQUIRE_SHARED(...) \
-  DAC_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
-#define DAC_RELEASE_SHARED(...) \
-  DAC_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define DAC_REQUIRES_SHARED(...) \
-  DAC_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 #define DAC_EXCLUDES(...) DAC_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 #define DAC_ASSERT_CAPABILITY(x) \
   DAC_THREAD_ANNOTATION_(assert_capability(x))
@@ -149,73 +142,6 @@ class DAC_SCOPED_CAPABILITY UniqueLock {
   friend class CondVar;
   Mutex* mu_;
   bool owns_;
-};
-
-// Annotated reader/writer mutex (std::shared_mutex wrapper). Both shared
-// and exclusive acquisitions feed the lock-order detector: a reader inside
-// one lock and a writer inside another deadlock just as readily as two
-// writers.
-class DAC_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  explicit SharedMutex(const char* name) : name_(name) {}
-  ~SharedMutex() { lockorder::on_destroy(this); }
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() DAC_ACQUIRE() {
-    lockorder::on_acquire(this, name_);
-    mu_.lock();
-  }
-  void unlock() DAC_RELEASE() {
-    lockorder::on_release(this);
-    mu_.unlock();
-  }
-  void lock_shared() DAC_ACQUIRE_SHARED() {
-    lockorder::on_acquire(this, name_);
-    mu_.lock_shared();
-  }
-  void unlock_shared() DAC_RELEASE_SHARED() {
-    lockorder::on_release(this);
-    mu_.unlock_shared();
-  }
-
-  [[nodiscard]] const char* name() const { return name_; }
-
- private:
-  std::shared_mutex mu_;  // NOLINT-DACSCHED(raw-sync)
-  const char* name_ = "shared_mutex";
-};
-
-// RAII exclusive (writer) lock on a SharedMutex.
-class DAC_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) DAC_ACQUIRE(mu) : mu_(&mu) {
-    mu_->lock();
-  }
-  ~WriterLock() DAC_RELEASE() { mu_->unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex* mu_;
-};
-
-// RAII shared (reader) lock on a SharedMutex.
-class DAC_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) DAC_ACQUIRE_SHARED(mu) : mu_(&mu) {
-    mu_->lock_shared();
-  }
-  ~ReaderLock() DAC_RELEASE() { mu_->unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex* mu_;
 };
 
 // Condition variable over dac::Mutex. Waits keep the lock-order detector's

@@ -10,7 +10,7 @@ void register_handlers(ServiceLoop& loop) {
   loop.on(MsgType::kAlpha, ExecClass::kMutating, handler);       // line 10
   loop.on(MsgType::kOmega, ExecClass::kMutating, handler);       // line 11
   const auto reg = [&](MsgType type, Handler h) {
-    loop.on(type, ExecClass::kReadOnly, h);
+    loop.on(type, ExecClass::kMutating, h);
   };
   reg(MsgType::kGamma, handler);
 }

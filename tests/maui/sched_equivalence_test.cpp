@@ -1,7 +1,7 @@
 // The incremental ≡ full-rescan contract, pinned at the feed level: a model
 // server mutates scheduler-visible state exactly the way PbsServer does
 // (every job mutation routed through DirtyTracker::touch, every node change
-// through the NodeDb's own dirty sets), serves SchedDelta fetches the way
+// through the NodeDb's own dirty set), serves SchedDelta fetches the way
 // on_get_sched builds them, and the test asserts that a QueueMirror folding
 // any prefix of incremental deltas reconstructs byte-identical fetch inputs
 // to a full fetch taken at the same instant.
@@ -29,10 +29,10 @@ namespace dac::maui {
 namespace {
 
 // Scheduler-visible server state plus the same dirty bookkeeping PbsServer
-// keeps: DirtyTracker for jobs, the NodeDb's internal dirty sets for nodes.
+// keeps: DirtyTracker for jobs, the NodeDb's dirty set for nodes.
 struct ModelServer {
   std::map<torque::JobId, torque::JobInfo> jobs;
-  torque::NodeDb nodes{4};  // several shards so delta order crosses shards
+  torque::NodeDb nodes;
   torque::DirtyTracker feed;
   std::vector<torque::DynQueueEntry> dyn;
   std::vector<elastic::JobView> elastic;

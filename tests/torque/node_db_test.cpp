@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace dac::torque {
 namespace {
 
@@ -108,8 +114,8 @@ TEST(NodeDb, SnapshotIsCopy) {
   EXPECT_EQ(db.lookup("cn0")->used, 0);
 }
 
-TEST(NodeDb, SnapshotSortedAcrossShards) {
-  NodeDb db(4);
+TEST(NodeDb, SnapshotSortedByHostname) {
+  NodeDb db;
   for (int i = 15; i >= 0; --i) {
     db.upsert(make_node("cn" + std::to_string(i), NodeKind::kCompute, 8));
   }
@@ -121,7 +127,7 @@ TEST(NodeDb, SnapshotSortedAcrossShards) {
 }
 
 TEST(NodeDb, DirtyTracksSchedulerVisibleChanges) {
-  NodeDb db(4);
+  NodeDb db;
   db.upsert(make_node("cn0", NodeKind::kCompute, 8));
   db.upsert(make_node("ac0", NodeKind::kAccelerator, 1));
   EXPECT_EQ(db.drain_dirty(), (std::vector<std::string>{"ac0", "cn0"}));
@@ -139,14 +145,134 @@ TEST(NodeDb, DirtyTracksSchedulerVisibleChanges) {
   EXPECT_TRUE(db.drain_dirty().empty());
 }
 
-TEST(NodeDb, ForEachVisitsEveryNode) {
-  NodeDb db(3);
-  for (int i = 0; i < 7; ++i) {
-    db.upsert(make_node("n" + std::to_string(i), NodeKind::kCompute, 4));
+TEST(NodeDb, LivenessTransitionsInHostnameOrder) {
+  NodeDb db;
+  for (const char* h : {"cn3", "ac1", "cn0", "ac0", "cn2"}) {
+    db.upsert(make_node(h, NodeKind::kCompute, 4));
+    (void)db.heartbeat(h, 0.0);
   }
-  int count = 0;
-  db.for_each([&](const NodeStatus&) { ++count; });
-  EXPECT_EQ(count, 7);
+  const std::vector<std::string> sorted{"ac0", "ac1", "cn0", "cn2", "cn3"};
+
+  auto changes = db.refresh_liveness(4.0, /*suspect_after=*/3.0,
+                                     /*down_after=*/5.0);
+  EXPECT_EQ(changes.went_suspect, sorted);
+  EXPECT_TRUE(changes.went_down.empty());
+
+  changes = db.refresh_liveness(10.0, 3.0, 5.0);
+  EXPECT_TRUE(changes.went_suspect.empty());
+  EXPECT_EQ(changes.went_down, sorted);
+  EXPECT_FALSE(db.lookup("cn2")->up);
+
+  // One heartbeat revives a host; a second one is not a revival.
+  EXPECT_TRUE(db.heartbeat("cn2", 10.0));
+  EXPECT_EQ(db.lookup("cn2")->liveness, Liveness::kUp);
+  EXPECT_TRUE(db.lookup("cn2")->up);
+  EXPECT_FALSE(db.heartbeat("cn2", 10.0));
+
+  // Every host is silent past suspect_after but short of down_after: the
+  // revived one turns suspect, the down ones stay down.
+  changes = db.refresh_liveness(13.0, /*suspect_after=*/2.0,
+                                /*down_after=*/100.0);
+  EXPECT_EQ(changes.went_suspect, (std::vector<std::string>{"cn2"}));
+  EXPECT_TRUE(changes.went_down.empty());
+  for (const char* h : {"ac0", "ac1", "cn0", "cn3"}) {
+    EXPECT_EQ(db.lookup(h)->liveness, Liveness::kDown) << h;
+  }
+}
+
+// Seeded slot traffic from eight interleaved clients on shared hosts, with
+// snapshots and dirty drains taken between rounds. Every op and every
+// snapshot keeps 0 <= used <= np; once each client has returned what it
+// holds, nothing has leaked and nothing was freed twice.
+TEST(NodeDb, SeededTrafficConserves) {
+  constexpr int kHosts = 24;
+  constexpr int kSlotsPerHost = 4;
+  constexpr int kClients = 8;
+  constexpr int kOpsPerClient = 2'000;
+  const auto host_name = [](int i) { return "stress-cn" + std::to_string(i); };
+
+  NodeDb db;
+  for (int i = 0; i < kHosts; ++i) {
+    NodeStatus n;
+    n.hostname = host_name(i);
+    n.kind = NodeKind::kCompute;
+    n.np = kSlotsPerHost;
+    db.upsert(n);
+    (void)db.heartbeat(n.hostname, 0.0);
+  }
+
+  const auto check_bounds = [](const NodeStatus& n) {
+    EXPECT_GE(n.used, 0) << n.hostname;
+    EXPECT_LE(n.used, n.np) << n.hostname;
+  };
+
+  // Each client owns a disjoint JobId range; hosts are shared.
+  struct Client {
+    std::mt19937 rng;
+    std::vector<std::pair<std::string, JobId>> held;
+  };
+  std::vector<Client> clients;
+  for (int c = 0; c < kClients; ++c) {
+    const auto seed = 0x5EED'0000u + static_cast<std::uint32_t>(c);
+    clients.push_back({std::mt19937(seed), {}});
+  }
+  std::mt19937 reader(0xC0FFEEu);
+
+  for (int op = 0; op < kOpsPerClient; ++op) {
+    for (int c = 0; c < kClients; ++c) {
+      auto& [rng, held] = clients[static_cast<std::size_t>(c)];
+      const auto host = host_name(static_cast<int>(rng() % kHosts));
+      const JobId job = 1'000u * static_cast<JobId>(c + 1) + rng() % 8;
+      switch (rng() % 6) {
+        case 0:
+        case 1:
+          if (db.assign(host, job, 1)) held.emplace_back(host, job);
+          break;
+        case 2:
+          if (!held.empty()) {
+            const auto [h, j] = held.back();
+            held.pop_back();
+            db.release(h, j);
+          }
+          break;
+        case 3:
+          (void)db.heartbeat(host, static_cast<double>(op));
+          break;
+        case 4:
+          break;  // lookup only, checked below
+        case 5:
+          EXPECT_TRUE(db.mom_of(host).has_value());
+          break;
+      }
+      const auto st = db.lookup(host);
+      ASSERT_TRUE(st.has_value());
+      check_bounds(*st);
+    }
+    const auto snap = db.snapshot();
+    EXPECT_EQ(snap.size(), static_cast<std::size_t>(kHosts));
+    for (const auto& n : snap) check_bounds(n);
+    if ((reader() % 2) == 0) (void)db.drain_dirty();
+  }
+
+  // release() frees every slot a job holds on the host, so releasing each
+  // recorded (host, job) pair returns everything; repeats are no-ops.
+  for (const auto& client : clients) {
+    for (const auto& [h, j] : client.held) db.release(h, j);
+  }
+
+  int total_free = 0;
+  int total_used = 0;
+  for (const auto& n : db.snapshot()) {
+    total_free += n.free_slots();
+    total_used += n.used;
+    EXPECT_TRUE(n.jobs.empty()) << n.hostname << " still lists holders";
+  }
+  EXPECT_EQ(total_used, 0);
+  EXPECT_EQ(total_free, kHosts * kSlotsPerHost);
+
+  const auto dirty = db.drain_dirty();
+  EXPECT_TRUE(std::is_sorted(dirty.begin(), dirty.end()));
+  EXPECT_TRUE(db.drain_dirty().empty());
 }
 
 }  // namespace

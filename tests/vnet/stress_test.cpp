@@ -48,7 +48,8 @@ TEST_P(PairFifoProperty, HoldsUnderConcurrentTraffic) {
         w.put<std::int32_t>(snd);
         w.put<std::int32_t>(i);
         // Random size so a non-FIFO fabric would reorder.
-        w.put_raw(std::string(rng() % 20000, 'x').data(), rng() % 20000);
+        const std::string pad(rng() % 20000, 'x');
+        w.put_raw(pad.data(), pad.size());
         ep->send(sink->address(), 1, std::move(w).take());
         if (rng() % 3 == 0) dac::simtime::sleep_for(100us);  // NOLINT-DACSCHED(sleep-poll)
       }

@@ -4,10 +4,9 @@
 // the svc protocol stack depends on but no compiler checks:
 //
 //   blocking-under-lock   no Caller::call / rpc::call, BlockingQueue pop,
-//                         endpoint recv, or sleep while a dac::Mutex /
-//                         SharedMutex guard is live in the same scope; a
-//                         condvar wait is flagged when a *second* guard is
-//                         held across it.
+//                         endpoint recv, or sleep while a dac::Mutex guard
+//                         is live in the same scope; a condvar wait is
+//                         flagged when a *second* guard is held across it.
 //   blocking-reachable-under-lock
 //                         whole-program companion to blocking-under-lock:
 //                         a call site reached while a dac guard is live must
@@ -79,7 +78,6 @@ enum class Rule {
   kCheckSideEffect,
   kRawSync,
   kRawClock,
-  kGlobalNodeDbLock,
   kDetach,
   kSleepPoll,
   kNondetSeed,

@@ -167,33 +167,32 @@ bool match_def_head(const std::string& line, std::size_t open,
 }
 
 // Mutex identity declarations: `Mutex name_{"label"};` (optionally
-// SharedMutex, mutable, dac::/util:: qualified) at class or namespace
-// scope. The label lives in the raw line — strings are blanked in clean.
+// mutable, dac::/util:: qualified) at class or namespace scope. The label
+// lives in the raw line — strings are blanked in clean.
 void scan_mutex_decl(const std::string& clean, const std::string& raw,
                      const std::string& cls, Index* index) {
-  for (const char* type : {"Mutex", "SharedMutex"}) {
-    for (auto pos = find_word(clean, type); pos != std::string::npos;
-         pos = find_word(clean, type, pos + 1)) {
-      auto j = pos + std::string(type).size();
-      while (j < clean.size() && clean[j] == ' ') ++j;
-      std::size_t start = j;
-      while (j < clean.size() && is_ident_char(clean[j])) ++j;
-      if (j == start) continue;
-      const std::string field = clean.substr(start, j - start);
-      while (j < clean.size() && clean[j] == ' ') ++j;
-      if (j >= clean.size() || (clean[j] != '{' && clean[j] != ';')) continue;
-      std::string id;
-      if (clean[j] == '{') {
-        const auto q1 = raw.find('"', j);
-        const auto q2 = q1 == std::string::npos ? std::string::npos
-                                                : raw.find('"', q1 + 1);
-        if (q2 != std::string::npos) id = raw.substr(q1 + 1, q2 - q1 - 1);
-      }
-      if (id.empty()) id = cls.empty() ? field : cls + "::" + field;
-      index->mutex_ids.emplace(std::make_pair(cls, field), id);
-      index->mutex_ids_by_field[field].insert(id);
-      return;
+  const std::string type = "Mutex";
+  for (auto pos = find_word(clean, type); pos != std::string::npos;
+       pos = find_word(clean, type, pos + 1)) {
+    auto j = pos + type.size();
+    while (j < clean.size() && clean[j] == ' ') ++j;
+    std::size_t start = j;
+    while (j < clean.size() && is_ident_char(clean[j])) ++j;
+    if (j == start) continue;
+    const std::string field = clean.substr(start, j - start);
+    while (j < clean.size() && clean[j] == ' ') ++j;
+    if (j >= clean.size() || (clean[j] != '{' && clean[j] != ';')) continue;
+    std::string id;
+    if (clean[j] == '{') {
+      const auto q1 = raw.find('"', j);
+      const auto q2 = q1 == std::string::npos ? std::string::npos
+                                              : raw.find('"', q1 + 1);
+      if (q2 != std::string::npos) id = raw.substr(q1 + 1, q2 - q1 - 1);
     }
+    if (id.empty()) id = cls.empty() ? field : cls + "::" + field;
+    index->mutex_ids.emplace(std::make_pair(cls, field), id);
+    index->mutex_ids_by_field[field].insert(id);
+    return;
   }
 }
 
@@ -210,8 +209,8 @@ struct LiveGuard {
 
 bool guard_decl_at(const std::string& line, std::size_t pos, std::string* var,
                    std::size_t* open_col, char* open_ch) {
-  static const std::array<const char*, 4> kGuards = {
-      "ScopedLock", "UniqueLock", "WriterLock", "ReaderLock"};
+  static const std::array<const char*, 2> kGuards = {"ScopedLock",
+                                                     "UniqueLock"};
   for (const char* g : kGuards) {
     if (!word_at(line, pos, g)) continue;
     auto j = pos + std::string(g).size();

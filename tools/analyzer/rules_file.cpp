@@ -28,14 +28,6 @@ bool is_simtime(const CleanFile& file) {
   return file.src->path.find("src/simtime/") != std::string::npos;
 }
 
-// src/torque/node_db.{hpp,cpp} own the whole-DB guard (NodeDb::lock_all /
-// ExclusiveAll): its legitimate uses are the cross-shard snapshot paths
-// inside the database itself.
-bool is_node_db(const CleanFile& file) {
-  return ends_with(file.src->path, "src/torque/node_db.hpp") ||
-         ends_with(file.src->path, "src/torque/node_db.cpp");
-}
-
 // ---- include hygiene ------------------------------------------------------
 
 void check_includes(CleanFile& file, Sink& sink) {
@@ -140,28 +132,12 @@ void check_simple(CleanFile& file, Sink& sink) {
                     "use simtime::sleep_for so DiscreteEvent mode works");
       }
     }
-    // global-nodedb-lock: the whole-DB guard serializes every shard; taking
-    // it outside node_db reintroduces the single-lock bottleneck the shards
-    // exist to remove. New code goes through the per-shard API.
-    if (!is_node_db(file)) {
-      const auto la = find_word(line, "lock_all");
-      const bool calls_lock_all =
-          la != std::string::npos && la + 8 < line.size() &&
-          line[la + 8] == '(';
-      if (calls_lock_all ||
-          find_word(line, "ExclusiveAll") != std::string::npos) {
-        sink.report(file, lineno, Rule::kGlobalNodeDbLock,
-                    "the whole-DB guard (NodeDb::lock_all / ExclusiveAll) is "
-                    "reserved for node_db's own cross-shard snapshots; use "
-                    "the per-shard API");
-      }
-    }
   }
 }
 
 // ---- blocking-under-lock --------------------------------------------------
 
-// A live RAII guard over a dac::Mutex / dac::SharedMutex.
+// A live RAII guard over a dac::Mutex.
 struct Guard {
   std::string name;
   int depth = 0;     // brace depth at the declaration
@@ -189,8 +165,8 @@ struct Event {
 // Matches `Type name(` / `Type name{` guard declarations at `pos`.
 bool match_guard_decl(const std::string& line, std::size_t pos,
                       std::string* name) {
-  static const std::array<const char*, 4> kGuards = {
-      "ScopedLock", "UniqueLock", "WriterLock", "ReaderLock"};
+  static const std::array<const char*, 2> kGuards = {"ScopedLock",
+                                                     "UniqueLock"};
   for (const char* g : kGuards) {
     if (!word_at(line, pos, g)) continue;
     auto j = pos + std::string(g).size();

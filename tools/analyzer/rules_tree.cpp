@@ -20,7 +20,7 @@ struct RuleEntry {
   const char* id;
 };
 
-constexpr std::array<RuleEntry, 18> kRules = {{
+constexpr std::array<RuleEntry, 17> kRules = {{
     {Rule::kBlockingUnderLock, "blocking-under-lock"},
     {Rule::kBlockingReachableUnderLock, "blocking-reachable-under-lock"},
     {Rule::kLockOrderStatic, "lock-order-static"},
@@ -33,7 +33,6 @@ constexpr std::array<RuleEntry, 18> kRules = {{
     {Rule::kCheckSideEffect, "check-side-effect"},
     {Rule::kRawSync, "raw-sync"},
     {Rule::kRawClock, "raw-clock"},
-    {Rule::kGlobalNodeDbLock, "global-nodedb-lock"},
     {Rule::kDetach, "detach"},
     {Rule::kSleepPoll, "sleep-poll"},
     {Rule::kNondetSeed, "nondet-seed"},
