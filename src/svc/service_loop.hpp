@@ -8,9 +8,10 @@
 //  - kConcurrent requests run on their own dedicated lane: one extra thread,
 //    serialized among themselves, spawned iff any handler registered for it.
 //    This is for handlers that BLOCK in outbound calls (a mother superior's
-//    JOIN/DYNJOIN/DISJOIN fan-outs): if they ran on the loop thread, the
-//    endpoint would stop being drained while they wait, so two daemons
-//    calling each other would deadlock until the RPC deadline. The loop
+//    JOIN/DYNJOIN/DISJOIN fan-outs, one svc::call_all round trip each): if
+//    they ran on the loop thread, the endpoint would stop being drained
+//    while they wait, so two daemons calling each other would deadlock
+//    until the RPC deadline. The loop
 //    thread keeps dispatching (and serving the fast kMutating handlers)
 //    while the kConcurrent lane waits; handlers on the two lanes synchronize
 //    shared state themselves.

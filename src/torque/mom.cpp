@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "svc/deadlines.hpp"
 #include "trace/trace.hpp"
@@ -89,13 +90,13 @@ void PbsMom::register_handlers(svc::ServiceLoop& loop, vnet::Process& proc) {
   using svc::Request;
   using svc::Responder;
 
-  // Mother-superior duties block in JOIN/DYNJOIN fan-outs to other moms, so
-  // on a compute node they run on the dedicated kConcurrent lane — one job
-  // protocol at a time, exactly as serialized as before, but off the loop
-  // thread, which keeps draining the endpoint. Without this, two mother
-  // superiors granted onto each other's nodes in the same scheduling batch
-  // would block calling each other's (undrained) endpoints and deadlock
-  // until the RPC deadline. Accelerator moms are never mother superiors and
+  // Mother-superior duties block in JOIN/DYNJOIN/DISJOIN fan-outs to other
+  // moms (one round trip to all sisters at once), so on a compute node they
+  // run on the dedicated kConcurrent lane — one job protocol at a time, but
+  // off the loop thread, which keeps draining the endpoint. Without this,
+  // two mother superiors granted onto each other's nodes in the same
+  // scheduling batch would block calling each other's (undrained) endpoints
+  // and deadlock until the RPC deadline. Accelerator moms are never mother superiors and
   // never block, so they keep the paper's single thread.
   const auto ms_class = config_.kind == NodeKind::kCompute
                             ? ExecClass::kConcurrent
@@ -134,14 +135,40 @@ void PbsMom::register_handlers(svc::ServiceLoop& loop, vnet::Process& proc) {
 // --------------------------------------------------------- mother superior
 
 std::chrono::milliseconds PbsMom::sister_call_timeout() const {
-  // A quarter of the down-detection window: even a couple of serially
-  // unreachable sisters leave the MS enough slack to keep heartbeating
-  // before the server would declare *it* dead.
+  // A quarter of the down-detection window: a fan-out with unreachable
+  // sisters leaves the MS enough slack to keep heartbeating before the
+  // server would declare *it* dead.
   const auto stale_window =
       config_.timing.mom_heartbeat_interval * config_.timing.heartbeat_stale_factor;
   const auto bound =
       std::chrono::duration_cast<std::chrono::milliseconds>(stale_window) / 4;
   return std::clamp(bound, std::chrono::milliseconds(10), rpc::kDefaultTimeout);
+}
+
+std::vector<HostRef> PbsMom::call_sisters(vnet::Process& proc,
+                                          const std::vector<HostRef>& hosts,
+                                          MsgType type,
+                                          const util::Bytes& body) {
+  std::vector<HostRef> sisters;
+  std::vector<vnet::Address> targets;
+  for (const auto& h : hosts) {
+    if (h.node == node_.id()) continue;
+    sisters.push_back(h);
+    targets.push_back(h.mom);
+  }
+  const auto outcomes =
+      svc::call_all(proc, targets, type, body, sister_call_timeout());
+  std::vector<HostRef> acked;
+  for (std::size_t i = 0; i < sisters.size(); ++i) {
+    if (outcomes[i].ok()) {
+      acked.push_back(std::move(sisters[i]));
+      continue;
+    }
+    kLog.warn("MS '{}': {} to '{}' failed: {}", node_.hostname(),
+              svc::msg_type_name(as_u32(type)), sisters[i].hostname,
+              outcomes[i].error);
+  }
+  return acked;
 }
 
 void PbsMom::on_run_job(vnet::Process& proc, const rpc::Request& req) {
@@ -159,15 +186,27 @@ void PbsMom::on_run_job(vnet::Process& proc, const rpc::Request& req) {
   const auto launch_ctx = trace::current();
   kLog.info("MS '{}': starting job {}", node_.hostname(), id);
 
-  // 1. JOIN_JOB with every other mom of the job (paper Figure 5).
+  // 1. JOIN_JOB with every other mom of the job, all at once; launch only
+  // once every sister has acked (paper Figure 5). A sister that failed or
+  // stayed silent fails the start: the ones that joined are disjoined again
+  // and the job completes as killed, which frees its slots at the server.
   util::ByteWriter join_body;
   put_job_info(join_body, job.info);
   put_host_refs(join_body, job.hosts);
-  const auto join_bytes = join_body.bytes();
-  for (const auto& h : job.hosts) {
-    if (h.node == node_.id()) continue;
-    (void)rpc::call(proc, h.mom, MsgType::kJoinJob, join_bytes,
-                    rpc::kDefaultTimeout);
+  const auto sisters = std::count_if(
+      job.hosts.begin(), job.hosts.end(),
+      [this](const HostRef& h) { return h.node != node_.id(); });
+  auto joined =
+      call_sisters(proc, job.hosts, MsgType::kJoinJob, join_body.bytes());
+  if (std::cmp_not_equal(joined.size(), sisters)) {
+    kLog.warn("MS '{}': job {} lost a sister while joining, killing it",
+              node_.hostname(), id);
+    teardown_job(id, std::move(joined), /*kill_tasks=*/false);
+    util::ByteWriter w;
+    w.put<std::uint64_t>(id);
+    w.put<std::int32_t>(kExitKilled);
+    notify_server(MsgType::kJobComplete, std::move(w).take());
+    return;
   }
 
   const int k = job.info.spec.resources.nodes;
@@ -255,24 +294,16 @@ void PbsMom::on_dyn_add(vnet::Process& proc, const rpc::Request& req) {
   trace::note("job", std::to_string(job_id));
   trace::note("dyn", std::to_string(dyn_id));
 
-  // DYNJOIN_JOB with each newly allocated accelerator mom (paper Figure 6).
-  // Off-lock and deadline-bounded: a sister wedged (or dead) must not stall
-  // this mom past its own heartbeat window.
+  // DYNJOIN_JOB with every newly allocated accelerator mom at once (paper
+  // Figure 6); our own record is updated below. Off-lock and
+  // deadline-bounded: a sister wedged (or dead) must not stall this mom past
+  // its own heartbeat window.
   util::ByteWriter body;
   body.put<std::uint64_t>(job_id);
   body.put<std::uint64_t>(client_id);
   put_host_refs(body, new_hosts);
   const auto body_bytes = body.bytes();
-  for (const auto& h : new_hosts) {
-    if (h.node == node_.id()) continue;  // our own record is updated below
-    try {
-      (void)rpc::call(proc, h.mom, MsgType::kDynJoinJob, body_bytes,
-                      sister_call_timeout());
-    } catch (const util::ProtocolError& e) {
-      kLog.warn("MS '{}': DYNJOIN to '{}' failed: {}", node_.hostname(),
-                h.hostname, e.what());
-    }
-  }
+  (void)call_sisters(proc, new_hosts, MsgType::kDynJoinJob, body_bytes);
 
   // The job may have completed or been killed while the joins were in
   // flight (it finished its own business before the grant fully attached);
@@ -299,17 +330,7 @@ void PbsMom::on_dyn_add(vnet::Process& proc, const rpc::Request& req) {
     util::ByteWriter dis;
     dis.put<std::uint64_t>(job_id);
     dis.put<std::uint64_t>(client_id);
-    const auto dis_bytes = dis.bytes();
-    for (const auto& h : new_hosts) {
-      if (h.node == node_.id()) continue;
-      try {
-        (void)rpc::call(proc, h.mom, MsgType::kDisjoinJob, dis_bytes,
-                        sister_call_timeout());
-      } catch (const util::ProtocolError& e) {
-        kLog.warn("MS '{}': DISJOIN to '{}' failed: {}", node_.hostname(),
-                  h.hostname, e.what());
-      }
-    }
+    (void)call_sisters(proc, new_hosts, MsgType::kDisjoinJob, dis.bytes());
     return;
   }
 
@@ -336,30 +357,22 @@ void PbsMom::on_release(vnet::Process& proc, const rpc::Request& req) {
   }
 
   // DISJOIN_JOB: the departing moms kill any remaining daemon tasks and
-  // drop their membership (paper §III-D). Off-lock: the lane owns the
-  // protocol, the lock only guards the table.
+  // drop their membership (paper §III-D). All of them at once, off-lock:
+  // the lane owns the protocol, the lock only guards the table. A sister
+  // that died between the release request and the server's down detection
+  // cannot answer; the one deadline bounds the wait and the release moves
+  // on — the server reclaims its slots once the heartbeat goes stale.
+  // Releasing a set that includes this (mother superior) node is handled
+  // locally instead of calling ourselves.
+  if (std::any_of(hosts.begin(), hosts.end(), [this](const HostRef& h) {
+        return h.node == node_.id();
+      })) {
+    tasks_.kill_node_tasks(job_id, node_.id(), client_id);
+  }
   util::ByteWriter body;
   body.put<std::uint64_t>(job_id);
   body.put<std::uint64_t>(client_id);
-  const auto body_bytes = body.bytes();
-  for (const auto& h : hosts) {
-    if (h.node == node_.id()) {
-      // Releasing a set that includes this (mother superior) node: handle
-      // locally instead of calling ourselves.
-      tasks_.kill_node_tasks(job_id, node_.id(), client_id);
-      continue;
-    }
-    // A sister that died between the release request and the server's down
-    // detection cannot answer; bound the wait and move on — the server
-    // reclaims its slots once the heartbeat goes stale.
-    try {
-      (void)rpc::call(proc, h.mom, MsgType::kDisjoinJob, body_bytes,
-                      sister_call_timeout());
-    } catch (const util::ProtocolError& e) {
-      kLog.warn("MS '{}': DISJOIN to '{}' failed: {}", node_.hostname(),
-                h.hostname, e.what());
-    }
-  }
+  (void)call_sisters(proc, hosts, MsgType::kDisjoinJob, body.bytes());
 
   // Drop the released hosts from the job's membership (at most one entry
   // per released host, so a node the job also holds statically survives)

@@ -84,10 +84,17 @@ class PbsMom {
 
   void apply_join_cost() const;
   void notify_server(MsgType type, util::Bytes body);
-  // Deadline for MS -> sister calls (DISJOIN fan-out): well under the
-  // server's down-detection window, so a dead sister cannot stall this
-  // mom's loop long enough for its own heartbeats to go stale.
+  // Deadline for one MS -> sisters fan-out (JOIN, DYNJOIN, DISJOIN), however
+  // many sisters it calls: well under the server's down-detection window,
+  // so dead sisters cannot stall this mom's lane long enough for its own
+  // heartbeats to go stale.
   [[nodiscard]] std::chrono::milliseconds sister_call_timeout() const;
+  // Sends `type` to every host of `hosts` but this node at once and waits
+  // for all their answers, up to one sister_call_timeout() in total. Logs
+  // one warn per sister that failed; returns the sisters that acked.
+  std::vector<HostRef> call_sisters(vnet::Process& proc,
+                                    const std::vector<HostRef>& hosts,
+                                    MsgType type, const util::Bytes& body);
   // Kills jobs that exceeded their requested walltime (MS duty); runs on a
   // periodic service-loop tick, so it must never block.
   void enforce_walltime();
@@ -98,12 +105,12 @@ class PbsMom {
   TaskRegistry& tasks_;
   std::unique_ptr<vnet::Endpoint> endpoint_;  // created in run()
   // On compute nodes the MS handlers run on the service loop's kConcurrent
-  // lane (they block in JOIN/DYNJOIN calls to other moms), while the loop
-  // thread keeps draining the endpoint and serving the non-blocking sister
-  // handlers — so two mother superiors granting onto each other's nodes in
-  // the same scheduling batch cannot deadlock. The job table is the state
-  // the two lanes share; MS handlers must never hold mu_ across a blocking
-  // sister call.
+  // lane (each JOIN/DYNJOIN/DISJOIN fan-out blocks it for one round trip to
+  // all sisters at once), while the loop thread keeps draining the endpoint
+  // and serving the non-blocking sister handlers — so two mother superiors
+  // granting onto each other's nodes in the same scheduling batch cannot
+  // deadlock. The job table is the state the two lanes share; MS handlers
+  // must never hold mu_ across a fan-out.
   Mutex mu_{"mom.jobs"};
   std::map<JobId, MomJob> jobs_ DAC_GUARDED_BY(mu_);
 };

@@ -4,12 +4,6 @@
 
 namespace dac::torque::rpc {
 
-util::Bytes call(vnet::Process& proc, const vnet::Address& to, MsgType type,
-                 util::Bytes body, std::chrono::milliseconds timeout) {
-  return svc::Caller(proc, to, svc::RetryPolicy::none())
-      .call(type, std::move(body), {.deadline = timeout});
-}
-
 util::Bytes call(vnet::Node& node, const vnet::Address& to, MsgType type,
                  util::Bytes body, std::chrono::milliseconds timeout) {
   return svc::Caller(node, to, svc::RetryPolicy::none())

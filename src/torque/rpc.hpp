@@ -4,9 +4,9 @@
 // Request payload:  [u64 request-id][body...]        Message.type = MsgType
 // Reply payload:    [u64 request-id][u8 code][body]  Message.type = kReply
 //
-// New code should use svc::Caller (retry/deadline/metrics) and
-// svc::ServiceLoop (typed dispatch, execution classes, dedup) directly; these
-// wrappers remain for single-shot daemon-to-daemon calls and tests.
+// New code should use svc::Caller (retry/deadline/metrics), svc::call_all
+// (fan-outs) and svc::ServiceLoop (typed dispatch, execution classes, dedup)
+// directly; these wrappers remain for single-shot calls from tests.
 #pragma once
 
 #include <chrono>
@@ -27,16 +27,8 @@ inline constexpr auto kDefaultTimeout = svc::deadlines::kDefault;
 // Thrown when the callee replied with a non-ok code.
 using CallError = svc::CallError;
 
-// Blocking single-attempt call from a process context (killable: the
-// ephemeral endpoint is adopted by the process, so request_stop unblocks it).
-// Times out with svc::DeadlineError.
-[[nodiscard]] util::Bytes call(vnet::Process& proc, const vnet::Address& to,
-                               MsgType type, util::Bytes body,
-                               std::chrono::milliseconds timeout =
-                                   kDefaultTimeout);
-
 // Blocking single-attempt call from a non-process context (client commands,
-// tests).
+// tests). Times out with svc::DeadlineError.
 [[nodiscard]] util::Bytes call(vnet::Node& node, const vnet::Address& to,
                                MsgType type, util::Bytes body,
                                std::chrono::milliseconds timeout =

@@ -148,6 +148,21 @@ TEST(PerFileRules, DeadlineLiteral) {
   EXPECT_TRUE(as_test.clean());
 }
 
+TEST(PerFileRules, FanOutBlocksAndNamesItsDeadline) {
+  const auto report =
+      analyze({fixture("fan_out.cpp", "src/fixture/fan_out.cpp")});
+  ASSERT_EQ(report.diagnostics.size(), 3u);
+  EXPECT_EQ(diag_key(report.diagnostics[0]),
+            "src/fixture/fan_out.cpp:21:blocking-under-lock");
+  EXPECT_EQ(diag_key(report.diagnostics[1]),
+            "src/fixture/fan_out.cpp:27:blocking-reachable-under-lock");
+  EXPECT_NE(report.diagnostics[1].message.find("gather -> svc::call_all"),
+            std::string::npos)
+      << report.diagnostics[1].message;
+  EXPECT_EQ(diag_key(report.diagnostics[2]),
+            "src/fixture/fan_out.cpp:31:deadline-literal");
+}
+
 TEST(PerFileRules, CheckSideEffect) {
   const auto report = analyze(
       {fixture("check_side_effect.cpp", "src/fixture/check_side_effect.cpp")});

@@ -1,14 +1,18 @@
 // pbs_mom unit tests: the sister-side protocol (JOIN_JOB / DYNJOIN_JOB /
 // DISJOIN_JOB / JOB_UPDATE) driven directly with synthetic requests against
-// a fake server, without a scheduler or mother superior.
+// a fake server, without a scheduler or mother superior; and the mother
+// superior's sister fan-outs against a stub server, a stub sister and dead
+// sister addresses.
 #include "torque/mom.hpp"
 #include "simtime/clock.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include "util/sync.hpp"
 
+#include "harness/clock_mode.hpp"
 #include "minimpi/runtime.hpp"
 #include "vnet/cluster.hpp"
 
@@ -176,6 +180,189 @@ TEST_F(MomTest, UnknownRequestTypeErrors) {
   EXPECT_THROW((void)rpc::call(cluster_.node(2), mom_addr(),
                                MsgType::kRunJob, {}),
                rpc::CallError);
+}
+
+// The mother superior's side: a compute mom on node 1 fans JOIN_JOB and
+// DISJOIN_JOB out to its sisters. Node 0 hosts a stub server that records
+// JOB_COMPLETE and MS_RELEASE_DONE; node 2 hosts a stub sister that acks
+// every request and counts the DISJOINs it gets. Addresses allocated on
+// node 2 but never bound stand in for dead sisters. Runs on the
+// DiscreteEvent clock, so the bounds are exact virtual durations.
+class MotherSuperiorTest : public ::testing::Test {
+ protected:
+  MotherSuperiorTest()
+      : cluster_([] {
+          vnet::ClusterTopology t;
+          t.node_count = 3;
+          t.network.latency = std::chrono::microseconds(50);
+          t.process_start_delay = std::chrono::microseconds(0);
+          return t;
+        }()),
+        runtime_(cluster_) {
+    server_ep_ = cluster_.node(0).open_endpoint();
+    server_proc_ = cluster_.node(0).spawn(
+        {.name = "stub_server"}, [this](vnet::Process& proc) {
+          proc.adopt_mailbox(server_ep_->mailbox_weak());
+          while (auto msg = server_ep_->recv()) {
+            auto req = rpc::parse_request(*msg);
+            util::ByteReader r(req.body);
+            dac::ScopedLock lock(mu_);
+            if (req.type == MsgType::kRegisterNode) {
+              mom_addr_ = get_node_status(r).mom_addr;
+              rpc::reply_ok(*server_ep_, req);
+            } else if (req.type == MsgType::kJobComplete) {
+              (void)r.get<std::uint64_t>();
+              exit_status_ = r.get<std::int32_t>();
+              complete_at_ = simtime::now();
+            } else if (req.type == MsgType::kMsReleaseDone) {
+              release_done_at_ = simtime::now();
+            }
+            cv_.notify_all();
+          }
+        });
+    sister_ep_ = cluster_.node(2).open_endpoint();
+    sister_proc_ = cluster_.node(2).spawn(
+        {.name = "stub_sister"}, [this](vnet::Process& proc) {
+          proc.adopt_mailbox(sister_ep_->mailbox_weak());
+          while (auto msg = sister_ep_->recv()) {
+            auto req = rpc::parse_request(*msg);
+            if (req.type == MsgType::kDisjoinJob) {
+              dac::ScopedLock lock(mu_);
+              ++disjoins_;
+              cv_.notify_all();
+            }
+            rpc::reply_ok(*sister_ep_, req);
+          }
+        });
+
+    MomConfig mc;
+    mc.kind = NodeKind::kCompute;
+    mc.server = server_ep_->address();
+    mc.timing = BatchTiming::fast();
+    mom_ = std::make_unique<PbsMom>(cluster_.node(1), mc, runtime_, tasks_);
+    mom_proc_ = cluster_.node(1).spawn(
+        {.name = "pbs_mom"},
+        [this](vnet::Process& proc) { mom_->run(proc); });
+    EXPECT_TRUE(await([this] { return mom_addr_.valid(); }));
+  }
+
+  ~MotherSuperiorTest() override { cluster_.shutdown(); }
+
+  // Waits (in virtual time) until `done` holds under mu_.
+  template <typename Pred>
+  bool await(Pred done) {
+    dac::UniqueLock lock(mu_);
+    const auto deadline = simtime::now() + 5s;
+    while (!done()) {
+      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+        return done();
+      }
+    }
+    return true;
+  }
+
+  HostRef ms_host() {
+    dac::ScopedLock lock(mu_);
+    return {"cn0", 1, mom_addr_};
+  }
+  HostRef live_sister() { return {"ac0", 2, sister_ep_->address()}; }
+  HostRef dead_sister(const std::string& name) {
+    return {name, 2, cluster_.node(2).allocate_address()};
+  }
+
+  // Sends `type` with `body` to the mom from a driver process (an actor,
+  // so no virtual time passes between the timestamp and the send), after
+  // an optional JOIN_JOB that makes the mom a member of the job.
+  simtime::TimePoint send_to_mom(MsgType type, const util::Bytes& body,
+                                 std::optional<util::Bytes> join = {}) {
+    const auto to = ms_host().mom;
+    simtime::TimePoint sent;
+    auto driver = cluster_.node(0).spawn(
+        {.name = "driver"}, [&](vnet::Process& proc) {
+          if (join) {
+            (void)svc::Caller(proc, to, svc::RetryPolicy::none())
+                .call(MsgType::kJoinJob, *join, {.deadline = 5s});
+          }
+          auto ep = proc.open_endpoint();
+          sent = simtime::now();
+          rpc::notify(*ep, to, type, body);
+        });
+    driver->join();
+    return sent;
+  }
+
+  // PbsMom::sister_call_timeout() under BatchTiming::fast(): a quarter of
+  // the heartbeat down-detection window.
+  static std::chrono::milliseconds sister_timeout() {
+    const auto t = BatchTiming::fast();
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               t.mom_heartbeat_interval * t.heartbeat_stale_factor) /
+           4;
+  }
+
+  dac::testing::ClockModeGuard mode_{simtime::Mode::kDiscreteEvent};
+  vnet::Cluster cluster_;
+  minimpi::Runtime runtime_;
+  TaskRegistry tasks_;
+  std::unique_ptr<vnet::Endpoint> server_ep_;
+  vnet::ProcessPtr server_proc_;
+  std::unique_ptr<vnet::Endpoint> sister_ep_;
+  vnet::ProcessPtr sister_proc_;
+  std::unique_ptr<PbsMom> mom_;
+  vnet::ProcessPtr mom_proc_;
+
+  dac::Mutex mu_{"test.ms_events"};
+  dac::CondVar cv_;
+  vnet::Address mom_addr_;
+  std::optional<std::int32_t> exit_status_;
+  simtime::TimePoint complete_at_;
+  std::optional<simtime::TimePoint> release_done_at_;
+  int disjoins_ = 0;
+};
+
+TEST_F(MotherSuperiorTest, FailedJoinKillsTheJobAndDisjoinsTheAckedSister) {
+  // One compute node and two accelerators: one acks the JOIN, one is dead.
+  JobInfo job;
+  job.id = 5;
+  job.spec.name = "j";
+  job.spec.resources.nodes = 1;
+  job.spec.resources.acpn = 2;
+  util::ByteWriter w;
+  put_job_info(w, job);
+  put_host_refs(w, {ms_host(), live_sister(), dead_sister("ac1")});
+  const auto sent = send_to_mom(MsgType::kMomRunJob, std::move(w).take());
+
+  ASSERT_TRUE(await([this] { return exit_status_ && disjoins_ > 0; }));
+  dac::ScopedLock lock(mu_);
+  EXPECT_EQ(*exit_status_, kExitKilled);
+  EXPECT_EQ(disjoins_, 1);
+  // The dead sister costs one sister_call_timeout() (the wait rounds up to
+  // whole milliseconds), then the completion is one hop to the server.
+  EXPECT_GE(complete_at_ - sent, sister_timeout());
+  EXPECT_LT(complete_at_ - sent, sister_timeout() + 2ms);
+}
+
+TEST_F(MotherSuperiorTest, ReleaseWithTwoDeadSistersTakesOneTimeout) {
+  JobInfo job;
+  job.id = 6;
+  job.spec.name = "j";
+  util::ByteWriter join;
+  put_job_info(join, job);
+  put_host_refs(join, {ms_host()});
+  util::ByteWriter release;
+  release.put<std::uint64_t>(job.id);
+  release.put<std::uint64_t>(3);  // client id of the released set
+  put_host_refs(release, {dead_sister("ac1"), dead_sister("ac2")});
+  const auto sent = send_to_mom(MsgType::kMomRelease,
+                                std::move(release).take(),
+                                std::move(join).take());
+
+  ASSERT_TRUE(await([this] { return release_done_at_.has_value(); }));
+  dac::ScopedLock lock(mu_);
+  // Both dead sisters share the fan-out's one deadline; a sister-by-sister
+  // release would take two.
+  EXPECT_GE(*release_done_at_ - sent, sister_timeout());
+  EXPECT_LT(*release_done_at_ - sent, sister_timeout() + 2ms);
 }
 
 }  // namespace

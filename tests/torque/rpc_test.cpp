@@ -1,4 +1,5 @@
 #include "torque/rpc.hpp"
+#include "svc/caller.hpp"
 #include "util/sync.hpp"
 
 #include <gtest/gtest.h>
@@ -99,7 +100,8 @@ TEST_F(RpcTest, CallFromProcessIsKillable) {
       // Target never replies; the kill must unblock the call whether it
       // lands while the call is blocked or just before it starts.
       calling.count_down();
-      (void)call(proc, addr_, MsgType::kStatNodes, {}, 10'000ms);
+      (void)svc::Caller(proc, addr_, svc::RetryPolicy::none())
+          .call(MsgType::kStatNodes, {}, {.deadline = 10'000ms});
     } catch (const util::StoppedError&) {
       threw = true;
     }

@@ -149,7 +149,7 @@ enum class EventKind {
   kGuardDecl,
   kUnlock,
   kRelock,
-  kBlockingCall,  // Caller::call / rpc::call
+  kBlockingCall,  // Caller::call / rpc::call / svc::call_all
   kBlockingPop,   // BlockingQueue::pop / pop_for
   kBlockingRecv,  // Endpoint::recv / recv_for
   kSleep,         // sleep_for / sleep_until
@@ -252,6 +252,10 @@ void collect_events(const std::string& line, std::vector<Event>* events) {
     }
     if (word_at(line, i, "rpc") && line.compare(i, 10, "rpc::call(") == 0) {
       events->push_back({i, EventKind::kBlockingCall, "rpc::call"});
+      continue;
+    }
+    if (word_at(line, i, "call_all") && line.compare(i, 9, "call_all(") == 0) {
+      events->push_back({i, EventKind::kBlockingCall, "svc::call_all"});
       continue;
     }
     if (word_at(line, i, "sleep_for") || word_at(line, i, "sleep_until")) {
@@ -397,12 +401,21 @@ void check_deadlines(CleanFile& file, Sink& sink) {
     // Named-constant definitions are where the literal belongs.
     if (find_word(line, "constexpr") != std::string::npos) continue;
     for (std::size_t i = 0; i < line.size(); ++i) {
-      bool is_rpc = false;
+      // Caller::call(type, body[, opts]); rpc::call(ctx, to, type, body
+      // [, timeout]); svc::call_all(proc, targets, type, body, deadline).
+      const char* what = nullptr;
+      std::size_t required = 0;
       if (match_member_call(line, i, "call", {})) {
-        // fall through
+        what = "Caller::call";
+        required = 3;
       } else if (word_at(line, i, "rpc") &&
                  line.compare(i, 10, "rpc::call(") == 0) {
-        is_rpc = true;
+        what = "rpc::call";
+        required = 5;
+      } else if (word_at(line, i, "call_all") &&
+                 line.compare(i, 9, "call_all(") == 0) {
+        what = "svc::call_all";
+        required = 5;
       } else {
         continue;
       }
@@ -411,12 +424,9 @@ void check_deadlines(CleanFile& file, Sink& sink) {
       const auto args =
           split_args(balanced_args(file, li, open));
       const int lineno = static_cast<int>(li) + 1;
-      // Caller::call(type, body[, opts]); rpc::call(ctx, to, type, body
-      // [, timeout]).
-      const std::size_t required = is_rpc ? 5 : 3;
       if (args.size() < required) {
         sink.report(file, lineno, Rule::kDeadlineLiteral,
-                    std::string(is_rpc ? "rpc::call" : "Caller::call") +
+                    std::string(what) +
                         " relies on the implicit default deadline; pass a "
                         "named policy constant (src/svc/deadlines.hpp)");
       } else {
