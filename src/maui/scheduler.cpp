@@ -452,33 +452,6 @@ std::vector<std::string> MauiScheduler::try_allocate_dyn(
   return hosts;
 }
 
-bool MauiScheduler::send_run_job(vnet::Process& proc,
-                                 const torque::JobInfo& job,
-                                 const Allocation& alloc) {
-  // Join the trace recorded at submission: the scheduling decision is part
-  // of the job's causal story, not of the GetSched poll that revealed it.
-  trace::SpanScope span("maui.run_job",
-                        trace::Context{job.trace_id, job.origin_span});
-  span.note("job", std::to_string(job.id));
-  span.note("compute", std::to_string(alloc.compute.size()));
-  span.note("accel", std::to_string(alloc.accel.size()));
-  util::ByteWriter w;
-  w.put<std::uint64_t>(job.id);
-  w.put_string_vector(alloc.compute);
-  w.put_string_vector(alloc.accel);
-  try {
-    const svc::Caller caller(proc, config_.server, config_.retry);
-    (void)caller.call(torque::MsgType::kRunJob, std::move(w).take(),
-                      {.deadline = svc::deadlines::kDefault});
-  } catch (const util::ProtocolError& e) {
-    span.note("error", e.what());
-    kLog.warn("run_job {} not applied: {}", job.id, e.what());
-    return false;
-  }
-  jobs_started_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 void MauiScheduler::schedule_static(vnet::Process& proc,
                                     const torque::QueueSnapshot& snap,
                                     std::vector<NodeView>& nodes) {
@@ -527,6 +500,30 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
       break;
   }
 
+  // Starts are staged as they are decided and ship as one kRunJob after the
+  // pass, so a pass pays one round trip however many jobs it starts. Each
+  // start's decision span joins the trace recorded at submission: the
+  // decision is part of the job's causal story, not of the GetSched poll
+  // that revealed it. Its context rides in the RunStart, so the server-side
+  // application runs as its child.
+  std::vector<torque::RunStart> batch;
+  std::vector<std::pair<const torque::JobInfo*, bool>> staged;  // backfill?
+  const auto stage = [&](const torque::JobInfo& job, Allocation alloc,
+                         bool backfill) {
+    trace::SpanScope span("maui.run_job",
+                          trace::Context{job.trace_id, job.origin_span});
+    span.note("job", std::to_string(job.id));
+    span.note("compute", std::to_string(alloc.compute.size()));
+    span.note("accel", std::to_string(alloc.accel.size()));
+    const auto ctx = span.context();
+    batch.push_back({.job = job.id,
+                     .compute = std::move(alloc.compute),
+                     .accel = std::move(alloc.accel),
+                     .trace_id = ctx.trace,
+                     .span = ctx.span});
+    staged.emplace_back(&job, backfill);
+  };
+
   bool blocked = false;
   double shadow_time = 0.0;  // absolute server time the blocked job can start
 
@@ -535,14 +532,11 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
     if (!blocked) {
       auto alloc = try_allocate(nodes, job->spec.resources);
       if (alloc.ok) {
-        if (send_run_job(proc, *job, alloc)) {
-          usage_[job->spec.owner] +=
-              job->spec.resources.nodes * walltime_s(*job);
-        }
+        stage(*job, std::move(alloc), /*backfill=*/false);
         continue;
       }
       if (config_.policy != Policy::kBackfill) {
-        if (config_.policy == Policy::kFifo) return;  // strict FIFO blocks
+        if (config_.policy == Policy::kFifo) break;  // strict FIFO blocks
         continue;  // priority: skip, try the next job
       }
       // EASY backfill: reserve for this job and compute its shadow time
@@ -587,11 +581,38 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
     if (snap.now + walltime_s(*job) > shadow_time) continue;
     auto alloc = try_allocate(nodes, job->spec.resources);
     if (!alloc.ok) continue;
-    if (send_run_job(proc, *job, alloc)) {
-      usage_[job->spec.owner] +=
-          job->spec.resources.nodes * walltime_s(*job);
-      backfilled_.fetch_add(1, std::memory_order_relaxed);
+    stage(*job, std::move(alloc), /*backfill=*/true);
+  }
+  if (batch.empty()) return;
+
+  // Ship. The server applies the starts in order and answers one outcome
+  // per start; only accepted starts count. A retransmit is safe: the server
+  // de-duplicates request ids.
+  std::vector<bool> accepted(batch.size(), false);
+  util::ByteWriter w;
+  torque::put_run_starts(w, batch);
+  try {
+    const svc::Caller caller(proc, config_.server, config_.retry);
+    const auto reply =
+        caller.call(torque::MsgType::kRunJob, std::move(w).take(),
+                    {.deadline = svc::deadlines::kDefault});
+    util::ByteReader r(reply);
+    const auto n = std::min<std::size_t>(r.get<std::uint32_t>(), batch.size());
+    for (std::size_t i = 0; i < n; ++i) accepted[i] = r.get_bool();
+  } catch (const util::ProtocolError& e) {
+    kLog.warn("run_job batch ({} start(s)) not applied: {}", batch.size(),
+              e.what());
+    return;
+  }
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    const auto& [job, backfill] = staged[i];
+    if (!accepted[i]) {
+      kLog.warn("run_job {} refused by the server", job->id);
+      continue;
     }
+    jobs_started_.fetch_add(1, std::memory_order_relaxed);
+    usage_[job->spec.owner] += job->spec.resources.nodes * walltime_s(*job);
+    if (backfill) backfilled_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

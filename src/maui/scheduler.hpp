@@ -132,10 +132,6 @@ class MauiScheduler {
   std::vector<std::string> try_allocate_dyn(std::vector<NodeView>& nodes,
                                             torque::NodeKind kind,
                                             int count) const;
-  // Takes the JobInfo (not just the id) so the decision span can join the
-  // trace captured at the job's submission.
-  bool send_run_job(vnet::Process& proc, const torque::JobInfo& job,
-                    const Allocation& alloc);
   void decay_fairshare(double dt_seconds);
 
   vnet::Node& node_;

@@ -34,9 +34,10 @@ enum class MsgType : std::uint32_t {
   // scheduler <-> server
   // Consumed by the scheduler's plain wake endpoint, not a ServiceLoop.
   kSchedWake = 0x5430'0100,   // NOLINT-DACSCHED(handler-coverage)
-  kRunJob,                    // scheduler -> server: job id + host lists
-  // One state fetch (full or delta) and one dynamic-decision batch per
-  // cycle (docs/SCHEDULING.md). Wire structs live in sched_feed.hpp.
+  // One state fetch (full or delta), one dynamic-decision batch and one
+  // static-start batch per cycle (docs/SCHEDULING.md). Wire structs live in
+  // sched_feed.hpp.
+  kRunJob,                    // scheduler -> server: vector<RunStart>
   kGetSched,                  // scheduler -> server: epoch -> SchedDelta
   kDynDecide,                 // scheduler -> server: vector<DynDecision>
 

@@ -96,6 +96,33 @@ std::vector<DynDecision> get_dyn_decisions(util::ByteReader& r) {
   return out;
 }
 
+void put_run_starts(util::ByteWriter& w, const std::vector<RunStart>& ss) {
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(ss.size()));
+  for (const auto& s : ss) {
+    w.put<std::uint64_t>(s.job);
+    w.put_string_vector(s.compute);
+    w.put_string_vector(s.accel);
+    w.put<std::uint64_t>(s.trace_id);
+    w.put<std::uint64_t>(s.span);
+  }
+}
+
+std::vector<RunStart> get_run_starts(util::ByteReader& r) {
+  const auto n = r.get<std::uint32_t>();
+  std::vector<RunStart> out;
+  out.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    RunStart s;
+    s.job = r.get<std::uint64_t>();
+    s.compute = r.get_string_vector();
+    s.accel = r.get_string_vector();
+    s.trace_id = r.get<std::uint64_t>();
+    s.span = r.get<std::uint64_t>();
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
 DirtyTracker::Fetch DirtyTracker::begin_fetch(std::uint64_t client_epoch,
                                               bool force_full) {
   Fetch f;

@@ -10,10 +10,11 @@
 // (src/maui/queue_mirror.hpp) that reconstructs bit-identical fetch inputs —
 // the incremental ≡ full-rescan contract pinned by tests/maui.
 //
-// kDynDecide is the scheduler's one decision message: a batch of dynamic
+// kDynDecide is the scheduler's one dynamic decision message: a batch of
 // grant/reject decisions, applied under one server lock acquisition. The
 // scheduler ships a whole cycle's decisions at once, or (serial ablation)
-// each decision alone (docs/SCHEDULING.md).
+// each decision alone (docs/SCHEDULING.md). kRunJob is its static twin: one
+// batch of a pass's job starts, always shipped whole.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +81,22 @@ struct DynDecision {
 void put_dyn_decisions(util::ByteWriter& w,
                        const std::vector<DynDecision>& ds);
 std::vector<DynDecision> get_dyn_decisions(util::ByteReader& r);
+
+// One static start inside a kRunJob batch: the hosts Maui picked for a
+// queued job. The span fields carry the scheduler's maui.run_job decision
+// span, so the server-side application (slot assignment, MOM_RUN_JOB) stays
+// inside the job's causal tree. The reply is a u32 count followed by one
+// bool per start, in order: true when the server started the job.
+struct RunStart {
+  JobId job = kInvalidJob;
+  std::vector<std::string> compute;
+  std::vector<std::string> accel;
+  std::uint64_t trace_id = 0;
+  std::uint64_t span = 0;
+};
+
+void put_run_starts(util::ByteWriter& w, const std::vector<RunStart>& ss);
+std::vector<RunStart> get_run_starts(util::ByteReader& r);
 
 // Server-side dirty-job bookkeeping for the incremental feed. Not
 // thread-safe: the server mutates it under its state lock. There is one

@@ -267,8 +267,16 @@ std::vector<HostRef> PbsServer::host_refs(
 void PbsServer::on_submit(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   JobRecord rec;
-  rec.info.id = next_job_id_++;
   rec.info.spec = get_job_spec(r);
+  // A job needs a mother superior: at least one compute node running at
+  // least one process. A zero-node job would pass allocation vacuously.
+  const auto& res = rec.info.spec.resources;
+  if (res.nodes < 1 || res.ppn < 1 || res.acpn < 0) {
+    resp.error(ReplyCode::kError,
+               "submit: need nodes >= 1, ppn >= 1 and acpn >= 0");
+    return;
+  }
+  rec.info.id = next_job_id_++;
   rec.info.state = JobState::kQueued;
   rec.info.submit_time = now_s();
   // The submission's trace follows the job through scheduling and launch:
@@ -873,23 +881,37 @@ void PbsServer::on_get_sched(const rpc::Request& req, svc::Responder& resp) {
 }
 
 void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
+  // A pass's static starts, applied in the scheduler's queue order under
+  // one lock acquisition. Each replays inside its maui.run_job decision span,
+  // so each job's causal tree is the same whatever batch it rode in. A
+  // refused start is not a batch error: the reply carries one outcome per
+  // start, and every accepted start's MOM_RUN_JOB is already sent.
   util::ByteReader r(req.body);
-  const auto id = r.get<std::uint64_t>();
-  auto compute_hosts = r.get_string_vector();
-  auto accel_hosts = r.get_string_vector();
+  const auto starts = get_run_starts(r);
+  util::ByteWriter w;
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(starts.size()));
+  for (const auto& start : starts) {
+    trace::SpanScope span("serve.run_apply",
+                          trace::Context{start.trace_id, start.span});
+    trace::note("job", std::to_string(start.job));
+    w.put_bool(run_apply(start));
+  }
+  resp.ok(std::move(w).take());
+}
 
+bool PbsServer::run_apply(const RunStart& start) {
+  const auto id = start.job;
   auto it = jobs_.find(id);
-  if (it == jobs_.end() || it->second.info.state != JobState::kQueued) {
-    resp.error(ReplyCode::kUnknownJob, "run_job: job not queued");
-    return;
+  if (it == jobs_.end() || it->second.info.state != JobState::kQueued ||
+      start.compute.empty()) {
+    return false;  // unknown, no longer queued, or no mother superior
   }
   auto& rec = it->second;
-  trace::note("job", std::to_string(id));
 
   // Apply the allocation; back out if the scheduler raced a release.
   std::vector<std::pair<std::string, int>> applied;
   bool ok = true;
-  for (const auto& h : compute_hosts) {
+  for (const auto& h : start.compute) {
     if (nodes_.assign(h, id, rec.info.spec.resources.ppn)) {
       applied.emplace_back(h, rec.info.spec.resources.ppn);
     } else {
@@ -897,7 +919,7 @@ void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
       break;
     }
   }
-  for (const auto& h : accel_hosts) {
+  for (const auto& h : start.accel) {
     if (!ok) break;
     if (nodes_.assign(h, id, 1)) {
       applied.emplace_back(h, 1);
@@ -907,15 +929,13 @@ void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
   }
   if (!ok) {
     for (const auto& [h, slots] : applied) nodes_.release(h, id);
-    resp.error(ReplyCode::kError, "run_job: allocation conflict");
-    return;
+    return false;
   }
 
-  rec.info.compute_hosts = compute_hosts;
-  rec.info.accel_hosts = accel_hosts;
+  rec.info.compute_hosts = start.compute;
+  rec.info.accel_hosts = start.accel;
   rec.info.state = JobState::kRunning;
   touch_job(id);
-  resp.ok();
 
   if (rec.info.spec.program.empty()) {
     // Load-only job (no script): completes immediately.
@@ -924,28 +944,28 @@ void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
     rec.info.end_time = now_s();
     nodes_.release_all(id);
     wake_scheduler();
-    return;
+    return true;
   }
 
-  const auto ms = nodes_.mom_of(compute_hosts.front());
+  const auto& ms_host = start.compute.front();
+  const auto ms = nodes_.mom_of(ms_host);
   if (!ms) {
-    kLog.error("job {}: no mom for mother superior host '{}'", id,
-               compute_hosts.front());
-    return;
+    kLog.error("job {}: no mom for mother superior host '{}'", id, ms_host);
+    return true;
   }
   rec.ms = *ms;
   rec.ms_valid = true;
 
   // Full host list: compute nodes first, then accelerators (paper: the MS is
   // always a compute node).
-  std::vector<std::string> all_hosts = compute_hosts;
-  all_hosts.insert(all_hosts.end(), accel_hosts.begin(), accel_hosts.end());
+  std::vector<std::string> all_hosts = start.compute;
+  all_hosts.insert(all_hosts.end(), start.accel.begin(), start.accel.end());
   util::ByteWriter w;
   put_job_info(w, rec.info);
   put_host_refs(w, host_refs(all_hosts));
   rpc::notify(*endpoint_, rec.ms, MsgType::kMomRunJob, std::move(w).take());
-  kLog.info("job {} sent to mother superior {}", id,
-            compute_hosts.front());
+  kLog.info("job {} sent to mother superior {}", id, ms_host);
+  return true;
 }
 
 bool PbsServer::apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,

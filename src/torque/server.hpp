@@ -174,6 +174,11 @@ class PbsServer {
   void on_dyn_decide(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
 
+  // Apply one kRunJob start; true when the job started. An unknown or
+  // no-longer-queued job, a start without a compute host, or an allocation
+  // conflict refuses only this start and rolls back only its slots.
+  bool run_apply(const RunStart& start) DAC_REQUIRES(state_mu_);
+
   // Apply one kDynDecide decision; true when applied. A stale decision (the
   // request or its job vanished) returns false. So does a grant whose
   // allocation raced a concurrent assignment; that request is finished as

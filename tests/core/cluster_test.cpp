@@ -210,6 +210,17 @@ TEST_F(DacClusterTest, JobsQueueWhenResourcesBusy) {
   }
 }
 
+// A job without a compute node has no mother superior to run it. The server
+// refuses it at submission, and the cluster keeps serving.
+TEST_F(DacClusterTest, ZeroNodeSubmitRefused) {
+  EXPECT_THROW((void)cluster_.submit_program(kNoopProgram, 0, 0),
+               svc::CallError);
+  const auto id = cluster_.submit_program(kNoopProgram, 1, 0);
+  auto info = cluster_.wait_job(id, 10'000ms);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->state, torque::JobState::kComplete);
+}
+
 TEST_F(DacClusterTest, SchedulerStatsAdvance) {
   const auto before = cluster_.scheduler_stats();
   const auto id = cluster_.submit_program(kNoopProgram, 1, 0);

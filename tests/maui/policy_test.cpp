@@ -176,6 +176,65 @@ TEST(Policy, SchedulerCountsBackfills) {
   EXPECT_GE(cluster.scheduler_stats().backfilled, 1u);
 }
 
+// RUN_JOB messages the server has served: one per pass that started jobs.
+std::uint64_t run_job_batches(DacCluster& cluster) {
+  const auto snap = cluster.metrics_snapshot();
+  const auto* s = snap.find(torque::as_u32(torque::MsgType::kRunJob));
+  return s == nullptr ? 0 : s->calls;
+}
+
+// A pass ships its staged starts in one RUN_JOB even when strict FIFO then
+// blocks on a job that does not fit. The holder keeps both nodes busy while
+// a, b and the wide w queue; its completion frees them, and the next pass
+// stages a and b, blocks on w, and must still start a and b.
+TEST(Policy, FifoBlockShipsStagedStarts) {
+  dac::testing::Scenario s;
+  s.compute_nodes(2).policy(Policy::kFifo);
+  s.clock_mode(simtime::Mode::kDiscreteEvent);
+  auto& cluster = s.boot();
+
+  const auto holder = cluster.submit(sleep_job("hold", 2, 100, 200));
+  ASSERT_TRUE(cluster.client().wait_for_state(
+      holder, torque::JobState::kRunning, 10'000ms));
+  const auto a = cluster.submit(sleep_job("a", 1, 30, 50));
+  const auto b = cluster.submit(sleep_job("b", 1, 30, 50));
+  const auto w = cluster.submit(sleep_job("w", 2, 10, 50));
+  for (const auto id : {holder, a, b, w}) {
+    ASSERT_TRUE(cluster.wait_job(id, 30'000ms).has_value()) << "job " << id;
+  }
+  EXPECT_LT(start_of(cluster, a), start_of(cluster, w));
+  EXPECT_LT(start_of(cluster, b), start_of(cluster, w));
+  EXPECT_EQ(cluster.scheduler_stats().jobs_started, 4u);
+  // holder, {a, b}, w.
+  EXPECT_EQ(run_job_batches(cluster), 3u);
+}
+
+// A burst of fitting jobs starts in fewer RUN_JOB messages than starts: the
+// eight one-process jobs queue behind a whole-node holder, and the pass
+// after its completion starts them together.
+TEST(Policy, BurstStartsShareRunJobBatches) {
+  dac::testing::Scenario s;
+  s.compute_nodes(1).policy(Policy::kFifo);
+  s.clock_mode(simtime::Mode::kDiscreteEvent);
+  auto& cluster = s.boot();
+
+  const auto holder = cluster.submit(sleep_job("hold", 1, 100, 200));
+  ASSERT_TRUE(cluster.client().wait_for_state(
+      holder, torque::JobState::kRunning, 10'000ms));
+  std::vector<torque::JobId> ids{holder};
+  for (int i = 0; i < 8; ++i) {
+    auto spec = sleep_job("burst" + std::to_string(i), 1, 10, 50);
+    spec.resources.ppn = 1;
+    ids.push_back(cluster.submit(spec));
+  }
+  for (const auto id : ids) {
+    ASSERT_TRUE(cluster.wait_job(id, 30'000ms).has_value()) << "job " << id;
+  }
+  const auto started = cluster.scheduler_stats().jobs_started;
+  EXPECT_EQ(started, ids.size());
+  EXPECT_LT(run_job_batches(cluster), started);
+}
+
 TEST(Policy, DynOwnerPoolCapLimitsOneOwner) {
   auto config = DacClusterConfig::fast();
   config.compute_nodes = 2;

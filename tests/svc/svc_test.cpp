@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <type_traits>
 
 #include "simtime/clock.hpp"
@@ -41,6 +40,9 @@ vnet::NetworkModel fast_model() {
   return m;
 }
 
+// Every loop and peer runs on a simtime::ActorThread, not a std::thread:
+// under DACSCHED_CLOCK=virtual the clock must see them as runnable, or it
+// advances past a caller's deadline while they wait for a CPU.
 class SvcTest : public ::testing::Test {
  protected:
   SvcTest()
@@ -56,7 +58,7 @@ TEST_F(SvcTest, CallerRetransmitsUntilServerAppears) {
   // first transmission was dropped — the retransmit must get through.
   const auto server_addr = node_.allocate_address();
 
-  std::thread server([&] {
+  simtime::ActorThread server([&] {
     dac::simtime::sleep_for(30ms);  // NOLINT-DACSCHED(sleep-poll)
     vnet::Endpoint ep(fabric_, server_addr);
     auto msg = ep.recv_for(5000ms);
@@ -105,7 +107,7 @@ TEST_F(SvcTest, ErrorReplySurfacesAsCallErrorWithCode) {
           [](const Request&, Responder& resp) {
             resp.error(ReplyCode::kUnknownJob, "no such job");
           });
-  std::thread t([&] { loop.run(); });
+  simtime::ActorThread t([&] { loop.run(); });
 
   const Caller caller(node_, ep->address(), RetryPolicy::none());
   try {
@@ -129,7 +131,7 @@ TEST_F(SvcTest, DuplicateRequestExecutesOnceAnswersTwice) {
             w.put<std::uint64_t>(7);
             resp.ok(std::move(w).take());
           });
-  std::thread t([&] { loop.run(); });
+  simtime::ActorThread t([&] { loop.run(); });
 
   auto client = node_.open_endpoint();
   const auto id = next_request_id();
@@ -160,7 +162,7 @@ TEST_F(SvcTest, HandlerExceptionBecomesErrorReply) {
           [](const Request&, Responder&) {
             throw std::runtime_error("handler exploded");
           });
-  std::thread t([&] { loop.run(); });
+  simtime::ActorThread t([&] { loop.run(); });
 
   const Caller caller(node_, ep->address(), RetryPolicy::none());
   EXPECT_THROW((void)caller.call(MsgType::kAlterJob, {}, {.deadline = 2000ms}),
@@ -247,7 +249,7 @@ TEST(SvcClusterTest, StatJobsAnsweredDuringSubmitFlood) {
   core::DacCluster cluster(cfg);
 
   std::atomic<bool> flooding{true};
-  std::thread flood([&] {
+  simtime::ActorThread flood([&] {
     for (int i = 0; i < 30; ++i) {
       util::ByteWriter w;
       w.put<std::uint64_t>(1);

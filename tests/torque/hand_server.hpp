@@ -4,6 +4,8 @@
 // server sends them, so no message lands in a closed mailbox.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <functional>
 #include <memory>
 #include <optional>
@@ -19,6 +21,21 @@
 namespace dac::torque::testing {
 
 inline constexpr auto kHandLatency = std::chrono::microseconds(50);
+
+// Ships `starts` as one scheduler-style RUN_JOB from `from` and returns the
+// server's per-start outcomes, in order.
+inline std::vector<bool> run_starts(vnet::Node& from,
+                                    const vnet::Address& server,
+                                    const std::vector<RunStart>& starts) {
+  util::ByteWriter w;
+  put_run_starts(w, starts);
+  const auto reply =
+      rpc::call(from, server, MsgType::kRunJob, std::move(w).take());
+  util::ByteReader r(reply);
+  std::vector<bool> out(r.get<std::uint32_t>());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = r.get_bool();
+  return out;
+}
 
 class HandServer {
  public:
@@ -83,14 +100,11 @@ class HandServer {
     return client().submit(spec);
   }
 
-  // Scheduler-style RUN_JOB onto cn0.
+  // Scheduler-style one-start RUN_JOB onto cn0, which must start the job.
   void run_job(JobId id) {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(id);
-    w.put_string_vector({"cn0"});
-    w.put_string_vector({});
-    (void)rpc::call(cluster_.node(2), server(), MsgType::kRunJob,
-                    std::move(w).take());
+    const auto ok = run_starts(cluster_.node(2), server(),
+                               {{.job = id, .compute = {"cn0"}}});
+    EXPECT_EQ(ok, std::vector<bool>{true}) << "RUN_JOB refused job " << id;
   }
 
   // Scheduler-style decisions on one dyn request, each shipped as a

@@ -18,6 +18,7 @@ namespace {
 
 using namespace std::chrono_literals;
 using testing::HandServer;
+using testing::run_starts;
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -67,16 +68,16 @@ class ServerTest : public ::testing::Test {
                     MsgType::kRegisterNode, std::move(w).take());
   }
 
+  // Ships one scheduler-style RUN_JOB batch and returns its outcomes.
+  std::vector<bool> run(const std::vector<RunStart>& starts) {
+    return run_starts(cluster_.node(2), server_->address(), starts);
+  }
+
   // Submits a job with a program and marks it running via a scheduler-style
   // RUN_JOB (the fake mom address just drops the MOM_RUN_JOB notify).
   JobId start_running_job() {
     const auto id = submit_simple("app");
-    util::ByteWriter w;
-    w.put<std::uint64_t>(id);
-    w.put_string_vector({"cn0"});
-    w.put_string_vector({});
-    (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRunJob,
-                    std::move(w).take());
+    EXPECT_EQ(run({{.job = id, .compute = {"cn0"}}}), std::vector<bool>{true});
     return id;
   }
 
@@ -156,12 +157,7 @@ TEST_F(ServerTest, AlterPartialOnlyChangesSetFields) {
 TEST_F(ServerTest, AlterRunningJobErrors) {
   register_node("cn9", NodeKind::kCompute, 8, {1, 50});
   const auto id = submit_simple("app");
-  util::ByteWriter w;
-  w.put<std::uint64_t>(id);
-  w.put_string_vector({"cn9"});
-  w.put_string_vector({});
-  (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRunJob,
-                  std::move(w).take());
+  ASSERT_EQ(run({{.job = id, .compute = {"cn9"}}}), std::vector<bool>{true});
   Ifl::Alter alter;
   alter.priority = 1;
   EXPECT_THROW(client().alter_job(id, alter), rpc::CallError);
@@ -215,12 +211,7 @@ TEST_F(ServerTest, RunJobAllocatesAndEmptyProgramCompletes) {
   register_node("cn0", NodeKind::kCompute, 8, {1, 50});
   const auto id = submit_simple("");  // empty program: load-only job
 
-  util::ByteWriter w;
-  w.put<std::uint64_t>(id);
-  w.put_string_vector({"cn0"});
-  w.put_string_vector({});
-  (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRunJob,
-                  std::move(w).take());
+  ASSERT_EQ(run({{.job = id, .compute = {"cn0"}}}), std::vector<bool>{true});
   auto info = client().stat_job(id);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->state, JobState::kComplete);
@@ -229,10 +220,15 @@ TEST_F(ServerTest, RunJobAllocatesAndEmptyProgramCompletes) {
 }
 
 TEST_F(ServerTest, RunJobOnUnknownJobErrors) {
+  register_node("cn0", NodeKind::kCompute, 8, {1, 50});
+  EXPECT_EQ(run({{.job = 4711, .compute = {"cn0"}}}),
+            std::vector<bool>{false});
+  EXPECT_EQ(client().stat_nodes().at(0).used, 0);
+}
+
+TEST_F(ServerTest, RunJobUndecodableBodyErrors) {
   util::ByteWriter w;
-  w.put<std::uint64_t>(4711);
-  w.put_string_vector({"cn0"});
-  w.put_string_vector({});
+  w.put<std::uint32_t>(1);  // one start promised, none follows
   EXPECT_THROW((void)rpc::call(cluster_.node(2), server_->address(),
                                MsgType::kRunJob, std::move(w).take()),
                rpc::CallError);
@@ -243,29 +239,47 @@ TEST_F(ServerTest, RunJobAllocationConflictRollsBack) {
   register_node("ac0", NodeKind::kAccelerator, 1, {2, 50});
   // Occupy the accelerator through another job first.
   const auto holder = submit_simple("");
-  {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(holder);
-    w.put_string_vector({"cn0"});
-    w.put_string_vector({"ac0"});
-    (void)rpc::call(cluster_.node(2), server_->address(), MsgType::kRunJob,
-                    std::move(w).take());
-  }
+  ASSERT_EQ(run({{.job = holder, .compute = {"cn0"}, .accel = {"ac0"}}}),
+            std::vector<bool>{true});
   // holder completes instantly (empty program) and frees everything; so
   // instead pre-assign by a direct second job racing: allocate ac0 twice in
   // one shot by claiming it for a job while claiming a bogus host too.
   const auto id = submit_simple("");
-  util::ByteWriter w;
-  w.put<std::uint64_t>(id);
-  w.put_string_vector({"cn0", "ghost-host"});
-  w.put_string_vector({});
-  EXPECT_THROW((void)rpc::call(cluster_.node(2), server_->address(),
-                               MsgType::kRunJob, std::move(w).take()),
-               rpc::CallError);
+  EXPECT_EQ(run({{.job = id, .compute = {"cn0", "ghost-host"}}}),
+            std::vector<bool>{false});
   // The partial cn0 assignment must have been rolled back.
   for (const auto& n : client().stat_nodes()) EXPECT_EQ(n.used, 0);
   auto info = client().stat_job(id);
   EXPECT_EQ(info->state, JobState::kQueued);
+}
+
+// One RUN_JOB batch carries a whole pass. Each start succeeds or fails on
+// its own: an unknown id, an allocation conflict and a start without a
+// compute host (no mother superior) refuse only their start, roll back only
+// their slots, and leave the later starts in the batch alone.
+TEST_F(ServerTest, RunJobBatchRefusesOnlyBadStarts) {
+  register_node("cn0", NodeKind::kCompute, 8, {1, 50});
+  register_node("ac0", NodeKind::kAccelerator, 1, {2, 50});
+  register_node("ac1", NodeKind::kAccelerator, 1, {2, 51});
+  const auto a = submit_simple("app");
+  const auto c = submit_simple("app");
+  const auto d = submit_simple("app");
+  const auto e = submit_simple("app");
+  // c takes cn0, then finds ac0 already taken by a earlier in the batch.
+  EXPECT_EQ(run({{.job = a, .compute = {"cn0"}, .accel = {"ac0"}},
+                 {.job = 4711, .compute = {"cn0"}},
+                 {.job = c, .compute = {"cn0"}, .accel = {"ac0"}},
+                 {.job = d, .compute = {"cn0"}, .accel = {"ac1"}},
+                 {.job = e}}),
+            (std::vector<bool>{true, false, false, true, false}));
+  EXPECT_EQ(client().stat_job(a)->state, JobState::kRunning);
+  EXPECT_EQ(client().stat_job(c)->state, JobState::kQueued);
+  EXPECT_EQ(client().stat_job(d)->state, JobState::kRunning);
+  EXPECT_EQ(client().stat_job(e)->state, JobState::kQueued);
+  for (const auto& n : client().stat_nodes()) {
+    // cn0 keeps a's and d's one process each; c's was rolled back.
+    EXPECT_EQ(n.used, n.hostname == "cn0" ? 2 : 1) << n.hostname;
+  }
 }
 
 // The dynamic-request queue as the scheduler fetches it, with the test
