@@ -30,7 +30,7 @@ void PrototypeArm::run(vnet::Process& proc) {
   cfg.name = "arm";
   svc::ServiceLoop loop(*endpoint_, cfg, &metrics_);
 
-  loop.on(msg(kArmAlloc), svc::ExecClass::kMutating,
+  loop.on(msg(kArmAlloc),
           [this](const svc::Request& req, svc::Responder& resp) {
             util::ByteReader r(req.body);
             util::ByteWriter reply;
@@ -61,21 +61,20 @@ void PrototypeArm::run(vnet::Process& proc) {
             resp.ok(std::move(reply).take());
           });
 
-  loop.on(msg(kArmFree), svc::ExecClass::kMutating,
-          [this](const svc::Request& req, svc::Responder& resp) {
-            util::ByteReader r(req.body);
-            const auto set = r.get<std::uint64_t>();
-            if (auto it = sets_.find(set); it != sets_.end()) {
-              for (auto i : it->second) pool_[i].held_by = 0;
-              sets_.erase(it);
-              resp.ok();
-            } else {
-              resp.error(torque::ReplyCode::kBadRequest,
-                         "ARM: unknown set id " + std::to_string(set));
-            }
-          });
+  loop.on(msg(kArmFree), [this](const svc::Request& req, svc::Responder& resp) {
+    util::ByteReader r(req.body);
+    const auto set = r.get<std::uint64_t>();
+    if (auto it = sets_.find(set); it != sets_.end()) {
+      for (auto i : it->second) pool_[i].held_by = 0;
+      sets_.erase(it);
+      resp.ok();
+    } else {
+      resp.error(torque::ReplyCode::kBadRequest,
+                 "ARM: unknown set id " + std::to_string(set));
+    }
+  });
 
-  loop.on(msg(kArmReclaim), svc::ExecClass::kMutating,
+  loop.on(msg(kArmReclaim),
           [this](const svc::Request& req, svc::Responder& resp) {
             util::ByteReader r(req.body);
             const auto count = r.get<std::int32_t>();
@@ -100,16 +99,15 @@ void PrototypeArm::run(vnet::Process& proc) {
             resp.ok(std::move(reply).take());
           });
 
-  loop.on(msg(kArmStatus), svc::ExecClass::kMutating,
-          [this](const svc::Request&, svc::Responder& resp) {
-            util::ByteWriter reply;
-            int free = 0;
-            for (const auto& s : pool_) free += s.held_by == 0 ? 1 : 0;
-            reply.put<std::int32_t>(static_cast<std::int32_t>(pool_.size()));
-            reply.put<std::int32_t>(free);
-            reply.put<std::int32_t>(static_cast<std::int32_t>(sets_.size()));
-            resp.ok(std::move(reply).take());
-          });
+  loop.on(msg(kArmStatus), [this](const svc::Request&, svc::Responder& resp) {
+    util::ByteWriter reply;
+    int free = 0;
+    for (const auto& s : pool_) free += s.held_by == 0 ? 1 : 0;
+    reply.put<std::int32_t>(static_cast<std::int32_t>(pool_.size()));
+    reply.put<std::int32_t>(free);
+    reply.put<std::int32_t>(static_cast<std::int32_t>(sets_.size()));
+    resp.ok(std::move(reply).take());
+  });
 
   try {
     loop.run();

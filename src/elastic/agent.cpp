@@ -12,7 +12,6 @@ namespace {
 const util::Logger kLog("elastic-agent");
 }  // namespace
 
-using svc::ExecClass;
 using torque::MsgType;
 
 ElasticAgent::ElasticAgent(vnet::Process& proc, AgentConfig config)
@@ -21,11 +20,11 @@ ElasticAgent::ElasticAgent(vnet::Process& proc, AgentConfig config)
   sc.name = "elastic-agent";
   loop_ = std::make_unique<svc::ServiceLoop>(*ep_, sc);
   auto& loop = *loop_;
-  loop.on(MsgType::kElastOffer, ExecClass::kMutating,
+  loop.on(MsgType::kElastOffer,
           [this](const svc::Request& req, svc::Responder&) {
             handle_offer(req);
           });
-  loop.on(MsgType::kElastReconfig, ExecClass::kMutating,
+  loop.on(MsgType::kElastReconfig,
           [this](const svc::Request& req, svc::Responder&) {
             handle_reconfig(req);
           });

@@ -2,7 +2,6 @@
 #include "simtime/clock.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "svc/backoff.hpp"
 #include "trace/trace.hpp"
@@ -19,17 +18,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
              simtime::now() - start)
       .count();
 }
-
-// The client spans of one fan-out. They are opened one after another on the
-// calling thread, so they are ended newest first, as nested SpanScopes would
-// be, which hands the thread its own trace context back.
-struct FanOutSpans {
-  std::deque<trace::SpanScope> spans;
-
-  ~FanOutSpans() {
-    for (auto it = spans.rbegin(); it != spans.rend(); ++it) it->end();
-  }
-};
 
 }  // namespace
 
@@ -113,64 +101,6 @@ util::Bytes Caller::call(MsgType type, util::Bytes body,
                           std::to_string(sent) + " attempt(s))");
     }
   }
-}
-
-std::vector<Outcome> call_all(vnet::Process& proc,
-                              const std::vector<vnet::Address>& targets,
-                              MsgType type, const util::Bytes& body,
-                              std::chrono::milliseconds deadline) {
-  std::vector<Outcome> out(targets.size());
-  if (targets.empty()) return out;
-  const auto span_name = "rpc." + msg_type_name(as_u32(type));
-  const auto parent = trace::current();
-  auto ep = proc.open_endpoint();
-  const auto until = simtime::now() + deadline;
-
-  // Scatter: every request leaves before the first wait.
-  FanOutSpans spans;
-  std::vector<std::uint64_t> ids;
-  ids.reserve(targets.size());
-  for (const auto& to : targets) {
-    ids.push_back(next_request_id());
-    const auto& span = spans.spans.emplace_back(span_name, parent);
-    ep->send(to, as_u32(type), envelope(ids.back(), span.context(), body));
-  }
-
-  // Gather: each reply settles the target whose request id it carries;
-  // stray and duplicate replies settle nothing.
-  std::vector<bool> answered(targets.size(), false);
-  std::size_t pending = targets.size();
-  while (pending > 0) {
-    const auto now = simtime::now();
-    if (now >= until) break;
-    const auto remaining =
-        std::chrono::ceil<std::chrono::milliseconds>(until - now);
-    auto msg = ep->recv_for(std::max(remaining, std::chrono::milliseconds(1)));
-    if (!msg) {
-      if (ep->closed()) throw util::StoppedError();
-      continue;
-    }
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (answered[i]) continue;
-      try {
-        auto reply = parse_reply(*msg, ids[i]);
-        if (!reply) continue;
-        out[i].reply = std::move(*reply);
-      } catch (const CallError& e) {
-        out[i].error = e.what();
-        spans.spans[i].note("error", "call");
-      }
-      answered[i] = true;
-      --pending;
-      break;
-    }
-  }
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (answered[i]) continue;
-    out[i].error = "deadline";
-    spans.spans[i].note("error", "deadline");
-  }
-  return out;
 }
 
 }  // namespace dac::svc

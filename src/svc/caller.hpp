@@ -2,15 +2,12 @@
 // against one target address with per-call deadlines and bounded retransmits
 // (exponential backoff + jitter). A retried request reuses its request-id, so
 // a ServiceLoop on the far side deduplicates it instead of executing twice.
-// call_all scatters one request to many targets and gathers every answer
-// under a single deadline.
+// A daemon's fan-out to many targets is ServiceLoop::call_all.
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "svc/deadlines.hpp"
 #include "svc/metrics.hpp"
@@ -69,24 +66,5 @@ class Caller {
   RetryPolicy policy_;
   MetricsRegistry* metrics_ = nullptr;
 };
-
-// One target's answer to a call_all fan-out.
-struct Outcome {
-  std::optional<util::Bytes> reply;  // the reply body when it answered ok
-  std::string error;  // the CallError text, or "deadline" when it never did
-
-  [[nodiscard]] bool ok() const { return reply.has_value(); }
-};
-
-// Scatter/gather from a process context: sends `type` with `body` to every
-// target before waiting for any of them, then gathers the replies (matched by
-// request id) until all have answered or `deadline` passes, whichever comes
-// first. One attempt per target, one deadline for the whole fan-out. Returns
-// one Outcome per target, in target order; throws StoppedError on
-// cooperative kill (the endpoint is owned by `proc`). Each target gets its
-// own rpc.<TYPE> client span under the caller's context.
-[[nodiscard]] std::vector<Outcome> call_all(
-    vnet::Process& proc, const std::vector<vnet::Address>& targets,
-    MsgType type, const util::Bytes& body, std::chrono::milliseconds deadline);
 
 }  // namespace dac::svc

@@ -15,36 +15,20 @@ const util::Logger kLog("svc.loop");
 
 // ---- Responder ------------------------------------------------------------
 
-bool Responder::completed() const {
-  if (!st_) return true;
-  ScopedLock lock(st_->mu);
-  return st_->done;
-}
+bool Responder::completed() const { return !st_ || st_->done; }
 
 void Responder::ok(util::Bytes body) const {
-  if (!st_) return;
-  const auto payload = make_ok_reply(st_->id, body);
-  vnet::Address to;
-  {
-    ScopedLock lock(st_->mu);
-    if (st_->done) return;
-    st_->done = true;
-    to = st_->to;
-  }
-  st_->loop->finish_reply(*st_, payload, to, /*error=*/false);
+  if (completed()) return;
+  st_->done = true;
+  st_->loop->finish_reply(*st_, make_ok_reply(st_->id, body),
+                          /*error=*/false);
 }
 
 void Responder::error(ReplyCode code, const std::string& message) const {
-  if (!st_) return;
-  const auto payload = make_error_reply(st_->id, code, message);
-  vnet::Address to;
-  {
-    ScopedLock lock(st_->mu);
-    if (st_->done) return;
-    st_->done = true;
-    to = st_->to;
-  }
-  st_->loop->finish_reply(*st_, payload, to, /*error=*/true);
+  if (completed()) return;
+  st_->done = true;
+  st_->loop->finish_reply(*st_, make_error_reply(st_->id, code, message),
+                          /*error=*/true);
 }
 
 // ---- ServiceLoop ----------------------------------------------------------
@@ -53,10 +37,8 @@ ServiceLoop::ServiceLoop(vnet::Endpoint& ep, ServiceConfig config,
                          MetricsRegistry* metrics)
     : ep_(ep), cfg_(std::move(config)), metrics_(metrics) {}
 
-ServiceLoop::~ServiceLoop() = default;
-
-void ServiceLoop::on(MsgType type, ExecClass klass, Handler handler) {
-  handlers_[as_u32(type)] = Entry{klass, std::move(handler)};
+void ServiceLoop::on(MsgType type, Handler handler) {
+  handlers_[as_u32(type)] = std::move(handler);
 }
 
 void ServiceLoop::add_tick(std::chrono::milliseconds interval, TickFn fn) {
@@ -78,57 +60,106 @@ void ServiceLoop::cancel_timer(const TimerId& id) {
   timers_.erase(id);
 }
 
+void ServiceLoop::call_all(const std::vector<vnet::Address>& targets,
+                           MsgType type, const util::Bytes& body,
+                           std::chrono::milliseconds deadline,
+                           FanOutDone done) {
+  DAC_DCHECK(std::this_thread::get_id() == loop_thread_,
+             "{}: fan-out started off the loop thread", cfg_.name);
+  if (targets.empty()) {
+    done({});
+    return;
+  }
+  auto fan = std::make_shared<FanOut>();
+  fan->ctx = trace::current();
+  fan->done = std::move(done);
+  fan->out.resize(targets.size());
+  fan->pending = targets.size();
+  // Scatter: every request leaves before any reply can be served.
+  const auto span_name = "rpc." + msg_type_name(as_u32(type));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    fan->ids.push_back(next_request_id());
+    awaited_[fan->ids.back()] = Awaited{fan, i};
+    const auto& span = fan->spans.emplace_back(span_name, fan->ctx);
+    ep_.send(targets[i], as_u32(type),
+             envelope(fan->ids.back(), span.context(), body));
+  }
+  fan->deadline = add_timer(simtime::now() + deadline,
+                            [this, fan] { expire_fan_out(*fan); });
+}
+
+void ServiceLoop::settle_reply(const vnet::Message& msg) {
+  Outcome outcome;
+  decltype(awaited_)::iterator it;
+  try {
+    const auto id = util::ByteReader(msg.payload).get<std::uint64_t>();
+    it = awaited_.find(id);
+    if (it == awaited_.end()) return;  // stray, stale or duplicate
+    outcome.reply = parse_reply(msg, id);
+  } catch (const CallError& e) {
+    outcome.error = e.what();
+  } catch (const util::DecodeError& e) {
+    kLog.warn("{}: malformed reply from {}: {}", cfg_.name, msg.from.str(),
+              e.what());
+    return;
+  }
+  const auto fan = std::move(it->second.fan_out);
+  const auto i = it->second.target;
+  awaited_.erase(it);
+  if (!outcome.ok()) fan->spans[i].note("error", "call");
+  fan->spans[i].end();
+  fan->out[i] = std::move(outcome);
+  if (--fan->pending == 0) finish_fan_out(*fan);
+}
+
+void ServiceLoop::expire_fan_out(FanOut& fan) {
+  for (std::size_t i = 0; i < fan.ids.size(); ++i) {
+    if (awaited_.erase(fan.ids[i]) == 0) continue;  // already settled
+    fan.spans[i].note("error", "deadline");
+    fan.spans[i].end();
+    fan.out[i].error = "deadline";
+  }
+  finish_fan_out(fan);
+}
+
+void ServiceLoop::finish_fan_out(FanOut& fan) {
+  cancel_timer(fan.deadline);
+  const trace::ScopedContext ctx(fan.ctx);
+  try {
+    fan.done(std::move(fan.out));
+  } catch (const util::StoppedError&) {
+    throw;  // cooperative kill: unwind the loop
+  } catch (const std::exception& e) {
+    kLog.warn("{}: fan-out continuation failed: {}", cfg_.name, e.what());
+  }
+}
+
 void ServiceLoop::run() {
   loop_thread_ = std::this_thread::get_id();
   const auto now = simtime::now();
   for (auto& t : ticks_) t.last = now;
   trace::set_thread_actor(cfg_.name);
 
-  const bool want_conc =
-      std::any_of(handlers_.begin(), handlers_.end(), [](const auto& h) {
-        return h.second.klass == ExecClass::kConcurrent;
-      });
-  if (want_conc) {
-    simtime::Clock::instance().actor_started();
-    conc_worker_ = std::thread([this] {
-      simtime::AdoptScope actor;
-      trace::set_thread_actor(cfg_.name);
-      while (auto work = conc_queue_.pop()) {
-        try {
-          execute(std::move(*work));
-        } catch (const util::StoppedError&) {
-          break;
-        }
-      }
-    });
-  }
-
-  const auto drain = [this] {
-    conc_queue_.close();
-    simtime::ExternalWaitScope quiescent;  // native join, clock-invisible
-    if (conc_worker_.joinable()) conc_worker_.join();
-  };
-
-  try {
-    while (true) {
-      auto timeout = next_tick_timeout();
-      auto msg = timeout ? ep_.recv_for(*timeout) : ep_.recv();
-      if (msg) {
-        serve(std::move(*msg));
-      } else if (ep_.closed()) {
-        break;
-      }
-      fire_due_ticks();
+  while (true) {
+    auto timeout = next_tick_timeout();
+    auto msg = timeout ? ep_.recv_for(*timeout) : ep_.recv();
+    if (msg) {
+      serve(std::move(*msg));
+    } else if (ep_.closed()) {
+      break;
     }
-  } catch (...) {
-    drain();
-    throw;
+    fire_due_ticks();
   }
-  drain();
+  // Pending fan-outs are dropped: their continuations never run.
+  awaited_.clear();
+  timers_.clear();
 }
 
 void ServiceLoop::serve(vnet::Message msg) {
-  if (msg.type == as_u32(MsgType::kReply)) return;  // stray reply; drop
+  if (msg.type == as_u32(MsgType::kReply)) {
+    settle_reply(msg);
+    return;
+  }
   Request req;
   try {
     req = parse_request(msg);
@@ -138,28 +169,30 @@ void ServiceLoop::serve(vnet::Message msg) {
     return;
   }
 
-  {
-    ScopedLock lock(dedup_mu_);
-    if (auto it = completed_.find(req.id); it != completed_.end()) {
-      // Retransmit of an answered request: resend the cached reply. Count
-      // before sending so the counter is visible by the time the caller can
-      // observe the duplicate reply.
+  if (auto it = completed_.find(req.id); it != completed_.end()) {
+    // Retransmit of an answered request: resend the cached reply. Count
+    // before sending so the counter is visible by the time the caller can
+    // observe the duplicate reply.
+    deduped_.fetch_add(1, std::memory_order_relaxed);
+    ep_.send(req.from, as_u32(MsgType::kReply), it->second);
+    kLog.debug("{}: resent cached reply for req {}", cfg_.name, req.id);
+    return;
+  }
+  if (auto it = pending_.find(req.id); it != pending_.end()) {
+    if (auto st = it->second.lock()) {
+      // Retransmit of an in-flight request: just retarget the reply
+      // (counted first, same ordering rule as above).
       deduped_.fetch_add(1, std::memory_order_relaxed);
-      ep_.send(req.from, as_u32(MsgType::kReply), it->second);
-      kLog.debug("{}: resent cached reply for req {}", cfg_.name, req.id);
+      st->to = req.from;
       return;
     }
-    if (auto it = pending_.find(req.id); it != pending_.end()) {
-      if (auto st = it->second.lock()) {
-        // Retransmit of an in-flight request: just retarget the reply
-        // (counted first, same ordering rule as above).
-        deduped_.fetch_add(1, std::memory_order_relaxed);
-        ScopedLock slock(st->mu);
-        st->to = req.from;
-        return;
-      }
-      pending_.erase(it);
-    }
+    pending_.erase(it);
+  }
+  if (notified_.contains(req.id)) {
+    // Duplicate of a notification that already ran: drop it unanswered.
+    deduped_.fetch_add(1, std::memory_order_relaxed);
+    kLog.debug("{}: dropped duplicate notification {}", cfg_.name, req.id);
+    return;
   }
 
   const auto it = handlers_.find(as_u32(req.type));
@@ -172,80 +205,59 @@ void ServiceLoop::serve(vnet::Message msg) {
     return;
   }
 
-  Work work;
-  work.entry = &it->second;
-  work.st = std::make_shared<detail::ResponderState>();
-  work.st->loop = this;
-  work.st->id = req.id;
-  work.st->type = as_u32(req.type);
-  work.st->start = simtime::now();
-  work.st->to = req.from;
-  work.req = std::move(req);
-  {
-    // Registered before dispatch so a retransmit racing with a
-    // concurrent-lane execution is recognized as a duplicate.
-    ScopedLock lock(dedup_mu_);
-    pending_[work.st->id] = work.st;
-  }
-
-  if (work.entry->klass == ExecClass::kConcurrent && conc_worker_.joinable()) {
-    if (!conc_queue_.push(std::move(work))) {
-      DAC_CHECK(false, "{}: concurrent-lane queue closed while serving",
-                cfg_.name);
-    }
-  } else {
-    execute(std::move(work));
-  }
-}
-
-void ServiceLoop::execute(Work work) {
+  auto st = std::make_shared<detail::ResponderState>();
+  st->loop = this;
+  st->id = req.id;
+  st->type = as_u32(req.type);
+  st->start = simtime::now();
+  st->to = req.from;
+  // Registered before dispatch so a retransmit that arrives while the reply
+  // is held is recognized as a duplicate.
+  pending_[st->id] = st;
   if (cfg_.service_cost.count() > 0) {
     simtime::sleep_for(cfg_.service_cost);
   }
-  Responder resp(work.st);
+  Responder resp(st);
   // Handler-side span, child of the caller's rpc.* span via the wire
   // context. It becomes the thread's current context, so everything the
   // handler sends (notifies, nested calls) joins the same trace.
-  trace::SpanScope span("serve." + msg_type_name(work.st->type),
-                        work.req.ctx);
+  trace::SpanScope span("serve." + msg_type_name(st->type), req.ctx);
   try {
-    work.entry->fn(work.req, resp);
+    it->second(req, resp);
   } catch (const util::StoppedError&) {
-    throw;  // cooperative kill: unwind the loop / worker
+    throw;  // cooperative kill: unwind the loop
   } catch (const std::exception& e) {
     kLog.warn("{}: handler for {} failed: {}", cfg_.name,
-              msg_type_name(work.st->type), e.what());
+              msg_type_name(st->type), e.what());
     if (!resp.completed()) resp.error(ReplyCode::kError, e.what());
   }
-  if (!resp.completed() && work.st.use_count() <= 2) {
+  if (!resp.completed() && st.use_count() <= 2) {
     // Handler returned without replying and without keeping the Responder:
-    // a notification-style request. Record it and drop the pending entry.
+    // a notification-style request. Record it and remember its id.
     if (metrics_) {
-      metrics_->record(work.st->type,
+      metrics_->record(st->type,
                        std::chrono::duration<double, std::milli>(
-                           simtime::now() - work.st->start)
+                           simtime::now() - st->start)
                            .count(),
                        false);
     }
-    forget_pending(work.st->id);
+    remember_notification(st->id);
   }
 }
 
 void ServiceLoop::finish_reply(detail::ResponderState& st,
-                               const util::Bytes& payload,
-                               const vnet::Address& to, bool error) {
-  {
-    ScopedLock lock(dedup_mu_);
-    if (cfg_.dedup_window > 0) {
-      completed_[st.id] = payload;
-      completed_order_.push_back(st.id);
-      while (completed_order_.size() > cfg_.dedup_window) {
-        completed_.erase(completed_order_.front());
-        completed_order_.pop_front();
-      }
+                               const util::Bytes& payload, bool error) {
+  DAC_DCHECK(std::this_thread::get_id() == loop_thread_,
+             "{}: reply sent off the loop thread", cfg_.name);
+  if (cfg_.dedup_window > 0) {
+    completed_[st.id] = payload;
+    completed_order_.push_back(st.id);
+    while (completed_order_.size() > cfg_.dedup_window) {
+      completed_.erase(completed_order_.front());
+      completed_order_.pop_front();
     }
-    pending_.erase(st.id);
   }
+  pending_.erase(st.id);
   // Record before sending: a caller that already has the reply must find
   // its call in any later metrics snapshot.
   if (metrics_) {
@@ -255,12 +267,18 @@ void ServiceLoop::finish_reply(detail::ResponderState& st,
                          .count(),
                      error);
   }
-  ep_.send(to, as_u32(MsgType::kReply), payload);
+  ep_.send(st.to, as_u32(MsgType::kReply), payload);
 }
 
-void ServiceLoop::forget_pending(std::uint64_t id) {
-  ScopedLock lock(dedup_mu_);
+void ServiceLoop::remember_notification(std::uint64_t id) {
   pending_.erase(id);
+  if (cfg_.dedup_window == 0) return;
+  notified_.insert(id);
+  notified_order_.push_back(id);
+  while (notified_order_.size() > cfg_.dedup_window) {
+    notified_.erase(notified_order_.front());
+    notified_order_.pop_front();
+  }
 }
 
 std::optional<std::chrono::milliseconds> ServiceLoop::next_tick_timeout() {

@@ -1,20 +1,9 @@
-// Server side of the service runtime. A ServiceLoop drains one endpoint and
-// dispatches each request through a typed table (MsgType -> handler). Every
-// handler is registered under an execution class:
-//
-//  - kMutating requests run inline on the loop thread — one serialized lane,
-//    exactly the paper's single-threaded pbs_server (Figures 8/9). Reads
-//    (qstat, pbsnodes, heartbeats) take this lane too.
-//  - kConcurrent requests run on their own dedicated lane: one extra thread,
-//    serialized among themselves, spawned iff any handler registered for it.
-//    This is for handlers that BLOCK in outbound calls (a mother superior's
-//    JOIN/DYNJOIN/DISJOIN fan-outs, one svc::call_all round trip each): if
-//    they ran on the loop thread, the endpoint would stop being drained
-//    while they wait, so two daemons calling each other would deadlock
-//    until the RPC deadline. The loop
-//    thread keeps dispatching (and serving the fast kMutating handlers)
-//    while the kConcurrent lane waits; handlers on the two lanes synchronize
-//    shared state themselves.
+// Server side of the service runtime. A ServiceLoop drains one endpoint on
+// one thread and dispatches each request through a typed table (MsgType ->
+// handler): every handler runs inline on the loop thread, one serialized
+// lane, exactly the paper's single-threaded pbs_server (Figures 8/9).
+// Handlers must not block in outbound calls: a daemon that waits on another
+// while its own endpoint goes undrained deadlocks with a peer doing the same.
 //
 // Handlers reply through a Responder, which may outlive the handler call:
 // storing the Responder and completing it later is the supported way to defer
@@ -22,11 +11,18 @@
 // answered at most once. A held reply that must also go out at a deadline
 // arms a one-shot timer (add_timer) from its handler.
 //
+// Outbound fan-outs (a mother superior's JOIN/DYNJOIN/DISJOIN) leave from
+// the loop's own endpoint through call_all and end in a continuation: the
+// loop settles their replies by request id as it drains the endpoint, and a
+// timer ends the wait at the fan-out's deadline.
+//
 // The loop remembers the last `dedup_window` completed request-ids together
 // with their reply payloads: a retransmitted request is answered from the
 // cache instead of being executed twice, which is what makes client-side
 // retransmission (svc::Caller) safe for non-idempotent operations. A
 // retransmit of a still-pending request just retargets the eventual reply.
+// Notifications (handled without a reply) are remembered by id in a window
+// of their own, so a duplicated notification is dropped, not run again.
 #pragma once
 
 #include <atomic>
@@ -35,26 +31,31 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "svc/metrics.hpp"
 #include "svc/wire.hpp"
-#include "util/queue.hpp"
-#include "util/sync.hpp"
+#include "trace/trace.hpp"
 
 namespace dac::svc {
 
-enum class ExecClass {
-  kMutating,    // serialized lane (the loop thread)
-  kConcurrent,  // dedicated serialized lane; may block in outbound calls
+// One target's answer to a call_all fan-out.
+struct Outcome {
+  std::optional<util::Bytes> reply;  // the reply body when it answered ok
+  std::string error;  // the CallError text, or "deadline" when it never did
+
+  [[nodiscard]] bool ok() const { return reply.has_value(); }
 };
 
 struct ServiceConfig {
   std::string name = "svc";
   // Simulated per-request service cost charged before each handler runs (the
-  // paper's server_service_cost). Charged on the executing lane.
+  // paper's server_service_cost).
   std::chrono::microseconds service_cost{0};
   std::size_t dedup_window = 256;
 };
@@ -66,6 +67,7 @@ struct ResponderState;
 }
 
 // Reply handle for one request. Copyable; completing twice is a no-op.
+// Completed on the loop thread only, like all of the loop's state.
 class Responder {
  public:
   Responder() = default;
@@ -89,9 +91,8 @@ struct ResponderState {
   std::uint64_t id = 0;
   std::uint32_t type = 0;
   std::chrono::steady_clock::time_point start;
-  Mutex mu{"responder"};
-  vnet::Address to DAC_GUARDED_BY(mu);  // retargeted on duplicate arrival
-  bool done DAC_GUARDED_BY(mu) = false;
+  vnet::Address to;  // retargeted on duplicate arrival
+  bool done = false;
 };
 }  // namespace detail
 
@@ -102,22 +103,22 @@ class ServiceLoop {
 
   ServiceLoop(vnet::Endpoint& ep, ServiceConfig config,
               MetricsRegistry* metrics = nullptr);
-  ~ServiceLoop();
 
   ServiceLoop(const ServiceLoop&) = delete;
   ServiceLoop& operator=(const ServiceLoop&) = delete;
 
+  using FanOutDone = std::function<void(std::vector<Outcome>)>;
+
   // Registration happens before run(); the dispatch table is immutable after.
-  void on(MsgType type, ExecClass klass, Handler handler);
+  void on(MsgType type, Handler handler);
 
   // Periodic work on the loop thread (heartbeats, walltime enforcement).
-  // Ticks fire between requests and while idle, never concurrently with a
-  // mutating handler.
+  // Ticks fire between requests and while idle, never during a handler.
   void add_tick(std::chrono::milliseconds interval, TickFn fn);
 
   // One-shot work on the loop thread once the clock reaches `at`, fired like
-  // a tick. Only the loop thread may arm or cancel timers: kMutating
-  // handlers, ticks and other timers.
+  // a tick. Only the loop thread may arm or cancel timers: handlers, ticks,
+  // timers and fan-out continuations.
   struct TimerId {
     std::chrono::steady_clock::time_point at;
     std::uint64_t seq = 0;
@@ -127,12 +128,27 @@ class ServiceLoop {
   // Disarms a timer; a no-op once it fired.
   void cancel_timer(const TimerId& id);
 
-  // Serves until the endpoint is closed and drained. The kConcurrent lane is
-  // joined before run() returns.
+  // Scatter/gather from the loop's own endpoint: sends `type` with `body` to
+  // every target at once, one request id each, and returns. Each reply
+  // settles the target whose request id it carries (stray, stale and
+  // duplicate replies settle nothing); one timer marks the targets still
+  // silent at `deadline` as "deadline". `done` then runs once on the loop
+  // thread, under the calling thread's trace context, with one Outcome per
+  // target in target order; with no targets it runs before call_all
+  // returns. Each target gets its own rpc.<TYPE> client span, a child of
+  // that context, ended when the target settles. Loop thread only. A
+  // fan-out still pending when the endpoint closes is dropped, and its
+  // `done` never runs.
+  void call_all(const std::vector<vnet::Address>& targets, MsgType type,
+                const util::Bytes& body, std::chrono::milliseconds deadline,
+                FanOutDone done);
+
+  // Serves until the endpoint is closed and drained.
   void run();
 
   [[nodiscard]] vnet::Endpoint& endpoint() const { return ep_; }
-  // Requests answered from the dedup cache or retargeted while pending.
+  // Requests answered from the dedup cache or retargeted while pending, and
+  // duplicated notifications dropped.
   [[nodiscard]] std::uint64_t deduped() const {
     return deduped_.load(std::memory_order_relaxed);
   }
@@ -140,14 +156,19 @@ class ServiceLoop {
  private:
   friend class Responder;
 
-  struct Entry {
-    ExecClass klass{};
-    Handler fn;
+  struct FanOut {
+    std::vector<std::uint64_t> ids;  // request id per target
+    std::vector<Outcome> out;
+    std::deque<trace::DetachedSpan> spans;
+    std::size_t pending = 0;
+    trace::Context ctx;  // the caller's, restored around `done`
+    FanOutDone done;
+    TimerId deadline;
   };
-  struct Work {
-    Request req;
-    const Entry* entry = nullptr;
-    std::shared_ptr<detail::ResponderState> st;
+  // A request a fan-out still waits on: its fan-out and target index.
+  struct Awaited {
+    std::shared_ptr<FanOut> fan_out;
+    std::size_t target = 0;
   };
   struct Tick {
     std::chrono::milliseconds interval{};
@@ -156,12 +177,19 @@ class ServiceLoop {
   };
 
   void serve(vnet::Message msg);
-  void execute(Work work);
   // Sends the reply for `st` and records it in the dedup cache. Called from
   // Responder; `payload` is a full reply envelope.
   void finish_reply(detail::ResponderState& st, const util::Bytes& payload,
-                    const vnet::Address& to, bool error);
-  void forget_pending(std::uint64_t id);
+                    bool error);
+  // Drops the pending entry of a request handled without a reply and
+  // remembers its id, so a duplicate of that notification is not run again.
+  void remember_notification(std::uint64_t id);
+  // Settles the fan-out target that a kReply message answers, if any.
+  void settle_reply(const vnet::Message& msg);
+  // Marks every target of `fan` still silent as "deadline" and finishes it.
+  void expire_fan_out(FanOut& fan);
+  // Runs the continuation of a fan-out whose targets have all settled.
+  void finish_fan_out(FanOut& fan);
   // Time until the next tick or timer is due (nullopt: none armed).
   std::optional<std::chrono::milliseconds> next_tick_timeout();
   void fire_due_ticks();
@@ -170,24 +198,21 @@ class ServiceLoop {
   ServiceConfig cfg_;
   MetricsRegistry* metrics_ = nullptr;
 
-  std::map<std::uint32_t, Entry> handlers_;
+  std::map<std::uint32_t, Handler> handlers_;
   std::vector<Tick> ticks_;
   std::map<TimerId, TickFn> timers_;  // loop thread only; soonest first
   std::uint64_t next_timer_seq_ = 0;
   std::thread::id loop_thread_;
 
-  Mutex dedup_mu_{"svc.dedup"};
-  std::unordered_map<std::uint64_t, util::Bytes> completed_
-      DAC_GUARDED_BY(dedup_mu_);
-  std::deque<std::uint64_t> completed_order_ DAC_GUARDED_BY(dedup_mu_);
+  // Dedup state and outstanding fan-outs: loop thread only.
+  std::unordered_map<std::uint64_t, util::Bytes> completed_;
+  std::deque<std::uint64_t> completed_order_;
   std::unordered_map<std::uint64_t, std::weak_ptr<detail::ResponderState>>
-      pending_ DAC_GUARDED_BY(dedup_mu_);
-  std::atomic<std::uint64_t> deduped_{0};
-
-  // kConcurrent lane: one thread, created in run() iff any handler was
-  // registered under kConcurrent. Serialized among its own requests.
-  util::BlockingQueue<Work> conc_queue_;
-  std::thread conc_worker_;
+      pending_;
+  std::unordered_set<std::uint64_t> notified_;
+  std::deque<std::uint64_t> notified_order_;
+  std::atomic<std::uint64_t> deduped_{0};  // read from any thread
+  std::unordered_map<std::uint64_t, Awaited> awaited_;  // by request id
 };
 
 }  // namespace dac::svc

@@ -2,7 +2,6 @@
 #include "simtime/clock.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "svc/deadlines.hpp"
@@ -65,7 +64,8 @@ void PbsMom::run(vnet::Process& proc) {
   cfg.name = "pbs_mom." + node_.hostname();
   cfg.dedup_window = config_.dedup_window;
   svc::ServiceLoop loop(*endpoint_, cfg);
-  register_handlers(loop, proc);
+  loop_ = &loop;
+  register_handlers(loop);
   // Liveness: report to the server even while busy (fault-tolerance
   // extension). Walltime enforcement runs on its own cadence so tests can
   // tighten it without shrinking the liveness window.
@@ -83,30 +83,18 @@ void PbsMom::run(vnet::Process& proc) {
   } catch (const util::StoppedError&) {
     // Cooperative kill while a handler was mid-call; normal shutdown.
   }
+  loop_ = nullptr;
 }
 
-void PbsMom::register_handlers(svc::ServiceLoop& loop, vnet::Process& proc) {
-  using svc::ExecClass;
+void PbsMom::register_handlers(svc::ServiceLoop& loop) {
   using svc::Request;
   using svc::Responder;
 
-  // Mother-superior duties block in JOIN/DYNJOIN/DISJOIN fan-outs to other
-  // moms (one round trip to all sisters at once), so on a compute node they
-  // run on the dedicated kConcurrent lane — one job protocol at a time, but
-  // off the loop thread, which keeps draining the endpoint. Without this,
-  // two mother superiors granted onto each other's nodes in the same
-  // scheduling batch would block calling each other's (undrained) endpoints
-  // and deadlock until the RPC deadline. Accelerator moms are never mother superiors and
-  // never block, so they keep the paper's single thread.
-  const auto ms_class = config_.kind == NodeKind::kCompute
-                            ? ExecClass::kConcurrent
-                            : ExecClass::kMutating;
-  const auto ms = [&](MsgType type, void (PbsMom::*fn)(vnet::Process&,
-                                                       const rpc::Request&)) {
-    loop.on(type, ms_class,
-            [this, &proc, fn](const Request& req, Responder&) {
-              (this->*fn)(proc, req);
-            });
+  const auto ms = [&](MsgType type,
+                      void (PbsMom::*fn)(const rpc::Request&)) {
+    loop.on(type, [this, fn](const Request& req, Responder&) {
+      (this->*fn)(req);
+    });
   };
   ms(MsgType::kMomRunJob, &PbsMom::on_run_job);
   ms(MsgType::kMomDynAdd, &PbsMom::on_dyn_add);
@@ -114,30 +102,26 @@ void PbsMom::register_handlers(svc::ServiceLoop& loop, vnet::Process& proc) {
   ms(MsgType::kMomKillJob, &PbsMom::on_kill_job);
   ms(MsgType::kTaskDone, &PbsMom::on_task_done);
 
-  // Sister duties stay on the loop thread: they make no outbound calls and
-  // finish fast, so the lane that another MS blocks on always progresses.
-  // They share the job table with the kConcurrent lane under mu_.
   const auto sister = [&](MsgType type,
                           void (PbsMom::*fn)(const rpc::Request&,
                                              Responder&)) {
-    loop.on(type, ExecClass::kMutating,
-            [this, fn](const Request& req, Responder& resp) {
-              (this->*fn)(req, resp);
-            });
+    loop.on(type, [this, fn](const Request& req, Responder& resp) {
+      (this->*fn)(req, resp);
+    });
   };
   sister(MsgType::kJoinJob, &PbsMom::on_join);
   sister(MsgType::kDynJoinJob, &PbsMom::on_dynjoin);
   sister(MsgType::kDisjoinJob, &PbsMom::on_disjoin);
-  loop.on(MsgType::kJobUpdate, ExecClass::kMutating,
+  loop.on(MsgType::kJobUpdate,
           [this](const Request& req, Responder&) { on_job_update(req); });
 }
 
 // --------------------------------------------------------- mother superior
 
 std::chrono::milliseconds PbsMom::sister_call_timeout() const {
-  // A quarter of the down-detection window: a fan-out with unreachable
-  // sisters leaves the MS enough slack to keep heartbeating before the
-  // server would declare *it* dead.
+  // A quarter of the down-detection window: unreachable sisters hold this
+  // mom's queued MS protocols for well under the time it takes the server
+  // to declare them dead and reclaim their slots.
   const auto stale_window =
       config_.timing.mom_heartbeat_interval * config_.timing.heartbeat_stale_factor;
   const auto bound =
@@ -145,10 +129,40 @@ std::chrono::milliseconds PbsMom::sister_call_timeout() const {
   return std::clamp(bound, std::chrono::milliseconds(10), rpc::kDefaultTimeout);
 }
 
-std::vector<HostRef> PbsMom::call_sisters(vnet::Process& proc,
-                                          const std::vector<HostRef>& hosts,
-                                          MsgType type,
-                                          const util::Bytes& body) {
+util::Bytes PbsMom::set_body(const DynSet& set, bool with_hosts) {
+  util::ByteWriter w;
+  w.put<std::uint64_t>(set.job);
+  w.put<std::uint64_t>(set.client);
+  if (with_hosts) put_host_refs(w, set.hosts);
+  return std::move(w).take();
+}
+
+void PbsMom::run_protocol(std::function<void()> body) {
+  queued_.push_back([ctx = trace::current(), body = std::move(body)] {
+    const trace::ScopedContext scope(ctx);
+    body();
+  });
+  run_queued();
+}
+
+void PbsMom::run_queued() {
+  while (!fanning_out_ && !queued_.empty()) {
+    const auto step = std::move(queued_.front());
+    queued_.pop_front();
+    try {
+      step();
+    } catch (const util::StoppedError&) {
+      throw;  // cooperative kill: unwind the loop
+    } catch (const std::exception& e) {
+      kLog.warn("MS '{}': protocol step failed: {}", node_.hostname(),
+                e.what());
+    }
+  }
+}
+
+void PbsMom::call_sisters(const std::vector<HostRef>& hosts, MsgType type,
+                          const util::Bytes& body,
+                          std::function<void(std::vector<HostRef>)> then) {
   std::vector<HostRef> sisters;
   std::vector<vnet::Address> targets;
   for (const auto& h : hosts) {
@@ -156,48 +170,68 @@ std::vector<HostRef> PbsMom::call_sisters(vnet::Process& proc,
     sisters.push_back(h);
     targets.push_back(h.mom);
   }
-  const auto outcomes =
-      svc::call_all(proc, targets, type, body, sister_call_timeout());
-  std::vector<HostRef> acked;
-  for (std::size_t i = 0; i < sisters.size(); ++i) {
-    if (outcomes[i].ok()) {
-      acked.push_back(std::move(sisters[i]));
-      continue;
-    }
-    kLog.warn("MS '{}': {} to '{}' failed: {}", node_.hostname(),
-              svc::msg_type_name(as_u32(type)), sisters[i].hostname,
-              outcomes[i].error);
+  if (targets.empty()) {
+    then({});
+    return;
   }
-  return acked;
+  auto settled = [this, type, sisters = std::move(sisters),
+                  then = std::move(then)](
+                     std::vector<svc::Outcome> outcomes) mutable {
+    std::vector<HostRef> acked;
+    for (std::size_t i = 0; i < sisters.size(); ++i) {
+      if (outcomes[i].ok()) {
+        acked.push_back(std::move(sisters[i]));
+        continue;
+      }
+      kLog.warn("MS '{}': {} to '{}' failed: {}", node_.hostname(),
+                svc::msg_type_name(as_u32(type)), sisters[i].hostname,
+                outcomes[i].error);
+    }
+    // The rest of the protocol in flight goes first in line.
+    fanning_out_ = false;
+    queued_.push_front(
+        [then = std::move(then), acked = std::move(acked)]() mutable {
+          then(std::move(acked));
+        });
+    run_queued();
+  };
+  fanning_out_ = true;
+  loop_->call_all(targets, type, body, sister_call_timeout(),
+                  std::move(settled));
 }
 
-void PbsMom::on_run_job(vnet::Process& proc, const rpc::Request& req) {
+void PbsMom::on_run_job(const rpc::Request& req) {
   util::ByteReader r(req.body);
   MomJob job;
   job.info = get_job_info(r);
   job.hosts = get_host_refs(r);
   job.is_ms = true;
-  job.started = simtime::now();
-  const auto id = job.info.id;
-  trace::note("job", std::to_string(id));
-  // Ambient context of the serve.MOM_RUN_JOB span (already part of the
-  // job's submit trace); handed to the spawned worlds so their spans nest
-  // under the launch rather than starting fresh traces.
-  const auto launch_ctx = trace::current();
-  kLog.info("MS '{}': starting job {}", node_.hostname(), id);
+  trace::note("job", std::to_string(job.info.id));
+  run_protocol([this, job = std::move(job)]() mutable {
+    job.started = simtime::now();
+    kLog.info("MS '{}': starting job {}", node_.hostname(), job.info.id);
+    // 1. JOIN_JOB with every other mom of the job, all at once; launch only
+    // once every sister has acked (paper Figure 5).
+    util::ByteWriter body;
+    put_job_info(body, job.info);
+    put_host_refs(body, job.hosts);
+    const auto hosts = job.hosts;
+    call_sisters(hosts, MsgType::kJoinJob, body.bytes(),
+                 [this, job = std::move(job)](
+                     std::vector<HostRef> joined) mutable {
+                   launch(std::move(job), std::move(joined));
+                 });
+  });
+}
 
-  // 1. JOIN_JOB with every other mom of the job, all at once; launch only
-  // once every sister has acked (paper Figure 5). A sister that failed or
-  // stayed silent fails the start: the ones that joined are disjoined again
-  // and the job completes as killed, which frees its slots at the server.
-  util::ByteWriter join_body;
-  put_job_info(join_body, job.info);
-  put_host_refs(join_body, job.hosts);
+void PbsMom::launch(MomJob job, std::vector<HostRef> joined) {
+  const auto id = job.info.id;
+  // A sister that failed or stayed silent fails the start: the ones that
+  // joined are disjoined again and the job completes as killed, which frees
+  // its slots at the server.
   const auto sisters = std::count_if(
       job.hosts.begin(), job.hosts.end(),
       [this](const HostRef& h) { return h.node != node_.id(); });
-  auto joined =
-      call_sisters(proc, job.hosts, MsgType::kJoinJob, join_body.bytes());
   if (std::cmp_not_equal(joined.size(), sisters)) {
     kLog.warn("MS '{}': job {} lost a sister while joining, killing it",
               node_.hostname(), id);
@@ -209,6 +243,10 @@ void PbsMom::on_run_job(vnet::Process& proc, const rpc::Request& req) {
     return;
   }
 
+  // Context of the serve.MOM_RUN_JOB span (already part of the job's submit
+  // trace); handed to the spawned worlds so their spans nest under the
+  // launch rather than starting fresh traces.
+  const auto launch_ctx = trace::current();
   const int k = job.info.spec.resources.nodes;
   const int acpn = job.info.spec.resources.acpn;
 
@@ -269,176 +307,138 @@ void PbsMom::on_run_job(vnet::Process& proc, const rpc::Request& req) {
     tasks_.add(id, cn_placement[i], handle.processes[i]);
   }
 
-  {
-    ScopedLock lock(mu_);
-    jobs_[id] = std::move(job);
-  }
+  jobs_[id] = std::move(job);
   notify_server(MsgType::kJobStarted, job_id_body(id));
 }
 
-void PbsMom::on_dyn_add(vnet::Process& proc, const rpc::Request& req) {
+void PbsMom::on_dyn_add(const rpc::Request& req) {
   util::ByteReader r(req.body);
-  const auto job_id = r.get<std::uint64_t>();
-  const auto dyn_id = r.get<std::uint64_t>();
-  const auto client_id = r.get<std::uint64_t>();
-  auto new_hosts = get_host_refs(r);
-
-  {
-    ScopedLock lock(mu_);
-    if (!jobs_.contains(job_id)) {
+  DynSet set;
+  set.job = r.get<std::uint64_t>();
+  set.dyn = r.get<std::uint64_t>();
+  set.client = r.get<std::uint64_t>();
+  set.hosts = get_host_refs(r);
+  trace::note("job", std::to_string(set.job));
+  trace::note("dyn", std::to_string(set.dyn));
+  run_protocol([this, set = std::move(set)] {
+    if (!jobs_.contains(set.job)) {
       kLog.warn("MS '{}': dyn add for unknown job {}", node_.hostname(),
-                job_id);
+                set.job);
       return;
     }
-  }
-  trace::note("job", std::to_string(job_id));
-  trace::note("dyn", std::to_string(dyn_id));
+    // DYNJOIN_JOB with every newly allocated accelerator mom at once (paper
+    // Figure 6); our own record is updated once they answered. Deadline-
+    // bounded: a sister wedged (or dead) must not hold this mom's protocols
+    // past its own heartbeat window.
+    call_sisters(set.hosts, MsgType::kDynJoinJob, set_body(set, true),
+                 [this, set](std::vector<HostRef>) { attach_dyn_set(set); });
+  });
+}
 
-  // DYNJOIN_JOB with every newly allocated accelerator mom at once (paper
-  // Figure 6); our own record is updated below. Off-lock and
-  // deadline-bounded: a sister wedged (or dead) must not stall this mom past
-  // its own heartbeat window.
-  util::ByteWriter body;
-  body.put<std::uint64_t>(job_id);
-  body.put<std::uint64_t>(client_id);
-  put_host_refs(body, new_hosts);
-  const auto body_bytes = body.bytes();
-  (void)call_sisters(proc, new_hosts, MsgType::kDynJoinJob, body_bytes);
-
+void PbsMom::attach_dyn_set(const DynSet& set) {
   // The job may have completed or been killed while the joins were in
   // flight (it finished its own business before the grant fully attached);
   // the membership update must not resurrect it.
-  bool attached = false;
-  std::vector<HostRef> members;
-  {
-    ScopedLock lock(mu_);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) {
-      auto& job = it->second;
-      job.dyn_sets[client_id] = new_hosts;
-      members = job.hosts;  // the pre-addition membership, for the update
-      job.hosts.insert(job.hosts.end(), new_hosts.begin(), new_hosts.end());
-      attached = true;
-    }
-  }
-  if (!attached) {
+  auto it = jobs_.find(set.job);
+  if (it == jobs_.end()) {
     // Gone mid-join: undo the sister-side joins so the granted moms do not
     // keep membership for a dead job. The server reclaims the slots through
     // its own completion path.
     kLog.warn("MS '{}': job {} vanished during dyn add, disjoining set {}",
-              node_.hostname(), job_id, client_id);
-    util::ByteWriter dis;
-    dis.put<std::uint64_t>(job_id);
-    dis.put<std::uint64_t>(client_id);
-    (void)call_sisters(proc, new_hosts, MsgType::kDisjoinJob, dis.bytes());
+              node_.hostname(), set.job, set.client);
+    call_sisters(set.hosts, MsgType::kDisjoinJob, set_body(set, false),
+                 [](std::vector<HostRef>) {});
     return;
   }
-
+  auto& job = it->second;
+  job.dyn_sets[set.client] = set.hosts;
   // Update the existing moms' databases with the addition.
-  for (const auto& h : members) {
+  const auto update = set_body(set, true);
+  for (const auto& h : job.hosts) {
     if (h.node == node_.id()) continue;
-    rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, body_bytes);
+    rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, update);
   }
+  job.hosts.insert(job.hosts.end(), set.hosts.begin(), set.hosts.end());
 
   util::ByteWriter done;
-  done.put<std::uint64_t>(dyn_id);
+  done.put<std::uint64_t>(set.dyn);
   notify_server(MsgType::kMsDynReady, std::move(done).take());
 }
 
-void PbsMom::on_release(vnet::Process& proc, const rpc::Request& req) {
+void PbsMom::on_release(const rpc::Request& req) {
   util::ByteReader r(req.body);
-  const auto job_id = r.get<std::uint64_t>();
-  const auto client_id = r.get<std::uint64_t>();
-  auto hosts = get_host_refs(r);
-
-  {
-    ScopedLock lock(mu_);
-    if (!jobs_.contains(job_id)) return;
-  }
-
-  // DISJOIN_JOB: the departing moms kill any remaining daemon tasks and
-  // drop their membership (paper §III-D). All of them at once, off-lock:
-  // the lane owns the protocol, the lock only guards the table. A sister
-  // that died between the release request and the server's down detection
-  // cannot answer; the one deadline bounds the wait and the release moves
-  // on — the server reclaims its slots once the heartbeat goes stale.
-  // Releasing a set that includes this (mother superior) node is handled
-  // locally instead of calling ourselves.
-  if (std::any_of(hosts.begin(), hosts.end(), [this](const HostRef& h) {
-        return h.node == node_.id();
-      })) {
-    tasks_.kill_node_tasks(job_id, node_.id(), client_id);
-  }
-  util::ByteWriter body;
-  body.put<std::uint64_t>(job_id);
-  body.put<std::uint64_t>(client_id);
-  (void)call_sisters(proc, hosts, MsgType::kDisjoinJob, body.bytes());
-
-  // Drop the released hosts from the job's membership (at most one entry
-  // per released host, so a node the job also holds statically survives)
-  // and tell the others. The job may have finished while the DISJOINs were
-  // in flight; the release is still done from the server's point of view.
-  std::vector<HostRef> members;
-  {
-    ScopedLock lock(mu_);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) {
-      auto& job = it->second;
-      for (const auto& g : hosts) {
-        auto it2 = std::find_if(job.hosts.begin(), job.hosts.end(),
-                                [&](const HostRef& h) {
-                                  return h.hostname == g.hostname;
-                                });
-        if (it2 != job.hosts.end()) job.hosts.erase(it2);
-      }
-      job.dyn_sets.erase(client_id);
-      members = job.hosts;
+  DynSet set;
+  set.job = r.get<std::uint64_t>();
+  set.client = r.get<std::uint64_t>();
+  set.hosts = get_host_refs(r);
+  run_protocol([this, set = std::move(set)] {
+    if (!jobs_.contains(set.job)) return;
+    // DISJOIN_JOB: the departing moms kill any remaining daemon tasks and
+    // drop their membership (paper §III-D), all of them at once. A sister
+    // that died between the release request and the server's down
+    // detection cannot answer; the one deadline bounds the wait and the
+    // release moves on — the server reclaims its slots once the heartbeat
+    // goes stale. Releasing a set that includes this (mother superior) node
+    // is handled locally instead of calling ourselves.
+    if (std::any_of(set.hosts.begin(), set.hosts.end(),
+                    [this](const HostRef& h) {
+                      return h.node == node_.id();
+                    })) {
+      tasks_.kill_node_tasks(set.job, node_.id(), set.client);
     }
-  }
-  util::ByteWriter upd;
-  upd.put<std::uint64_t>(job_id);
-  upd.put<std::uint64_t>(client_id);
-  put_host_refs(upd, hosts);
-  for (const auto& h : members) {
-    if (h.node == node_.id()) continue;
-    rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, upd.bytes());
+    call_sisters(set.hosts, MsgType::kDisjoinJob, set_body(set, false),
+                 [this, set](std::vector<HostRef>) { finish_release(set); });
+  });
+}
+
+void PbsMom::finish_release(const DynSet& set) {
+  // Drop the released hosts from the job's membership (at most one entry per
+  // released host, so a node the job also holds statically survives) and
+  // tell the others. The job may have finished while the DISJOINs were in
+  // flight; the release is still done from the server's point of view.
+  if (auto it = jobs_.find(set.job); it != jobs_.end()) {
+    auto& job = it->second;
+    for (const auto& g : set.hosts) {
+      auto it2 = std::find_if(
+          job.hosts.begin(), job.hosts.end(),
+          [&](const HostRef& h) { return h.hostname == g.hostname; });
+      if (it2 != job.hosts.end()) job.hosts.erase(it2);
+    }
+    job.dyn_sets.erase(set.client);
+    const auto update = set_body(set, true);
+    for (const auto& h : job.hosts) {
+      if (h.node == node_.id()) continue;
+      rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, update);
+    }
   }
 
   util::ByteWriter done;
-  done.put<std::uint64_t>(job_id);
-  done.put<std::uint64_t>(client_id);
+  done.put<std::uint64_t>(set.job);
+  done.put<std::uint64_t>(set.client);
   notify_server(MsgType::kMsReleaseDone, std::move(done).take());
 }
 
-void PbsMom::on_kill_job(vnet::Process& /*proc*/, const rpc::Request& req) {
+void PbsMom::on_kill_job(const rpc::Request& req) {
   util::ByteReader r(req.body);
   const auto job_id = r.get<std::uint64_t>();
-  bool is_here = false;
-  std::vector<HostRef> hosts;
-  {
-    ScopedLock lock(mu_);
+  run_protocol([this, job_id] {
     auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) {
-      is_here = true;
-      hosts = std::move(it->second.hosts);
-      jobs_.erase(it);
+    if (it == jobs_.end()) {
+      // Not the MS (or unknown): kill whatever runs locally.
+      tasks_.kill_node_tasks(job_id, node_.id());
+      return;
     }
-  }
-  if (!is_here) {
-    // Not the MS (or unknown): kill whatever runs locally.
-    tasks_.kill_node_tasks(job_id, node_.id());
-    return;
-  }
-  teardown_job(job_id, std::move(hosts), /*kill_tasks=*/true);
+    auto hosts = std::move(it->second.hosts);
+    jobs_.erase(it);
+    teardown_job(job_id, std::move(hosts), /*kill_tasks=*/true);
+  });
 }
 
-void PbsMom::on_task_done(vnet::Process& /*proc*/, const rpc::Request& req) {
+void PbsMom::on_task_done(const rpc::Request& req) {
   util::ByteReader r(req.body);
   const auto job_id = r.get<std::uint64_t>();
   const auto rank = r.get<std::int32_t>();
-  std::vector<HostRef> hosts;
-  {
-    ScopedLock lock(mu_);
+  run_protocol([this, job_id, rank] {
     auto it = jobs_.find(job_id);
     if (it == jobs_.end()) return;
     auto& job = it->second;
@@ -446,40 +446,33 @@ void PbsMom::on_task_done(vnet::Process& /*proc*/, const rpc::Request& req) {
     kLog.debug("MS '{}': job {} rank {} done ({}/{})", node_.hostname(),
                job_id, rank, job.tasks_done, job.info.spec.resources.nodes);
     if (job.tasks_done < job.info.spec.resources.nodes) return;
-    hosts = std::move(job.hosts);
+    auto hosts = std::move(job.hosts);
     jobs_.erase(it);
-  }
-  teardown_job(job_id, std::move(hosts), /*kill_tasks=*/true);
-  util::ByteWriter w;
-  w.put<std::uint64_t>(job_id);
-  w.put<std::int32_t>(kExitOk);
-  notify_server(MsgType::kJobComplete, std::move(w).take());
+    teardown_job(job_id, std::move(hosts), /*kill_tasks=*/true);
+    util::ByteWriter w;
+    w.put<std::uint64_t>(job_id);
+    w.put<std::int32_t>(kExitOk);
+    notify_server(MsgType::kJobComplete, std::move(w).take());
+  });
 }
 
 void PbsMom::enforce_walltime() {
   if (!config_.enforce_walltime) return;
   const auto now = simtime::now();
-  // Collect the expired jobs under the lock, tear them down outside it:
-  // this runs on a loop-thread tick, which must stay non-blocking (teardown
-  // fans out DISJOIN notifies, never calls), and the kConcurrent lane needs
-  // the table meanwhile.
-  std::vector<std::pair<JobId, std::vector<HostRef>>> expired;
-  {
-    ScopedLock lock(mu_);
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-      auto& job = it->second;
-      const bool over =
-          job.is_ms && job.info.spec.resources.walltime.count() > 0 &&
-          now - job.started > job.info.spec.resources.walltime;
-      if (!over) {
-        ++it;
-        continue;
-      }
-      expired.emplace_back(job.info.id, std::move(job.hosts));
-      it = jobs_.erase(it);
+  // Runs on a loop-thread tick, which must stay non-blocking: teardown fans
+  // out DISJOIN notifies, never calls.
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    auto& job = it->second;
+    const bool over =
+        job.is_ms && job.info.spec.resources.walltime.count() > 0 &&
+        now - job.started > job.info.spec.resources.walltime;
+    if (!over) {
+      ++it;
+      continue;
     }
-  }
-  for (auto& [id, hosts] : expired) {
+    const auto id = job.info.id;
+    auto hosts = std::move(job.hosts);
+    it = jobs_.erase(it);
     kLog.warn("MS '{}': job {} exceeded its walltime, killing it",
               node_.hostname(), id);
     teardown_job(id, std::move(hosts), /*kill_tasks=*/true);
@@ -519,10 +512,7 @@ void PbsMom::on_join(const rpc::Request& req, svc::Responder& resp) {
   job.hosts = get_host_refs(r);
   job.is_ms = false;
   kLog.debug("mom '{}': joined job {}", node_.hostname(), job.info.id);
-  {
-    ScopedLock lock(mu_);
-    jobs_[job.info.id] = std::move(job);
-  }
+  jobs_[job.info.id] = std::move(job);
   resp.ok();
 }
 
@@ -532,12 +522,9 @@ void PbsMom::on_dynjoin(const rpc::Request& req, svc::Responder& resp) {
   const auto job_id = r.get<std::uint64_t>();
   const auto client_id = r.get<std::uint64_t>();
   auto hosts = get_host_refs(r);
-  {
-    ScopedLock lock(mu_);
-    auto& job = jobs_[job_id];  // may create a thin record on a new accel mom
-    job.info.id = job_id;
-    job.dyn_sets[client_id] = hosts;
-  }
+  auto& job = jobs_[job_id];  // may create a thin record on a new accel mom
+  job.info.id = job_id;
+  job.dyn_sets[client_id] = std::move(hosts);
   kLog.debug("mom '{}': DYNJOIN job {} set {}", node_.hostname(), job_id,
              client_id);
   resp.ok();
@@ -552,15 +539,11 @@ void PbsMom::on_disjoin(const rpc::Request& req, svc::Responder& resp) {
   // disjoin (client 0), only the released set's otherwise — a shared
   // compute node must not lose the job script itself.
   tasks_.kill_node_tasks(job_id, node_.id(), client_id);
-  {
-    ScopedLock lock(mu_);
-    auto it = jobs_.find(job_id);
-    if (it != jobs_.end()) {
-      if (client_id == 0) {
-        jobs_.erase(it);
-      } else {
-        it->second.dyn_sets.erase(client_id);
-      }
+  if (auto it = jobs_.find(job_id); it != jobs_.end()) {
+    if (client_id == 0) {
+      jobs_.erase(it);
+    } else {
+      it->second.dyn_sets.erase(client_id);
     }
   }
   kLog.debug("mom '{}': DISJOIN job {} (set {})", node_.hostname(), job_id,
@@ -573,7 +556,6 @@ void PbsMom::on_job_update(const rpc::Request& req) {
   const auto job_id = r.get<std::uint64_t>();
   const auto client_id = r.get<std::uint64_t>();
   auto hosts = get_host_refs(r);
-  ScopedLock lock(mu_);
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
   auto& job = it->second;

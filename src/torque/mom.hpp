@@ -4,8 +4,20 @@
 // additions (DYNJOIN_JOB) and releases (DISJOIN_JOB), and reports job
 // start/completion to the server. As a sister it tracks membership and kills
 // its local tasks when disassociated.
+//
+// Everything runs on the mom's one service-loop thread. A mother-superior
+// protocol (MOM_RUN_JOB, MOM_DYN_ADD, MOM_RELEASE, MOM_KILL_JOB, TASK_DONE)
+// runs one at a time, in arrival order: its handler parses the message and
+// queues the protocol, which runs at once when the mom is idle and after the
+// one in flight otherwise. A protocol's JOIN/DYNJOIN/DISJOIN fan-out never
+// blocks the loop: it ends in a continuation once every sister answered or
+// the deadline passed, and sister requests, JOB_UPDATE, heartbeats and the
+// walltime tick are served meanwhile. So two mother superiors fanning out to
+// each other cannot deadlock.
 #pragma once
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,7 +32,7 @@
 #include "torque/protocol.hpp"
 #include "torque/rpc.hpp"
 #include "torque/task_registry.hpp"
-#include "util/sync.hpp"
+#include "trace/trace.hpp"
 #include "vnet/node.hpp"
 
 namespace dac::torque {
@@ -63,17 +75,42 @@ class PbsMom {
     std::chrono::steady_clock::time_point started;
   };
 
-  void register_handlers(svc::ServiceLoop& loop, vnet::Process& proc);
+  // A dynamic accelerator set of a job, as MOM_DYN_ADD and MOM_RELEASE
+  // name it (a release carries no dyn id).
+  struct DynSet {
+    JobId job = 0;
+    std::uint64_t dyn = 0;
+    std::uint64_t client = 0;
+    std::vector<HostRef> hosts;
+  };
 
-  // Mother-superior duties.
-  void on_run_job(vnet::Process& proc, const rpc::Request& req);
-  void on_dyn_add(vnet::Process& proc, const rpc::Request& req);
-  void on_release(vnet::Process& proc, const rpc::Request& req);
-  void on_kill_job(vnet::Process& proc, const rpc::Request& req);
-  void on_task_done(vnet::Process& proc, const rpc::Request& req);
+  void register_handlers(svc::ServiceLoop& loop);
+
+  // Mother-superior duties: each parses its message and queues the protocol.
+  void on_run_job(const rpc::Request& req);
+  void on_dyn_add(const rpc::Request& req);
+  void on_release(const rpc::Request& req);
+  void on_kill_job(const rpc::Request& req);
+  void on_task_done(const rpc::Request& req);
+  // The rest of a start once the JOIN_JOB fan-out settled: the accelerator
+  // daemons and the job script if every sister joined, a kill otherwise.
+  void launch(MomJob job, std::vector<HostRef> joined);
+  // The rest of a dyn add once the DYNJOIN_JOB fan-out settled.
+  void attach_dyn_set(const DynSet& set);
+  // The rest of a release once the DISJOIN_JOB fan-out settled.
+  void finish_release(const DynSet& set);
+  // [job][client], plus the set's hosts when `with_hosts`: the body of
+  // DISJOIN_JOB, and with hosts that of DYNJOIN_JOB and JOB_UPDATE.
+  static util::Bytes set_body(const DynSet& set, bool with_hosts);
+  // Queues `body` under the current trace context; runs it at once when no
+  // protocol is in flight.
+  void run_protocol(std::function<void()> body);
+  // Runs queued protocol steps in order until one fans out or none is
+  // left; a step that fails is logged and ends.
+  void run_queued();
   // DISJOIN fan-out (notifies, non-blocking) + local task kill for a job
-  // this mom was MS of. Takes the membership by value so the caller can
-  // erase the jobs_ entry (under mu_) first and fan out without the lock.
+  // this mom was MS of. Takes the membership by value: the caller has
+  // already erased the jobs_ entry.
   void teardown_job(JobId id, std::vector<HostRef> hosts, bool kill_tasks);
 
   // Sister duties.
@@ -86,15 +123,16 @@ class PbsMom {
   void notify_server(MsgType type, util::Bytes body);
   // Deadline for one MS -> sisters fan-out (JOIN, DYNJOIN, DISJOIN), however
   // many sisters it calls: well under the server's down-detection window,
-  // so dead sisters cannot stall this mom's lane long enough for its own
-  // heartbeats to go stale.
+  // so dead sisters cannot hold the queued protocols for long.
   [[nodiscard]] std::chrono::milliseconds sister_call_timeout() const;
-  // Sends `type` to every host of `hosts` but this node at once and waits
-  // for all their answers, up to one sister_call_timeout() in total. Logs
-  // one warn per sister that failed; returns the sisters that acked.
-  std::vector<HostRef> call_sisters(vnet::Process& proc,
-                                    const std::vector<HostRef>& hosts,
-                                    MsgType type, const util::Bytes& body);
+  // Sends `type` to every host of `hosts` but this node at once, then
+  // returns; `then` runs with the sisters that acked once all have answered
+  // or one sister_call_timeout() passed. Logs one warn per sister that
+  // failed. The protocol stays in flight until `then` returns without
+  // fanning out again.
+  void call_sisters(const std::vector<HostRef>& hosts, MsgType type,
+                    const util::Bytes& body,
+                    std::function<void(std::vector<HostRef>)> then);
   // Kills jobs that exceeded their requested walltime (MS duty); runs on a
   // periodic service-loop tick, so it must never block.
   void enforce_walltime();
@@ -104,15 +142,11 @@ class PbsMom {
   minimpi::Runtime& runtime_;
   TaskRegistry& tasks_;
   std::unique_ptr<vnet::Endpoint> endpoint_;  // created in run()
-  // On compute nodes the MS handlers run on the service loop's kConcurrent
-  // lane (each JOIN/DYNJOIN/DISJOIN fan-out blocks it for one round trip to
-  // all sisters at once), while the loop thread keeps draining the endpoint
-  // and serving the non-blocking sister handlers — so two mother superiors
-  // granting onto each other's nodes in the same scheduling batch cannot
-  // deadlock. The job table is the state the two lanes share; MS handlers
-  // must never hold mu_ across a fan-out.
-  Mutex mu_{"mom.jobs"};
-  std::map<JobId, MomJob> jobs_ DAC_GUARDED_BY(mu_);
+  svc::ServiceLoop* loop_ = nullptr;          // set in run()
+  std::map<JobId, MomJob> jobs_;
+  // MS protocol steps waiting for the one in flight to end.
+  std::deque<std::function<void()>> queued_;
+  bool fanning_out_ = false;  // a protocol waits on its sister fan-out
 };
 
 }  // namespace dac::torque

@@ -4,9 +4,9 @@
 // Request payload:  [u64 request-id][body...]        Message.type = MsgType
 // Reply payload:    [u64 request-id][u8 code][body]  Message.type = kReply
 //
-// New code should use svc::Caller (retry/deadline/metrics), svc::call_all
-// (fan-outs) and svc::ServiceLoop (typed dispatch, execution classes, dedup)
-// directly; these wrappers remain for single-shot calls from tests.
+// New code should use svc::Caller (retry/deadline/metrics) and
+// svc::ServiceLoop (typed dispatch, dedup, call_all fan-outs) directly;
+// these wrappers remain for single-shot calls from tests.
 #pragma once
 
 #include <chrono>

@@ -123,7 +123,6 @@ void PbsServer::run(vnet::Process& proc) {
 }
 
 void PbsServer::register_handlers(svc::ServiceLoop& loop) {
-  using svc::ExecClass;
   using svc::Request;
   using svc::Responder;
 
@@ -131,32 +130,29 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   // that may move a job ends by answering the waits it satisfied.
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
-    loop.on(type, ExecClass::kMutating,
-            [this, fn, &loop](const Request& req, Responder& resp) {
-              ScopedLock lock(state_mu_);
-              (this->*fn)(req, resp);
-              settle_job_waits(loop);
-            });
+    loop.on(type, [this, fn, &loop](const Request& req, Responder& resp) {
+      ScopedLock lock(state_mu_);
+      (this->*fn)(req, resp);
+      settle_job_waits(loop);
+    });
   };
   // Notifications (no reply expected).
   const auto note = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&)) {
-    loop.on(type, ExecClass::kMutating,
-            [this, fn, &loop](const Request& req, Responder&) {
-              ScopedLock lock(state_mu_);
-              (this->*fn)(req);
-              settle_job_waits(loop);
-            });
+    loop.on(type, [this, fn, &loop](const Request& req, Responder&) {
+      ScopedLock lock(state_mu_);
+      (this->*fn)(req);
+      settle_job_waits(loop);
+    });
   };
   // Requests that move no job: no waits to settle.
   const auto read = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&,
                                               Responder&)) {
-    loop.on(type, ExecClass::kMutating,
-            [this, fn](const Request& req, Responder& resp) {
-              ScopedLock lock(state_mu_);
-              (this->*fn)(req, resp);
-            });
+    loop.on(type, [this, fn](const Request& req, Responder& resp) {
+      ScopedLock lock(state_mu_);
+      (this->*fn)(req, resp);
+    });
   };
 
   mut(MsgType::kSubmit, &PbsServer::on_submit);
@@ -174,13 +170,13 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   note(MsgType::kJobStarted, &PbsServer::on_job_started);
   note(MsgType::kJobComplete, &PbsServer::on_job_complete);
   note(MsgType::kMsReleaseDone, &PbsServer::on_ms_release_done);
-  loop.on(MsgType::kMsDynReady, ExecClass::kMutating,
+  loop.on(MsgType::kMsDynReady,
           [](const Request&, Responder&) {});  // informational
 
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
   read(MsgType::kStatJob, &PbsServer::on_stat_job);
   // Takes the loop to arm its budget timer.
-  loop.on(MsgType::kWaitJob, ExecClass::kMutating,
+  loop.on(MsgType::kWaitJob,
           [this, &loop](const Request& req, Responder& resp) {
             ScopedLock lock(state_mu_);
             on_wait_job(req, resp, loop);
@@ -193,11 +189,10 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   // beating.
   for (const auto type :
        {MsgType::kMomHeartbeat, MsgType::kBackendHeartbeat}) {
-    loop.on(type, ExecClass::kMutating,
-            [this](const Request& req, Responder&) {
-              ScopedLock lock(state_mu_);
-              on_heartbeat(req);
-            });
+    loop.on(type, [this](const Request& req, Responder&) {
+      ScopedLock lock(state_mu_);
+      on_heartbeat(req);
+    });
   }
 }
 
@@ -665,8 +660,8 @@ bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
   auto set = rec.dyn_sets.find(client_id);
   if (set == rec.dyn_sets.end()) return false;
 
-  // The mother superior's DISJOIN protocol is a blocking collective with
-  // every released mom — a down host would hang it. Release dead hosts
+  // A down host cannot answer the mother superior's DISJOIN_JOB, so the
+  // release would wait out the fan-out's deadline. Release dead hosts
   // directly here and only forward the live remainder.
   std::vector<std::string> live;
   std::vector<std::string> dead;

@@ -27,6 +27,20 @@ const std::string& default_actor() {
 
 thread_local std::string t_actor;  // empty = default_actor()
 
+// Opens a span of `parent` (a new trace when it is untraced) on this
+// thread's actor.
+Span begin_span(Recorder& rec, std::string name, Context parent) {
+  Span s;
+  s.trace = parent.traced() ? parent.trace : rec.new_trace_id();
+  s.id = rec.new_span_id();
+  s.parent = parent.span;
+  s.name = std::move(name);
+  s.actor = thread_actor();
+  s.begin_tick = vclock_tick();
+  s.begin_ns = rec.now_ns();
+  return s;
+}
+
 }  // namespace
 
 std::uint64_t vclock() { return g_vclock.load(std::memory_order_relaxed); }
@@ -118,43 +132,46 @@ ScopedContext::ScopedContext(Context ctx) : prev_(t_ctx) { t_ctx = ctx; }
 
 ScopedContext::~ScopedContext() { t_ctx = prev_; }
 
+// ---- DetachedSpan ---------------------------------------------------------
+
+DetachedSpan::DetachedSpan(std::string name, Context parent)
+    : rec_(recorder()), ctx_(parent) {
+  if (rec_ == nullptr) return;  // inert: context() stays the parent
+  span_ = begin_span(*rec_, std::move(name), parent);
+  ctx_ = Context{span_.trace, span_.id};
+}
+
+DetachedSpan::~DetachedSpan() { end(); }
+
+void DetachedSpan::note(std::string key, std::string value) {
+  if (rec_ == nullptr) return;
+  span_.notes.emplace_back(std::move(key), std::move(value));
+}
+
+void DetachedSpan::end() {
+  if (rec_ == nullptr) return;
+  span_.end_tick = vclock_tick();
+  span_.end_ns = rec_->now_ns();
+  std::exchange(rec_, nullptr)->record(std::move(span_));
+}
+
 // ---- SpanScope ------------------------------------------------------------
 
 SpanScope::SpanScope(std::string name) : SpanScope(std::move(name), t_ctx) {}
 
 SpanScope::SpanScope(std::string name, Context parent)
-    : rec_(recorder()), prev_ctx_(t_ctx), prev_active_(t_active) {
-  if (rec_ == nullptr) {
-    // Inert: keep propagating whatever context the caller had.
-    ctx_ = parent;
-    ended_ = true;
-    return;
-  }
-  span_.trace = parent.traced() ? parent.trace : rec_->new_trace_id();
-  span_.id = rec_->new_span_id();
-  span_.parent = parent.span;
-  span_.name = std::move(name);
-  span_.actor = thread_actor();
-  span_.begin_tick = vclock_tick();
-  span_.begin_ns = rec_->now_ns();
-  ctx_ = Context{span_.trace, span_.id};
-  t_ctx = ctx_;
+    : span_(std::move(name), parent), prev_ctx_(t_ctx),
+      prev_active_(t_active) {
+  if (!span_.recording()) return;  // inert: the caller's context stays
+  t_ctx = span_.context();
   t_active = this;
 }
 
 SpanScope::~SpanScope() { end(); }
 
-void SpanScope::note(std::string key, std::string value) {
-  if (ended_) return;
-  span_.notes.emplace_back(std::move(key), std::move(value));
-}
-
 void SpanScope::end() {
-  if (ended_) return;
-  ended_ = true;
-  span_.end_tick = vclock_tick();
-  span_.end_ns = rec_->now_ns();
-  rec_->record(std::move(span_));
+  if (!span_.recording()) return;
+  span_.end();
   t_ctx = prev_ctx_;
   t_active = prev_active_;
 }
@@ -167,15 +184,9 @@ void event(std::string name,
            std::vector<std::pair<std::string, std::string>> notes) {
   Recorder* rec = recorder();
   if (rec == nullptr) return;
-  Span s;
-  const Context parent = t_ctx;
-  s.trace = parent.traced() ? parent.trace : rec->new_trace_id();
-  s.id = rec->new_span_id();
-  s.parent = parent.span;
-  s.name = std::move(name);
-  s.actor = thread_actor();
-  s.begin_tick = s.end_tick = vclock_tick();
-  s.begin_ns = s.end_ns = rec->now_ns();
+  Span s = begin_span(*rec, std::move(name), t_ctx);
+  s.end_tick = s.begin_tick;
+  s.end_ns = s.begin_ns;
   s.notes = std::move(notes);
   rec->record(std::move(s));
 }

@@ -144,10 +144,35 @@ class ScopedContext {
 
 // ---- spans ----------------------------------------------------------------
 
-// RAII span. With a recorder installed it allocates ids (starting a new
-// trace when the parent is untraced), becomes the thread's current context,
-// and records itself when ended/destroyed. Without a recorder it is inert
-// and context() just returns the parent, so propagation still works.
+// A span that is not a scope: it never becomes the thread's current context
+// or its innermost span, so it may stay open across handler turns and end on
+// whichever turn settles it (the per-target client spans of
+// svc::ServiceLoop::call_all). With a recorder installed it allocates ids,
+// starting a new trace when the parent is untraced, and records itself when
+// ended or destroyed. Without a recorder it is inert and context() is the
+// parent, so propagation still works.
+class DetachedSpan {
+ public:
+  DetachedSpan(std::string name, Context parent);
+  ~DetachedSpan();
+
+  DetachedSpan(const DetachedSpan&) = delete;
+  DetachedSpan& operator=(const DetachedSpan&) = delete;
+
+  void note(std::string key, std::string value);
+  // {trace, own span id}, or the parent context when inert.
+  [[nodiscard]] Context context() const { return ctx_; }
+  [[nodiscard]] bool recording() const { return rec_ != nullptr; }
+  void end();
+
+ private:
+  Recorder* rec_ = nullptr;  // null once ended, or when inert
+  Span span_;
+  Context ctx_;
+};
+
+// RAII span: a DetachedSpan that is also the thread's current context and
+// innermost span for its scope.
 class SpanScope {
  public:
   explicit SpanScope(std::string name);  // parent = current()
@@ -157,18 +182,17 @@ class SpanScope {
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
 
-  void note(std::string key, std::string value);
-  // {trace, own span id}, or the parent context when inert.
-  [[nodiscard]] Context context() const { return ctx_; }
+  void note(std::string key, std::string value) {
+    span_.note(std::move(key), std::move(value));
+  }
+  [[nodiscard]] Context context() const { return span_.context(); }
+  // Records the span and hands the thread its previous context back.
   void end();
 
  private:
-  Recorder* rec_ = nullptr;
-  Span span_;
-  Context ctx_;
+  DetachedSpan span_;
   Context prev_ctx_;
   SpanScope* prev_active_ = nullptr;
-  bool ended_ = false;
 };
 
 // Adds a note to the innermost active SpanScope on this thread (no-op when

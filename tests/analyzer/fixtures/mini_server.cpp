@@ -6,11 +6,11 @@
 namespace fixture {
 
 void register_handlers(ServiceLoop& loop) {
-  loop.on(MsgType::kAlpha, ExecClass::kMutating, handler);       // line 9
-  loop.on(MsgType::kAlpha, ExecClass::kMutating, handler);       // line 10
-  loop.on(MsgType::kOmega, ExecClass::kMutating, handler);       // line 11
+  loop.on(MsgType::kAlpha, handler);  // line 9
+  loop.on(MsgType::kAlpha, handler);  // line 10
+  loop.on(MsgType::kOmega, handler);  // line 11
   const auto reg = [&](MsgType type, Handler h) {
-    loop.on(type, ExecClass::kMutating, h);
+    loop.on(type, h);
   };
   reg(MsgType::kGamma, handler);
 }

@@ -52,7 +52,7 @@ class StubAgent {
       loop_ = std::make_unique<svc::ServiceLoop>(*ep_, cfg);
       auto& loop = *loop_;
       using torque::MsgType;
-      loop.on(MsgType::kElastOffer, svc::ExecClass::kMutating,
+      loop.on(MsgType::kElastOffer,
               [this](const svc::Request& req, svc::Responder&) {
                 util::ByteReader r(req.body);
                 const Offer offer = get_offer(r);
@@ -67,7 +67,7 @@ class StubAgent {
                                   {.deadline = svc::deadlines::kElasticAck});
                 ++nacks_;
               });
-      loop.on(MsgType::kElastReconfig, svc::ExecClass::kMutating,
+      loop.on(MsgType::kElastReconfig,
               [](const svc::Request&, svc::Responder&) {});
       thread_.emplace([this] { loop_->run(); });
     }

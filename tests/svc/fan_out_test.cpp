@@ -1,22 +1,24 @@
-// svc::call_all, the scatter/gather fan-out behind the mother superior's
-// JOIN/DYNJOIN/DISJOIN: every request leaves before the first wait, replies
-// are matched by request id, one deadline bounds the whole fan-out, each
-// target gets its own client span, and a kill unblocks it. Runs on the
-// DiscreteEvent clock, so the elapsed times are exact virtual durations.
-#include "svc/caller.hpp"
+// ServiceLoop::call_all, the scatter/gather fan-out behind the mother
+// superior's JOIN/DYNJOIN/DISJOIN: every request leaves before any reply is
+// served, replies are matched by request id, one deadline bounds the whole
+// fan-out, each target gets its own client span, the continuation runs under
+// the caller's context, and closing the endpoint drops a pending fan-out.
+// Runs on the DiscreteEvent clock, so the elapsed times are exact virtual
+// durations.
+#include "svc/service_loop.hpp"
 #include "simtime/clock.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/clock_mode.hpp"
-#include "svc/service_loop.hpp"
+#include "svc/deadlines.hpp"
 #include "trace/trace.hpp"
-#include "util/error.hpp"
 #include "util/sync.hpp"
 #include "vnet/cluster.hpp"
 
@@ -66,23 +68,42 @@ class FanOutTest : public ::testing::Test {
           p.adopt_mailbox(raw->mailbox_weak());
           ServiceLoop loop(*raw, ServiceConfig{.name = "target",
                                                .service_cost = cost});
-          loop.on(type, ExecClass::kMutating, handler);
+          loop.on(type, handler);
           loop.run();
         }));
     return addr;
   }
 
-  // Runs call_all from a process on node 0; records the virtual time it took.
+  // Serves a ServiceLoop in a process on node 0 and calls `start` on its
+  // loop thread, from the handler of a notification the loop sends itself.
+  // Returns once run() returned.
+  void run_caller(const std::function<void(ServiceLoop&)>& start) {
+    auto caller = cluster_.node(0).spawn({.name = "caller"},
+                                         [&](vnet::Process& p) {
+      auto ep = p.open_endpoint();
+      ServiceLoop loop(*ep, ServiceConfig{.name = "caller"});
+      loop.on(MsgType::kSchedWake,
+              [&](const Request&, Responder&) { start(loop); });
+      notify(*ep, ep->address(), MsgType::kSchedWake, {});
+      loop.run();
+    });
+    caller->join();
+  }
+
+  // Runs call_all on a caller loop; records the virtual time it took and
+  // closes the loop's endpoint from the continuation.
   std::vector<Outcome> fan_out(const std::vector<vnet::Address>& targets,
                                std::chrono::milliseconds deadline) {
     std::vector<Outcome> out;
-    auto caller = cluster_.node(0).spawn({.name = "caller"},
-                                         [&](vnet::Process& p) {
+    run_caller([&](ServiceLoop& loop) {
       const auto start = simtime::now();
-      out = call_all(p, targets, MsgType::kJoinJob, text("join"), deadline);
-      elapsed_ = simtime::now() - start;
+      loop.call_all(targets, MsgType::kJoinJob, text("join"), deadline,
+                    [&, start](std::vector<Outcome> outcomes) {
+                      out = std::move(outcomes);
+                      elapsed_ = simtime::now() - start;
+                      loop.endpoint().close();
+                    });
     });
-    caller->join();
     return out;
   }
 
@@ -183,28 +204,32 @@ TEST_F(FanOutTest, RepliesAreMatchedByIdAndStaleOnesIgnored) {
 TEST_F(FanOutTest, EachTargetGetsItsOwnClientSpan) {
   trace::Recorder rec;
   rec.install();
+  // A fast and a slow target: each client span ends when its target
+  // answers, not when the whole fan-out does.
   std::vector<vnet::Address> targets;
-  for (int i = 0; i < 2; ++i) {
-    targets.push_back(serve(MsgType::kJoinJob, 0us,
+  for (const auto cost : {0us, 5000us}) {
+    targets.push_back(serve(MsgType::kJoinJob, cost,
                             [](const Request&, Responder& resp) {
                               resp.ok();
                             }));
   }
   trace::Context parent;
   trace::Context after;
-  auto caller = cluster_.node(0).spawn({.name = "caller"},
-                                       [&](vnet::Process& p) {
+  run_caller([&](ServiceLoop& loop) {
     trace::SpanScope launch("launch");
     parent = launch.context();
-    (void)call_all(p, targets, MsgType::kJoinJob, {}, 1000ms);
-    after = trace::current();
+    loop.call_all(targets, MsgType::kJoinJob, {}, 1000ms,
+                  [&](std::vector<Outcome>) {
+                    after = trace::current();
+                    loop.endpoint().close();
+                  });
   });
-  caller->join();
   cluster_.shutdown();  // every serve span is recorded once the loops exit
   rec.uninstall();
 
-  // The fan-out hands the caller its own context back.
+  // The continuation runs under the caller's context.
   EXPECT_EQ(after.span, parent.span);
+  EXPECT_EQ(after.trace, parent.trace);
   std::vector<trace::Span> rpcs;
   std::vector<trace::Span> serves;
   for (const auto& span : rec.snapshot()) {
@@ -223,35 +248,46 @@ TEST_F(FanOutTest, EachTargetGetsItsOwnClientSpan) {
     EXPECT_TRUE(serve_span.parent == rpcs[0].id ||
                 serve_span.parent == rpcs[1].id);
   }
+  // Spans are recorded as they end: the fast target's first, one round
+  // trip in; the slow target's after its 5 ms of service.
+  EXPECT_LT(rpcs[0].duration_ms(), 1.0);
+  EXPECT_GE(rpcs[1].duration_ms(), 5.0);
 }
 
-TEST_F(FanOutTest, StopUnblocksTheFanOut) {
+TEST_F(FanOutTest, ClosingTheEndpointDropsThePendingFanOut) {
   const auto silent = cluster_.node(1).allocate_address();
-  std::atomic<bool> stopped{false};
+  std::atomic<bool> continued{false};
   std::atomic<bool> returned{false};
-  Latch entered(1);  // a stop before the entry runs would skip it entirely
+  simtime::TimePoint returned_at;
+  Latch started(1);  // a stop before the fan-out starts would skip it
   auto caller = cluster_.node(0).spawn({.name = "caller"},
                                        [&](vnet::Process& p) {
-    entered.count_down();
-    try {
-      (void)call_all(p, {silent, silent}, MsgType::kDisjoinJob, {},
-                     deadlines::kDefault);
-      returned = true;
-    } catch (const util::StoppedError&) {
-      stopped = true;
-    }
+    auto ep = p.open_endpoint();
+    ServiceLoop loop(*ep, ServiceConfig{.name = "caller"});
+    loop.on(MsgType::kSchedWake, [&](const Request&, Responder&) {
+      loop.call_all({silent, silent}, MsgType::kDisjoinJob, {},
+                    deadlines::kDefault,
+                    [&](std::vector<Outcome>) { continued = true; });
+      started.count_down();
+    });
+    notify(*ep, ep->address(), MsgType::kSchedWake, {});
+    loop.run();
+    returned_at = simtime::now();
+    returned = true;
   });
   const auto kill_at = simtime::now() + 2ms;
   auto killer = cluster_.node(1).spawn({.name = "killer"},
                                        [&](vnet::Process&) {
-    entered.wait();
+    started.wait();
     simtime::sleep_until(kill_at);
-    caller->request_stop();
+    caller->request_stop();  // closes the caller's endpoint
   });
   killer->join();
   caller->join();
-  EXPECT_TRUE(stopped);
-  EXPECT_FALSE(returned);
+  EXPECT_TRUE(returned);
+  EXPECT_FALSE(continued);
+  // run() returned at the stop, long before the fan-out's deadline.
+  EXPECT_LT(returned_at - kill_at, 1ms);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Service-runtime tests: Caller retransmission and deadlines, ServiceLoop
-// duplicate suppression and execution classes, backoff schedules, and the
-// per-RPC metrics surface — plus a cluster-level check that qstat is still
-// answered while a submit flood holds the server's serialized lane.
+// duplicate suppression of requests and notifications, backoff schedules,
+// and the per-RPC metrics surface — plus a cluster-level check that qstat is
+// still answered while a submit flood holds the server's serialized lane.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,10 +103,9 @@ TEST_F(SvcTest, DeadlineExceededThrowsDeadlineNotCallError) {
 TEST_F(SvcTest, ErrorReplySurfacesAsCallErrorWithCode) {
   auto ep = node_.open_endpoint();
   ServiceLoop loop(*ep, ServiceConfig{.name = "err"});
-  loop.on(MsgType::kDeleteJob, ExecClass::kMutating,
-          [](const Request&, Responder& resp) {
-            resp.error(ReplyCode::kUnknownJob, "no such job");
-          });
+  loop.on(MsgType::kDeleteJob, [](const Request&, Responder& resp) {
+    resp.error(ReplyCode::kUnknownJob, "no such job");
+  });
   simtime::ActorThread t([&] { loop.run(); });
 
   const Caller caller(node_, ep->address(), RetryPolicy::none());
@@ -124,13 +123,12 @@ TEST_F(SvcTest, DuplicateRequestExecutesOnceAnswersTwice) {
   auto ep = node_.open_endpoint();
   std::atomic<int> executions{0};
   ServiceLoop loop(*ep, ServiceConfig{.name = "dedup"});
-  loop.on(MsgType::kSubmit, ExecClass::kMutating,
-          [&](const Request&, Responder& resp) {
-            executions.fetch_add(1);
-            util::ByteWriter w;
-            w.put<std::uint64_t>(7);
-            resp.ok(std::move(w).take());
-          });
+  loop.on(MsgType::kSubmit, [&](const Request&, Responder& resp) {
+    executions.fetch_add(1);
+    util::ByteWriter w;
+    w.put<std::uint64_t>(7);
+    resp.ok(std::move(w).take());
+  });
   simtime::ActorThread t([&] { loop.run(); });
 
   auto client = node_.open_endpoint();
@@ -155,13 +153,42 @@ TEST_F(SvcTest, DuplicateRequestExecutesOnceAnswersTwice) {
   t.join();
 }
 
+TEST_F(SvcTest, DuplicateNotificationExecutesOnceAndIsNotAnswered) {
+  auto ep = node_.open_endpoint();
+  std::atomic<int> executions{0};
+  ServiceLoop loop(*ep, ServiceConfig{.name = "notify"});
+  loop.on(MsgType::kJobStarted,
+          [&](const Request&, Responder&) { executions.fetch_add(1); });
+  loop.on(MsgType::kStatJobs,
+          [](const Request&, Responder& resp) { resp.ok(); });
+  simtime::ActorThread t([&] { loop.run(); });
+
+  // A fabric duplicate: the same notification envelope twice, then a
+  // request whose reply shows both copies were served.
+  auto client = node_.open_endpoint();
+  const auto env = envelope(next_request_id(), {});
+  client->send(ep->address(), as_u32(MsgType::kJobStarted), env);
+  client->send(ep->address(), as_u32(MsgType::kJobStarted), env);
+  const auto probe = next_request_id();
+  client->send(ep->address(), as_u32(MsgType::kStatJobs),
+               envelope(probe, {}));
+
+  auto msg = client->recv_for(5000ms);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_TRUE(parse_reply(*msg, probe).has_value());  // the only reply
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(loop.deduped(), 1u);
+
+  ep->close();
+  t.join();
+}
+
 TEST_F(SvcTest, HandlerExceptionBecomesErrorReply) {
   auto ep = node_.open_endpoint();
   ServiceLoop loop(*ep, ServiceConfig{.name = "throwing"});
-  loop.on(MsgType::kAlterJob, ExecClass::kMutating,
-          [](const Request&, Responder&) {
-            throw std::runtime_error("handler exploded");
-          });
+  loop.on(MsgType::kAlterJob, [](const Request&, Responder&) {
+    throw std::runtime_error("handler exploded");
+  });
   simtime::ActorThread t([&] { loop.run(); });
 
   const Caller caller(node_, ep->address(), RetryPolicy::none());

@@ -1,18 +1,21 @@
 // pbs_mom unit tests: the sister-side protocol (JOIN_JOB / DYNJOIN_JOB /
 // DISJOIN_JOB / JOB_UPDATE) driven directly with synthetic requests against
 // a fake server, without a scheduler or mother superior; and the mother
-// superior's sister fan-outs against a stub server, a stub sister and dead
-// sister addresses.
+// superior's sister fan-outs against a stub server, a stub sister, dead
+// sister addresses and a second real mom: one deadline per fan-out, no
+// deadlock between two mother superiors, and MS protocols in arrival order.
 #include "torque/mom.hpp"
 #include "simtime/clock.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <optional>
 #include "util/sync.hpp"
 
 #include "harness/clock_mode.hpp"
+#include "minimpi/proc.hpp"
 #include "minimpi/runtime.hpp"
 #include "vnet/cluster.hpp"
 
@@ -184,10 +187,11 @@ TEST_F(MomTest, UnknownRequestTypeErrors) {
 
 // The mother superior's side: a compute mom on node 1 fans JOIN_JOB and
 // DISJOIN_JOB out to its sisters. Node 0 hosts a stub server that records
-// JOB_COMPLETE and MS_RELEASE_DONE; node 2 hosts a stub sister that acks
-// every request and counts the DISJOINs it gets. Addresses allocated on
-// node 2 but never bound stand in for dead sisters. Runs on the
-// DiscreteEvent clock, so the bounds are exact virtual durations.
+// JOB_STARTED, JOB_COMPLETE and MS_RELEASE_DONE; node 2 hosts a stub sister
+// that acks every request and counts the DISJOINs it gets. Addresses
+// allocated on node 2 but never bound stand in for dead sisters. Job scripts
+// are no-ops. Runs on the DiscreteEvent clock, so the bounds are exact
+// virtual durations.
 class MotherSuperiorTest : public ::testing::Test {
  protected:
   MotherSuperiorTest()
@@ -199,6 +203,8 @@ class MotherSuperiorTest : public ::testing::Test {
           return t;
         }()),
         runtime_(cluster_) {
+    runtime_.register_executable(
+        "dac.jobwrapper", [](minimpi::Proc&, const util::Bytes&) {});
     server_ep_ = cluster_.node(0).open_endpoint();
     server_proc_ = cluster_.node(0).spawn(
         {.name = "stub_server"}, [this](vnet::Process& proc) {
@@ -208,8 +214,11 @@ class MotherSuperiorTest : public ::testing::Test {
             util::ByteReader r(req.body);
             dac::ScopedLock lock(mu_);
             if (req.type == MsgType::kRegisterNode) {
-              mom_addr_ = get_node_status(r).mom_addr;
+              const auto st = get_node_status(r);
+              mom_addrs_[st.node_id] = st.mom_addr;
               rpc::reply_ok(*server_ep_, req);
+            } else if (req.type == MsgType::kJobStarted) {
+              started_at_[r.get<std::uint64_t>()] = simtime::now();
             } else if (req.type == MsgType::kJobComplete) {
               (void)r.get<std::uint64_t>();
               exit_status_ = r.get<std::int32_t>();
@@ -234,16 +243,21 @@ class MotherSuperiorTest : public ::testing::Test {
             rpc::reply_ok(*sister_ep_, req);
           }
         });
+    start_mom(1);
+  }
 
+  // Starts a compute mom on `node` and waits until it registered.
+  void start_mom(vnet::NodeId node) {
     MomConfig mc;
     mc.kind = NodeKind::kCompute;
     mc.server = server_ep_->address();
     mc.timing = BatchTiming::fast();
-    mom_ = std::make_unique<PbsMom>(cluster_.node(1), mc, runtime_, tasks_);
-    mom_proc_ = cluster_.node(1).spawn(
+    auto& mom = moms_.emplace_back(std::make_unique<PbsMom>(
+        cluster_.node(node), mc, runtime_, tasks_));
+    mom_procs_.push_back(cluster_.node(node).spawn(
         {.name = "pbs_mom"},
-        [this](vnet::Process& proc) { mom_->run(proc); });
-    EXPECT_TRUE(await([this] { return mom_addr_.valid(); }));
+        [&mom](vnet::Process& proc) { mom->run(proc); }));
+    EXPECT_TRUE(await([&] { return mom_addrs_.contains(node); }));
   }
 
   ~MotherSuperiorTest() override { cluster_.shutdown(); }
@@ -261,34 +275,87 @@ class MotherSuperiorTest : public ::testing::Test {
     return true;
   }
 
-  HostRef ms_host() {
+  HostRef mom_host(const std::string& name, vnet::NodeId node) {
     dac::ScopedLock lock(mu_);
-    return {"cn0", 1, mom_addr_};
+    return {name, node, mom_addrs_.at(node)};
   }
+  HostRef ms_host() { return mom_host("cn0", 1); }
   HostRef live_sister() { return {"ac0", 2, sister_ep_->address()}; }
   HostRef dead_sister(const std::string& name) {
     return {name, 2, cluster_.node(2).allocate_address()};
   }
+  // A sister on node 2 that spends `cost` on every request before it acks,
+  // and counts its DISJOINs like the stub sister.
+  HostRef slow_sister(const std::string& name,
+                      std::chrono::microseconds cost) {
+    auto ep = cluster_.node(2).open_endpoint();
+    const HostRef ref{name, 2, ep->address()};
+    auto* raw = ep.get();
+    slow_eps_.push_back(std::move(ep));
+    slow_procs_.push_back(cluster_.node(2).spawn(
+        {.name = "slow_sister"}, [this, raw, cost](vnet::Process& proc) {
+          proc.adopt_mailbox(raw->mailbox_weak());
+          svc::ServiceLoop loop(*raw, svc::ServiceConfig{.name = "slow_sister",
+                                                         .service_cost = cost});
+          loop.on(MsgType::kJoinJob,
+                  [](const svc::Request&, svc::Responder& resp) {
+                    resp.ok();
+                  });
+          loop.on(MsgType::kDisjoinJob,
+                  [this](const svc::Request&, svc::Responder& resp) {
+                    dac::ScopedLock lock(mu_);
+                    ++disjoins_;
+                    cv_.notify_all();
+                    resp.ok();
+                  });
+          loop.run();
+        }));
+    return ref;
+  }
 
-  // Sends `type` with `body` to the mom from a driver process (an actor,
-  // so no virtual time passes between the timestamp and the send), after
-  // an optional JOIN_JOB that makes the mom a member of the job.
-  simtime::TimePoint send_to_mom(MsgType type, const util::Bytes& body,
-                                 std::optional<util::Bytes> join = {}) {
-    const auto to = ms_host().mom;
+  struct Send {
+    vnet::Address to;
+    MsgType type{};
+    util::Bytes body;
+  };
+
+  // Sends every message from a driver process (an actor, so no virtual
+  // time passes between the timestamp and the sends), after an optional
+  // JOIN_JOB that makes the first addressee a member of the job.
+  simtime::TimePoint send(const std::vector<Send>& msgs,
+                          std::optional<util::Bytes> join = {}) {
     simtime::TimePoint sent;
     auto driver = cluster_.node(0).spawn(
         {.name = "driver"}, [&](vnet::Process& proc) {
           if (join) {
-            (void)svc::Caller(proc, to, svc::RetryPolicy::none())
+            (void)svc::Caller(proc, msgs.front().to, svc::RetryPolicy::none())
                 .call(MsgType::kJoinJob, *join, {.deadline = 5s});
           }
           auto ep = proc.open_endpoint();
           sent = simtime::now();
-          rpc::notify(*ep, to, type, body);
+          for (const auto& m : msgs) rpc::notify(*ep, m.to, m.type, m.body);
         });
     driver->join();
     return sent;
+  }
+
+  // Sends `type` with `body` to the mom on node 1.
+  simtime::TimePoint send_to_mom(MsgType type, const util::Bytes& body,
+                                 std::optional<util::Bytes> join = {}) {
+    return send({{ms_host().mom, type, body}}, std::move(join));
+  }
+
+  // A MOM_RUN_JOB body for job `id` on `hosts`, computes first.
+  static util::Bytes run_body(JobId id, int nodes,
+                              const std::vector<HostRef>& hosts) {
+    JobInfo job;
+    job.id = id;
+    job.spec.name = "j";
+    job.spec.resources.nodes = nodes;
+    util::ByteWriter w;
+    put_job_info(w, job);
+    put_host_refs(w, hosts);
+    return std::move(w).take();
   }
 
   // PbsMom::sister_call_timeout() under BatchTiming::fast(): a quarter of
@@ -308,12 +375,15 @@ class MotherSuperiorTest : public ::testing::Test {
   vnet::ProcessPtr server_proc_;
   std::unique_ptr<vnet::Endpoint> sister_ep_;
   vnet::ProcessPtr sister_proc_;
-  std::unique_ptr<PbsMom> mom_;
-  vnet::ProcessPtr mom_proc_;
+  std::vector<std::unique_ptr<vnet::Endpoint>> slow_eps_;
+  std::vector<vnet::ProcessPtr> slow_procs_;
+  std::vector<std::unique_ptr<PbsMom>> moms_;
+  std::vector<vnet::ProcessPtr> mom_procs_;
 
   dac::Mutex mu_{"test.ms_events"};
   dac::CondVar cv_;
-  vnet::Address mom_addr_;
+  std::map<vnet::NodeId, vnet::Address> mom_addrs_;
+  std::map<JobId, simtime::TimePoint> started_at_;
   std::optional<std::int32_t> exit_status_;
   simtime::TimePoint complete_at_;
   std::optional<simtime::TimePoint> release_done_at_;
@@ -363,6 +433,47 @@ TEST_F(MotherSuperiorTest, ReleaseWithTwoDeadSistersTakesOneTimeout) {
   // release would take two.
   EXPECT_GE(*release_done_at_ - sent, sister_timeout());
   EXPECT_LT(*release_done_at_ - sent, sister_timeout() + 2ms);
+}
+
+TEST_F(MotherSuperiorTest, TwoMotherSuperiorsJoiningEachOtherBothStart) {
+  // A second compute mom on node 2. Each mom is the MS of a job whose sister
+  // is the other, and both MOM_RUN_JOBs leave at the same virtual instant:
+  // each MS's JOIN_JOB reaches a mom that is itself waiting on a JOIN_JOB.
+  start_mom(2);
+  const auto a = mom_host("cn0", 1);
+  const auto b = mom_host("cn1", 2);
+  const auto sent =
+      send({{a.mom, MsgType::kMomRunJob, run_body(11, 2, {a, b})},
+            {b.mom, MsgType::kMomRunJob, run_body(12, 2, {b, a})}});
+
+  ASSERT_TRUE(await([this] { return started_at_.size() == 2; }));
+  dac::ScopedLock lock(mu_);
+  EXPECT_FALSE(exit_status_.has_value());  // neither start failed
+  // One hop to each MS, one JOIN round trip that includes the sister's
+  // join cost, one hop to the server; nowhere near a fan-out deadline.
+  const auto bound = 4 * 50us + BatchTiming::fast().mom_join_cost + 1ms;
+  ASSERT_LT(bound, sister_timeout());
+  for (const JobId id : {11u, 12u}) {
+    EXPECT_LT(started_at_.at(id) - sent, bound) << "job " << id;
+  }
+}
+
+TEST_F(MotherSuperiorTest, KillRunsAfterTheStartItFollows) {
+  // The sister takes 20 ms to ack the JOIN_JOB, so the kill arrives while
+  // the start still waits on it. The kill must not overtake the start: once
+  // the job launched it is torn down, and the sister is disjoined.
+  const auto ms = ms_host();
+  util::ByteWriter kill;
+  kill.put<std::uint64_t>(13);
+  (void)send({{ms.mom, MsgType::kMomRunJob,
+               run_body(13, 1, {ms, slow_sister("ac1", 20ms)})},
+              {ms.mom, MsgType::kMomKillJob, std::move(kill).take()}});
+
+  ASSERT_TRUE(
+      await([this] { return started_at_.contains(13) && disjoins_ > 0; }));
+  EXPECT_EQ(tasks_.task_count(13), 0u);
+  dac::ScopedLock lock(mu_);
+  EXPECT_EQ(disjoins_, 1);
 }
 
 }  // namespace

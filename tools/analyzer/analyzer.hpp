@@ -3,9 +3,9 @@
 // under src/, tests/, examples/, bench/, and tools/ and enforces invariants
 // the svc protocol stack depends on but no compiler checks:
 //
-//   blocking-under-lock   no Caller::call / rpc::call / svc::call_all,
-//                         BlockingQueue pop, endpoint recv, or sleep while a
-//                         dac::Mutex guard is live in the same scope; a
+//   blocking-under-lock   no Caller::call / rpc::call, BlockingQueue pop,
+//                         endpoint recv, or sleep while a dac::Mutex
+//                         guard is live in the same scope; a
 //                         condvar wait is flagged when a *second* guard is
 //                         held across it.
 //   blocking-reachable-under-lock
@@ -35,8 +35,8 @@
 //                         ReplyCode) carry [[nodiscard]].
 //   unchecked-status      statement-expression calls that silently drop a
 //                         must-check result ((void) is an explicit opt-out).
-//   deadline-literal      Caller::call / rpc::call / svc::call_all sites
-//                         outside tests/ name their deadline (constant or
+//   deadline-literal      Caller::call / rpc::call / ServiceLoop::call_all
+//                         sites outside tests/ name their deadline (constant or
 //                         config field) — no implicit default, no bare
 //                         chrono literal.
 //   check-side-effect     no ++/--/assignment/mutating calls inside

@@ -394,11 +394,6 @@ void collect_body_events(const CleanFile& file, std::size_t li,
       events->push_back({i, BodyEvent::kDirectBlock, "rpc::call", {}, false});
       continue;
     }
-    if (word_at(line, i, "call_all") && line.compare(i, 9, "call_all(") == 0) {
-      events->push_back(
-          {i, BodyEvent::kDirectBlock, "svc::call_all", {}, false});
-      continue;
-    }
     if (word_at(line, i, "sleep_for") || word_at(line, i, "sleep_until")) {
       events->push_back({i, BodyEvent::kDirectBlock, "sleep", {}, false});
       continue;

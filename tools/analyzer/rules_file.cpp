@@ -2,6 +2,7 @@
 // (include, raw-sync, detach, sleep-poll, nondet-seed), the scope-tracked
 // blocking-under-lock analysis, deadline discipline at Caller::call sites,
 // DAC_CHECK side-effect hygiene, and unchecked must-check call statements.
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <string>
@@ -149,7 +150,7 @@ enum class EventKind {
   kGuardDecl,
   kUnlock,
   kRelock,
-  kBlockingCall,  // Caller::call / rpc::call / svc::call_all
+  kBlockingCall,  // Caller::call / rpc::call
   kBlockingPop,   // BlockingQueue::pop / pop_for
   kBlockingRecv,  // Endpoint::recv / recv_for
   kSleep,         // sleep_for / sleep_until
@@ -252,10 +253,6 @@ void collect_events(const std::string& line, std::vector<Event>* events) {
     }
     if (word_at(line, i, "rpc") && line.compare(i, 10, "rpc::call(") == 0) {
       events->push_back({i, EventKind::kBlockingCall, "rpc::call"});
-      continue;
-    }
-    if (word_at(line, i, "call_all") && line.compare(i, 9, "call_all(") == 0) {
-      events->push_back({i, EventKind::kBlockingCall, "svc::call_all"});
       continue;
     }
     if (word_at(line, i, "sleep_for") || word_at(line, i, "sleep_until")) {
@@ -402,9 +399,11 @@ void check_deadlines(CleanFile& file, Sink& sink) {
     if (find_word(line, "constexpr") != std::string::npos) continue;
     for (std::size_t i = 0; i < line.size(); ++i) {
       // Caller::call(type, body[, opts]); rpc::call(ctx, to, type, body
-      // [, timeout]); svc::call_all(proc, targets, type, body, deadline).
+      // [, timeout]); ServiceLoop::call_all(targets, type, body, deadline,
+      // done), whose continuation follows the deadline and is not checked.
       const char* what = nullptr;
       std::size_t required = 0;
+      std::size_t checked = std::string::npos;  // args after the deadline
       if (match_member_call(line, i, "call", {})) {
         what = "Caller::call";
         required = 3;
@@ -414,8 +413,9 @@ void check_deadlines(CleanFile& file, Sink& sink) {
         required = 5;
       } else if (word_at(line, i, "call_all") &&
                  line.compare(i, 9, "call_all(") == 0) {
-        what = "svc::call_all";
-        required = 5;
+        what = "ServiceLoop::call_all";
+        required = 4;
+        checked = required;
       } else {
         continue;
       }
@@ -430,7 +430,8 @@ void check_deadlines(CleanFile& file, Sink& sink) {
                         " relies on the implicit default deadline; pass a "
                         "named policy constant (src/svc/deadlines.hpp)");
       } else {
-        for (std::size_t a = required - 1; a < args.size(); ++a) {
+        for (std::size_t a = required - 1; a < std::min(args.size(), checked);
+             ++a) {
           if (contains_chrono_literal(args[a])) {
             sink.report(file, lineno, Rule::kDeadlineLiteral,
                         "bare literal deadline at a call site; name the "
