@@ -77,9 +77,10 @@ bool run_ablation(bool batched, std::size_t nodes, std::size_t jobs,
   cluster.register_program(kGetterProgram, [&meter](core::JobContext& ctx) {
     core::interruptible_sleep(ctx, std::chrono::milliseconds(5));
     // Align to a shared 50 ms virtual-time grid so a whole wave's requests
-    // reach the server inside one scheduler cycle. The wake gate fires a
-    // cycle per arrival, so unaligned requests get serviced one at a time
-    // and the batched/serial ablation would measure batches of size one.
+    // reach the server inside one scheduler cycle. Each arrival pushes a
+    // wake that starts a cycle, so unaligned requests get serviced one at a
+    // time and the batched/serial ablation would measure batches of size
+    // one.
     // sleep_until (not interruptible_sleep) for exact, jitter-free ties.
     const auto grid = std::chrono::milliseconds(50);
     const auto since = simtime::now().time_since_epoch();

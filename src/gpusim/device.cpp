@@ -101,13 +101,16 @@ std::byte* Device::at(DevicePtr ptr, std::size_t bytes) {
 }
 
 void Device::memcpy_h2d(DevicePtr dst, const void* src, std::size_t bytes) {
-  std::memcpy(at(dst, bytes), src, bytes);
+  // A 0-byte copy may come with a null host pointer, which memcpy forbids.
+  auto* const to = at(dst, bytes);
+  if (bytes > 0) std::memcpy(to, src, bytes);
   ScopedLock lock(mu_);
   stats_.bytes_copied_in += bytes;
 }
 
 void Device::memcpy_d2h(void* dst, DevicePtr src, std::size_t bytes) {
-  std::memcpy(dst, at(src, bytes), bytes);
+  const auto* const from = at(src, bytes);
+  if (bytes > 0) std::memcpy(dst, from, bytes);
   ScopedLock lock(mu_);
   stats_.bytes_copied_out += bytes;
 }

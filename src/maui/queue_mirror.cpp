@@ -1,5 +1,7 @@
 #include "maui/queue_mirror.hpp"
 
+#include <utility>
+
 namespace dac::maui {
 
 namespace {
@@ -11,10 +13,16 @@ bool terminal(const torque::JobInfo& j) {
 
 }  // namespace
 
-void QueueMirror::apply(const torque::SchedDelta& d) {
+bool QueueMirror::apply(const torque::SchedDelta& d) {
+  if (d.epoch <= epoch_) return false;  // stale: already covered
+  if (!d.full && (needs_full() || d.epoch != epoch_ + 1)) {
+    gap_ = true;
+    return false;
+  }
   if (d.full) {
     jobs_.clear();
     nodes_.clear();
+    changed_.clear();
     for (const auto& j : d.jobs) {
       // A full fetch ships only live jobs, but tolerate terminal ones: the
       // fold must not depend on the server filtering.
@@ -29,12 +37,18 @@ void QueueMirror::apply(const torque::SchedDelta& d) {
       }
     }
   }
+  for (const auto& j : d.jobs) changed_.insert(j.id);
   for (const auto& n : d.nodes) nodes_.insert_or_assign(n.hostname, n);
   dyn_ = d.dyn;
   elastic_ = d.elastic;
   now_ = d.now;
   epoch_ = d.epoch;
-  last_changed_ = d.jobs.size();
+  gap_ = false;
+  return true;
+}
+
+std::set<torque::JobId> QueueMirror::take_changed() {
+  return std::exchange(changed_, {});
 }
 
 torque::QueueSnapshot QueueMirror::queue() const {

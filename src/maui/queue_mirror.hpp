@@ -1,7 +1,7 @@
-// The scheduler's local mirror of the server's scheduling state, fed by
-// kGetSched deltas (torque/sched_feed.hpp).
+// The scheduler's local mirror of the server's scheduling state, fed by the
+// deltas the server pushes and the kGetSched fetches (torque/sched_feed.hpp).
 //
-// The contract that makes incremental fetching safe is reconstruction
+// The contract that makes incremental feeding safe is reconstruction
 // equivalence: after apply()ing any prefix of deltas, queue() and
 // node_views() must be byte-identical to what a full fetch at the same
 // instant would have produced. The server guarantees the inputs (every
@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,19 +33,25 @@ struct NodeView {
 
 class QueueMirror {
  public:
-  // Folds one fetch result in. A full delta resets the mirror; an
-  // incremental delta upserts changed jobs/nodes and erases jobs that
-  // arrived in a terminal state. Dynamic requests and elastic views are
-  // always shipped complete and replace the previous set wholesale.
-  void apply(const torque::SchedDelta& d);
+  // Folds one delta in, strictly in epoch order; true when it did. A full
+  // delta resets the mirror; an incremental delta upserts changed
+  // jobs/nodes and erases jobs that arrived in a terminal state. Dynamic
+  // requests and elastic views are always shipped complete and replace the
+  // previous set wholesale. A delta no newer than epoch() is stale and
+  // ignored. An incremental delta that skips an epoch means one was lost:
+  // the mirror folds nothing more until a full delta repairs it.
+  bool apply(const torque::SchedDelta& d);
 
-  // Epoch of the last applied delta; echo into the next kGetSched. Zero
-  // means nothing applied yet (the first fetch must be full).
+  // Epoch of the last applied delta; echo into the next kGetSched.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  // True before the first full delta and after a gap: only a full fetch
+  // brings the mirror back.
+  [[nodiscard]] bool needs_full() const { return epoch_ == 0 || gap_; }
 
-  // Number of job records the last delta carried — the incremental cycle's
-  // re-evaluation cost model (docs/SCHEDULING.md).
-  [[nodiscard]] std::size_t last_changed() const { return last_changed_; }
+  // Ids of the jobs the deltas applied since the last call carried (a full
+  // delta starts the set afresh): what one fetch over the same span would
+  // carry, and so the cycle's re-evaluation cost (docs/SCHEDULING.md).
+  [[nodiscard]] std::set<torque::JobId> take_changed();
 
   // Reconstructed fetch inputs, in full-fetch order.
   [[nodiscard]] torque::QueueSnapshot queue() const;
@@ -55,8 +62,9 @@ class QueueMirror {
 
  private:
   std::uint64_t epoch_ = 0;
+  bool gap_ = false;
   double now_ = 0.0;
-  std::size_t last_changed_ = 0;
+  std::set<torque::JobId> changed_;
   std::map<torque::JobId, torque::JobInfo> jobs_;
   std::map<std::string, torque::NodeStatus> nodes_;
   std::vector<torque::DynQueueEntry> dyn_;

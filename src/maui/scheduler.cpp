@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "svc/caller.hpp"
 #include "svc/deadlines.hpp"
@@ -48,12 +49,12 @@ SchedulerStatsSnapshot MauiScheduler::stats() const {
 
 void MauiScheduler::run(vnet::Process& proc) {
   trace::set_thread_actor("maui");
-  auto wake_ep = proc.open_endpoint();
+  wake_ep_ = proc.open_endpoint();
 
   const svc::Caller caller(proc, config_.server, config_.retry);
   util::ByteWriter reg;
-  reg.put<std::int32_t>(wake_ep->address().node);
-  reg.put<std::int32_t>(wake_ep->address().port);
+  reg.put<std::int32_t>(wake_ep_->address().node);
+  reg.put<std::int32_t>(wake_ep_->address().port);
   try {
     (void)caller.call(torque::MsgType::kRegisterScheduler,
                       std::move(reg).take(),
@@ -72,34 +73,61 @@ void MauiScheduler::run(vnet::Process& proc) {
     } catch (const std::exception& e) {
       kLog.error("scheduling cycle failed: {}", e.what());
     }
-    // Sleep until the next poll interval or an earlier wake; coalesce any
-    // backlog of wake notifications into one cycle.
-    auto msg = wake_ep->recv_for(config_.timing.sched_cycle_interval);
-    if (!msg && wake_ep->closed()) break;
-    while (wake_ep->try_recv()) {
+    // A wake that arrived during the cycle asks for the next one at once.
+    // Otherwise sleep until a wake or the poll interval.
+    drain_wakes();
+    if (!woken_) {
+      auto msg = wake_ep_->recv_for(config_.timing.sched_cycle_interval);
+      if (!msg && wake_ep_->closed()) break;
+      if (msg) fold_wake(*msg);
     }
   }
   kLog.info("maui shutting down");
 }
 
+void MauiScheduler::fold_wake(const vnet::Message& msg) {
+  woken_ = true;
+  const auto req = svc::parse_request(msg);
+  util::ByteReader r(req.body);
+  (void)mirror_.apply(torque::get_sched_delta(r));
+}
+
+void MauiScheduler::drain_wakes() {
+  while (auto msg = wake_ep_->try_recv()) fold_wake(*msg);
+}
+
+void MauiScheduler::fold_reply(util::ByteReader& r) {
+  // Wakes the server sent before this reply carry older epochs: fold them
+  // first, or the reply's delta would look like a gap.
+  drain_wakes();
+  (void)mirror_.apply(torque::get_sched_delta(r));
+}
+
 void MauiScheduler::cycle(vnet::Process& proc) {
   const auto cycle_no = cycles_.fetch_add(1, std::memory_order_relaxed);
+  drain_wakes();
+  // A cycle started by a wake decides on the deltas folded so far. Any
+  // other (first contact, the idle poll) fetches first.
+  const bool poll = !std::exchange(woken_, false);
 
-  // One combined fetch: a delta against the mirror's epoch, or a full
-  // rescan on first contact and every full_rescan_every cycles. The
+  // A full rescan on first contact, after a lost delta and every
+  // full_rescan_every cycles; a delta fetch at the idle poll. The
   // reconstruction is byte-identical either way (queue_mirror.hpp).
   const bool force_full =
-      mirror_.epoch() == 0 ||
+      mirror_.needs_full() ||
       (config_.full_rescan_every > 0 &&
        cycle_no % static_cast<std::uint64_t>(config_.full_rescan_every) == 0);
-  util::ByteWriter w;
-  w.put<std::uint64_t>(mirror_.epoch());
-  w.put_bool(force_full);
-  const svc::Caller caller(proc, config_.server, config_.retry);
-  auto reply = caller.call(torque::MsgType::kGetSched, std::move(w).take(),
-                           {.deadline = svc::deadlines::kDefault});
-  util::ByteReader r(reply);
-  mirror_.apply(torque::get_sched_delta(r));
+  if (poll || force_full) {
+    util::ByteWriter w;
+    w.put<std::uint64_t>(mirror_.epoch());
+    w.put_bool(force_full);
+    const svc::Caller caller(proc, config_.server, config_.retry);
+    auto reply = caller.call(torque::MsgType::kGetSched, std::move(w).take(),
+                             {.deadline = svc::deadlines::kDefault});
+    util::ByteReader r(reply);
+    fold_reply(r);
+  }
+  const auto changed = mirror_.take_changed().size();
   const auto snap = mirror_.queue();
   auto view = mirror_.node_views();
 
@@ -107,7 +135,7 @@ void MauiScheduler::cycle(vnet::Process& proc) {
 
   service_elastic(proc, snap, view);
   if (config_.dynamic_first) service_dynamic(proc, snap, view);
-  schedule_static(proc, snap, view);
+  schedule_static(proc, snap, view, changed);
   if (!config_.dynamic_first) service_dynamic(proc, snap, view);
 }
 
@@ -177,8 +205,12 @@ void MauiScheduler::service_elastic(vnet::Process& proc,
     util::ByteWriter w;
     elastic::put_proposal(w, a.proposal);
     try {
-      (void)caller.call(torque::MsgType::kElastPropose, std::move(w).take(),
-                        {.deadline = svc::deadlines::kDefault});
+      const auto reply =
+          caller.call(torque::MsgType::kElastPropose, std::move(w).take(),
+                      {.deadline = svc::deadlines::kDefault});
+      util::ByteReader r(reply);
+      (void)r.get<std::uint64_t>();  // offer id
+      fold_reply(r);
       elast_proposed_.fetch_add(1, std::memory_order_relaxed);
       if (a.defer_dyn != 0) deferred_.try_emplace(a.defer_dyn, defer_until);
     } catch (const util::ProtocolError& e) {
@@ -222,8 +254,12 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
     util::ByteWriter w;
     torque::put_dyn_decisions(w, batch);
     try {
-      (void)caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
-                        {.deadline = svc::deadlines::kDefault});
+      const auto reply =
+          caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
+                      {.deadline = svc::deadlines::kDefault});
+      util::ByteReader r(reply);
+      (void)r.get<std::uint32_t>();  // decisions applied
+      fold_reply(r);
     } catch (const util::ProtocolError& e) {
       kLog.warn("dyn decision batch ({} decision(s)) not applied: {}",
                 batch.size(), e.what());
@@ -454,7 +490,8 @@ std::vector<std::string> MauiScheduler::try_allocate_dyn(
 
 void MauiScheduler::schedule_static(vnet::Process& proc,
                                     const torque::QueueSnapshot& snap,
-                                    std::vector<NodeView>& nodes) {
+                                    std::vector<NodeView>& nodes,
+                                    std::size_t changed) {
   std::vector<const torque::JobInfo*> queued;
   std::vector<const torque::JobInfo*> running;
   for (const auto& j : snap.jobs) {
@@ -468,13 +505,13 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
 
   // Prioritization phase: Maui evaluates every queued job each cycle (this
   // per-job cost is what delays a mid-cycle dynamic request — Figure 8).
-  // Delta cycles re-evaluate only the jobs the delta touched and use cached
-  // priorities for the rest, so the modeled cost is bounded by the delta
-  // size; a full fetch touches every live job, so it evaluates the whole
-  // queue. The decisions themselves are unchanged (same sort, same
-  // allocation attempts).
+  // Delta cycles re-evaluate only the distinct jobs changed since the last
+  // cycle and use cached priorities for the rest, so the modeled cost is
+  // what one fetch over that span would carry; a full fetch touches every
+  // live job, so it evaluates the whole queue. The decisions themselves are
+  // unchanged (same sort, same allocation attempts).
   if (config_.timing.sched_job_eval_cost.count() > 0) {
-    const auto evaluated = std::min(queued.size(), mirror_.last_changed());
+    const auto evaluated = std::min(queued.size(), changed);
     if (evaluated > 0) {
       simtime::sleep_for(evaluated * config_.timing.sched_job_eval_cost);
     }
@@ -597,8 +634,9 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
         caller.call(torque::MsgType::kRunJob, std::move(w).take(),
                     {.deadline = svc::deadlines::kDefault});
     util::ByteReader r(reply);
-    const auto n = std::min<std::size_t>(r.get<std::uint32_t>(), batch.size());
-    for (std::size_t i = 0; i < n; ++i) accepted[i] = r.get_bool();
+    const auto n = r.get<std::uint32_t>();
+    for (std::size_t i = 0; i < n; ++i) accepted.at(i) = r.get_bool();
+    fold_reply(r);
   } catch (const util::ProtocolError& e) {
     kLog.warn("run_job batch ({} start(s)) not applied: {}", batch.size(),
               e.what());

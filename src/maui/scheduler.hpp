@@ -1,9 +1,10 @@
-// The Maui-like scheduler daemon. Each cycle it pulls the queue and node
-// state from the pbs_server, services dynamic requests first (the paper's
-// basic dynamic-priority mechanism, FIFO among themselves), then schedules
-// static jobs under the configured policy: FIFO, multi-factor priority
-// (queue time, QoS, fairshare), or EASY backfill with a reservation for the
-// highest-priority blocked job.
+// The Maui-like scheduler daemon. Each cycle works on its mirror of the
+// pbs_server's queue and node state, which the server keeps current by
+// pushing deltas (docs/SCHEDULING.md). It services dynamic requests first
+// (the paper's basic dynamic-priority mechanism, FIFO among themselves),
+// then schedules static jobs under the configured policy: FIFO,
+// multi-factor priority (queue time, QoS, fairshare), or EASY backfill with
+// a reservation for the highest-priority blocked job.
 //
 // The cycle structure is what the paper's Figures 8/9 measure: a dynamic
 // request arriving while the scheduler is mid-cycle waits for the cycle to
@@ -65,12 +66,13 @@ struct SchedulerConfig {
   std::chrono::milliseconds elastic_defer_window{5'000};
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
-  // Each cycle fetches its state with one kGetSched call folded into a local
-  // QueueMirror: a delta, or a forced full rescan every this many cycles
-  // (drift backstop; the equivalence tests assert the rescan changes
-  // nothing). 1 rescans every cycle, the full-fetch ablation. <= 0 never
-  // forces a rescan after the first fetch. Decisions are identical either
-  // way; only the fetch volume and modeled evaluation cost change.
+  // Cycles decide on a local QueueMirror fed by the deltas the server
+  // pushes. Every this many cycles one fetches the full state with
+  // kGetSched instead (drift backstop; the equivalence tests assert the
+  // rescan changes nothing). 1 fetches in full every cycle, the paper's
+  // polling shape and the full-fetch ablation. <= 0 never forces a rescan
+  // after the first fetch. Decisions are identical either way; only the
+  // fetch volume and modeled evaluation cost change.
   int full_rescan_every = 16;
   // Ship all of a cycle's dynamic grant/reject decisions in one kDynDecide
   // batch instead of one kDynDecide per decision. Decision logic is
@@ -103,7 +105,14 @@ class MauiScheduler {
   [[nodiscard]] SchedulerStatsSnapshot stats() const;
 
  private:
+  // One scheduling pass. A cycle started by a wake decides on the deltas
+  // folded so far; any other (first contact, the idle poll) fetches first.
   void cycle(vnet::Process& proc);
+  // Fold a pushed kSchedWake delta (a wake asks for a cycle), every wake
+  // already waiting, and the delta that ends a reply from the server.
+  void fold_wake(const vnet::Message& msg);
+  void drain_wakes();
+  void fold_reply(util::ByteReader& r);
   // Feeds pool pressure and elasticity views to the configured policy and
   // sends its proposals to the server; a shrink proposal defers the starved
   // dynamic request it serves instead of rejecting it.
@@ -113,9 +122,11 @@ class MauiScheduler {
   void service_dynamic(vnet::Process& proc,
                        const torque::QueueSnapshot& snap,
                        std::vector<NodeView>& nodes);
+  // `changed`: distinct jobs changed since the last cycle, the
+  // prioritization bill.
   void schedule_static(vnet::Process& proc,
                        const torque::QueueSnapshot& snap,
-                       std::vector<NodeView>& nodes);
+                       std::vector<NodeView>& nodes, std::size_t changed);
 
   [[nodiscard]] double priority_of(const torque::JobInfo& job,
                                    double now) const;
@@ -137,8 +148,12 @@ class MauiScheduler {
   vnet::Node& node_;
   SchedulerConfig config_;
 
-  // Local fold of kGetSched replies.
+  // Local fold of the server's deltas, pushed and fetched.
   QueueMirror mirror_;
+  // Where the server pushes kSchedWake; opened by run().
+  std::unique_ptr<vnet::Endpoint> wake_ep_;
+  // A wake arrived that no cycle has started on yet.
+  bool woken_ = false;
 
   std::map<std::string, double> usage_;  // owner -> node-seconds (decayed)
   double last_decay_s_ = -1.0;

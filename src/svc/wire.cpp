@@ -114,7 +114,6 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kRegisterScheduler): return "REGISTER_SCHED";
     case as_u32(MsgType::kJobStarted): return "JOB_STARTED";
     case as_u32(MsgType::kJobComplete): return "JOB_COMPLETE";
-    case as_u32(MsgType::kMsDynReady): return "MS_DYN_READY";
     case as_u32(MsgType::kMsReleaseDone): return "MS_RELEASE_DONE";
     case as_u32(MsgType::kSchedWake): return "SCHED_WAKE";
     case as_u32(MsgType::kRunJob): return "RUN_JOB";
@@ -125,11 +124,8 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kMomRelease): return "MOM_RELEASE";
     case as_u32(MsgType::kMomKillJob): return "MOM_KILL_JOB";
     case as_u32(MsgType::kJoinJob): return "JOIN_JOB";
-    case as_u32(MsgType::kJoinAck): return "JOIN_ACK";
     case as_u32(MsgType::kDynJoinJob): return "DYNJOIN_JOB";
-    case as_u32(MsgType::kDynJoinAck): return "DYNJOIN_ACK";
     case as_u32(MsgType::kDisjoinJob): return "DISJOIN_JOB";
-    case as_u32(MsgType::kDisjoinAck): return "DISJOIN_ACK";
     case as_u32(MsgType::kJobUpdate): return "JOB_UPDATE";
     case as_u32(MsgType::kTaskDone): return "TASK_DONE";
     case as_u32(MsgType::kMomHeartbeat): return "MOM_HEARTBEAT";

@@ -359,10 +359,6 @@ void PbsMom::attach_dyn_set(const DynSet& set) {
     rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, update);
   }
   job.hosts.insert(job.hosts.end(), set.hosts.begin(), set.hosts.end());
-
-  util::ByteWriter done;
-  done.put<std::uint64_t>(set.dyn);
-  notify_server(MsgType::kMsDynReady, std::move(done).take());
 }
 
 void PbsMom::on_release(const rpc::Request& req) {

@@ -26,7 +26,6 @@ enum class MsgType : std::uint32_t {
   kRegisterScheduler,         // scheduler endpoint announces itself
   kJobStarted,                // MS -> server: job id
   kJobComplete,               // MS -> server: job id
-  kMsDynReady,                // MS -> server: dynjoin finished (req id)
   kMsReleaseDone,             // MS -> server: disjoin finished (client id)
   kStatJob,                   // job id -> found flag + JobInfo
   kWaitJob,                   // job id, state, budget -> held until reached
@@ -47,15 +46,10 @@ enum class MsgType : std::uint32_t {
   kMomRelease,                // MS: job id, client id, hosts to disjoin
   kMomKillJob,                // any mom: job id
 
-  // mom <-> mom (the paper's join protocol)
-  // The three *Ack codes are reply envelopes consumed by the MS's rpc::call,
-  // never dispatched through a ServiceLoop.
+  // mom <-> mom (the paper's join protocol); sisters answer with kReply.
   kJoinJob = 0x5430'0300,     // MS -> sister: job info
-  kJoinAck,                   // NOLINT-DACSCHED(handler-coverage)
   kDynJoinJob,                // MS -> new accel mom: job id, client id
-  kDynJoinAck,                // NOLINT-DACSCHED(handler-coverage)
   kDisjoinJob,                // MS -> departing mom: job id, client id
-  kDisjoinAck,                // NOLINT-DACSCHED(handler-coverage)
   kJobUpdate,                 // MS -> existing sisters: updated host set
 
   // job task wrapper -> mom

@@ -2,11 +2,14 @@
 // bookkeeping for the incremental (delta-driven) Maui cycle and for batched
 // dynamic-request servicing.
 //
-// kGetSched is the scheduler's one state fetch. It is either *full* (every
-// non-terminal job, every node) or a *delta* (only the jobs and nodes whose
-// scheduler-visible state changed since the previous fetch). The server
-// feeds DirtyTracker from its mutation handlers and the NodeDb's own dirty
-// set; the scheduler folds deltas into a QueueMirror
+// A SchedDelta is either *full* (every non-terminal job, every node) or a
+// *delta* (only the jobs and nodes whose scheduler-visible state changed
+// since the previous one). The server feeds DirtyTracker from its mutation
+// handlers and the NodeDb's own dirty set, and pushes each delta to the
+// scheduler: in kSchedWake when a cycle can act, and at the end of every
+// reply to the scheduler's kRunJob, kDynDecide and kElastPropose. kGetSched
+// fetches one, full on first contact and for the rescan backstop. The
+// scheduler folds deltas, in epoch order, into a QueueMirror
 // (src/maui/queue_mirror.hpp) that reconstructs bit-identical fetch inputs —
 // the incremental ≡ full-rescan contract pinned by tests/maui.
 //
@@ -46,15 +49,17 @@ struct DynQueueEntry {
 void put_dyn_queue_entry(util::ByteWriter& w, const DynQueueEntry& d);
 DynQueueEntry get_dyn_queue_entry(util::ByteReader& r);
 
-// What kGetSched returns. Dynamic requests and elastic views are always
+// One step of the scheduler feed. Dynamic requests and elastic views are always
 // shipped complete — both are bounded by the *active* request/registration
 // count, not the queue length — while jobs and nodes are delta'd.
 struct SchedDelta {
-  std::uint64_t epoch = 0;  // echo into the next fetch for a delta
+  // Each delta's epoch is one past the previous one's; echo the last one
+  // applied into kGetSched for a delta.
+  std::uint64_t epoch = 0;
   bool full = true;
   double now = 0.0;  // server clock, for backfill horizons
   // full: every non-terminal job. delta: every job touched since the last
-  // fetch, *including* newly-terminal ones so the mirror can drop them.
+  // delta, *including* newly-terminal ones so the mirror can drop them.
   std::vector<JobInfo> jobs;
   // full: every node. delta: nodes whose scheduler-visible status changed.
   std::vector<NodeStatus> nodes;
@@ -101,10 +106,11 @@ std::vector<RunStart> get_run_starts(util::ByteReader& r);
 // Server-side dirty-job bookkeeping for the incremental feed. Not
 // thread-safe: the server mutates it under its state lock. There is one
 // consumer (the registered scheduler), so one epoch counter and one dirty
-// set suffice: a fetch whose client epoch matches the tracker's is served
+// set suffice: a request whose client epoch matches the tracker's is served
 // the accumulated delta; anything else (first contact, a restarted
 // scheduler, a forced full rescan) is served the full state. Either way the
-// dirty set drains and the epoch advances.
+// dirty set drains and the epoch advances. A pushed delta asks with the
+// tracker's own epoch.
 class DirtyTracker {
  public:
   void touch(JobId id) { dirty_.insert(id); }

@@ -117,6 +117,7 @@ void PbsServer::run(vnet::Process& proc) {
     refresh_liveness();
     sweep_elastic_offers();
     settle_job_waits(loop);
+    flush_wake();
   });
   loop.run();
   kLog.info("pbs_server shutting down");
@@ -127,13 +128,15 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   using svc::Responder;
 
   // Every handler runs on the serialized lane under the state lock. Any
-  // that may move a job ends by answering the waits it satisfied.
+  // that may move a job ends by answering the waits it satisfied and by
+  // sending the scheduler the wake it asked for.
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
     loop.on(type, [this, fn, &loop](const Request& req, Responder& resp) {
       ScopedLock lock(state_mu_);
       (this->*fn)(req, resp);
       settle_job_waits(loop);
+      flush_wake();
     });
   };
   // Notifications (no reply expected).
@@ -143,6 +146,7 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
       ScopedLock lock(state_mu_);
       (this->*fn)(req);
       settle_job_waits(loop);
+      flush_wake();
     });
   };
   // Requests that move no job: no waits to settle.
@@ -170,8 +174,6 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   note(MsgType::kJobStarted, &PbsServer::on_job_started);
   note(MsgType::kJobComplete, &PbsServer::on_job_complete);
   note(MsgType::kMsReleaseDone, &PbsServer::on_ms_release_done);
-  loop.on(MsgType::kMsDynReady,
-          [](const Request&, Responder&) {});  // informational
 
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
   read(MsgType::kStatJob, &PbsServer::on_stat_job);
@@ -233,12 +235,18 @@ void PbsServer::handle_node_down(const std::string& hostname) {
   }
 }
 
-void PbsServer::wake_scheduler() {
-  if (!scheduler_known_) return;
-  // Coalesce: a wake already in flight covers this change too — the
-  // scheduler disarms before it fetches state.
-  if (!wake_gate_.try_arm()) return;
-  rpc::notify(*endpoint_, scheduler_, MsgType::kSchedWake, {});
+void PbsServer::flush_wake() {
+  if (!wake_wanted_) return;
+  wake_wanted_ = false;
+  // A scheduler with nothing to start, grant or negotiate would run an
+  // empty cycle; what changed reaches it in the next delta instead.
+  const bool can_act = queued_jobs_ > 0 || !dyn_fifo_.empty() ||
+                       !elastic_.registrations().empty();
+  if (!scheduler_known_ || !can_act) return;
+  util::ByteWriter w;
+  put_delta(w);
+  rpc::notify(*endpoint_, scheduler_, MsgType::kSchedWake,
+              std::move(w).take());
 }
 
 std::vector<HostRef> PbsServer::host_refs(
@@ -281,6 +289,7 @@ void PbsServer::on_submit(const rpc::Request& req, svc::Responder& resp) {
   const auto id = rec.info.id;
   trace::note("job", std::to_string(id));
   jobs_.emplace(id, std::move(rec));
+  ++queued_jobs_;
   touch_job(id);
   kLog.info("job {} '{}' queued ({} nodes, acpn {})", id,
             jobs_[id].info.spec.name, jobs_[id].info.spec.resources.nodes,
@@ -427,6 +436,7 @@ void PbsServer::fail_jobs_on(const std::string& hostname) {
     if (rec.info.requeues < timing_.job_requeue_limit) {
       ++rec.info.requeues;
       rec.info.state = JobState::kQueued;
+      ++queued_jobs_;
       rec.info.start_time = -1.0;
       rec.info.end_time = -1.0;
       rec.info.exit_status = kExitOk;
@@ -502,6 +512,7 @@ void PbsServer::on_delete_job(const rpc::Request& req, svc::Responder& resp) {
     nodes_.release_all(id);
   }
   elastic_.cancel_job(id);  // reservations freed by release_all above
+  if (rec.info.state == JobState::kQueued) --queued_jobs_;
   rec.info.state = JobState::kCancelled;
   rec.info.end_time = now_s();
   touch_job(id);
@@ -836,9 +847,17 @@ void PbsServer::on_get_sched(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto client_epoch = r.get<std::uint64_t>();
   const bool force_full = r.get_bool();
-  // Disarm before reading: every change serialized before this point is in
-  // the fetch; anything later re-arms the gate and wakes us again.
-  wake_gate_.disarm();
+  util::ByteWriter w;
+  put_sched_delta(w, take_delta(client_epoch, force_full));
+  resp.ok(std::move(w).take());
+}
+
+void PbsServer::put_delta(util::ByteWriter& w) {
+  put_sched_delta(w, take_delta(sched_feed_.epoch(), /*force_full=*/false));
+}
+
+SchedDelta PbsServer::take_delta(std::uint64_t client_epoch,
+                                 bool force_full) {
   const auto fetch = sched_feed_.begin_fetch(client_epoch, force_full);
 
   SchedDelta d;
@@ -870,9 +889,7 @@ void PbsServer::on_get_sched(const rpc::Request& req, svc::Responder& resp) {
   }
   d.dyn = dyn_entries();
   d.elastic = elastic_views();
-  util::ByteWriter w;
-  put_sched_delta(w, d);
-  resp.ok(std::move(w).take());
+  return d;
 }
 
 void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
@@ -891,6 +908,7 @@ void PbsServer::on_run_job(const rpc::Request& req, svc::Responder& resp) {
     trace::note("job", std::to_string(start.job));
     w.put_bool(run_apply(start));
   }
+  put_delta(w);
   resp.ok(std::move(w).take());
 }
 
@@ -930,6 +948,7 @@ bool PbsServer::run_apply(const RunStart& start) {
   rec.info.compute_hosts = start.compute;
   rec.info.accel_hosts = start.accel;
   rec.info.state = JobState::kRunning;
+  --queued_jobs_;
   touch_job(id);
 
   if (rec.info.spec.program.empty()) {
@@ -1059,7 +1078,7 @@ void PbsServer::on_dyn_decide(const rpc::Request& req, svc::Responder& resp) {
   // causal tree is the same whether it shipped alone or in a batch. Stale or
   // conflicting decisions are not batch errors: the conflict path already
   // rejected the request, and a vanished id means the job died after the
-  // fetch.
+  // scheduler's view was taken.
   util::ByteReader r(req.body);
   const auto decisions = get_dyn_decisions(r);
   std::uint32_t applied = 0;
@@ -1074,6 +1093,7 @@ void PbsServer::on_dyn_decide(const rpc::Request& req, svc::Responder& resp) {
   }
   util::ByteWriter w;
   w.put<std::uint32_t>(applied);
+  put_delta(w);
   resp.ok(std::move(w).take());
 }
 
@@ -1195,6 +1215,7 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
             wire.hosts.size());
   util::ByteWriter reply;
   reply.put<std::uint64_t>(offer_id);
+  put_delta(reply);
   resp.ok(std::move(reply).take());
 }
 

@@ -10,10 +10,10 @@
 // that also guards the node database.
 //
 // High-throughput extensions (docs/SCHEDULING.md): job mutations feed a
-// DirtyTracker that serves the scheduler incremental kGetSched deltas, and
-// one kDynDecide message applies a whole cycle's dynamic grant/reject
-// decisions under a single lock acquisition. A WakeGate coalesces scheduler
-// wakeups to at most one in flight.
+// DirtyTracker whose deltas the server pushes to the scheduler in
+// kSchedWake and in every reply it sends the scheduler, and one kDynDecide
+// message applies a whole cycle's dynamic grant/reject decisions under a
+// single lock acquisition.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,6 @@
 #include "svc/config.hpp"
 #include "svc/metrics.hpp"
 #include "svc/service_loop.hpp"
-#include "svc/wake_gate.hpp"
 #include "torque/batch_config.hpp"
 #include "torque/job.hpp"
 #include "torque/node_db.hpp"
@@ -189,13 +188,20 @@ class PbsServer {
   bool apply_dyn_reject(std::uint64_t dyn_id, std::uint64_t pickup_ns)
       DAC_REQUIRES(state_mu_);
 
-  // Building blocks of every kGetSched reply, full or delta.
+  // The scheduler's next SchedDelta: full, or the jobs and nodes changed
+  // since the last one. Drains both dirty sets and advances the epoch.
+  [[nodiscard]] SchedDelta take_delta(std::uint64_t client_epoch,
+                                      bool force_full) DAC_REQUIRES(state_mu_);
+  // Appends the delta since the last one: the body of a kSchedWake, and the
+  // end of every reply to the scheduler, so it never decides on a view
+  // older than its own last decisions.
+  void put_delta(util::ByteWriter& w) DAC_REQUIRES(state_mu_);
   [[nodiscard]] std::vector<DynQueueEntry> dyn_entries() const
       DAC_REQUIRES(state_mu_);
   [[nodiscard]] std::vector<elastic::JobView> elastic_views() const
       DAC_REQUIRES(state_mu_);
 
-  // Marks `id`'s scheduler-visible state changed since the last fetch.
+  // Marks `id`'s scheduler-visible state changed since the last delta.
   // Every mutation of a JobRecord's info must route through here or the
   // incremental feed goes stale — the equivalence suite (tests/maui) exists
   // to catch exactly that.
@@ -227,7 +233,13 @@ class PbsServer {
   bool release_dyn_set(JobId job_id, JobRecord& rec, std::uint64_t client_id)
       DAC_REQUIRES(state_mu_);
 
-  void wake_scheduler() DAC_REQUIRES(state_mu_);
+  // Marks a scheduling cycle wanted; flush_wake() sends it.
+  void wake_scheduler() DAC_REQUIRES(state_mu_) { wake_wanted_ = true; }
+  // Ends every handler and tick. If a cycle was wanted and the scheduler
+  // could act (a job queued, a dynget pending or an elastic job
+  // registered), pushes the pending delta in one kSchedWake. Otherwise the
+  // changes ride in the next delta.
+  void flush_wake() DAC_REQUIRES(state_mu_);
 
   // ---- failure detector + recovery (fault-tolerance extension) ---------
   // Advances the suspect/down detector from the liveness tick.
@@ -277,8 +289,9 @@ class PbsServer {
   std::deque<std::uint64_t> dyn_fifo_ DAC_GUARDED_BY(state_mu_);
   // Dirty-job bookkeeping for the incremental scheduler feed.
   DirtyTracker sched_feed_ DAC_GUARDED_BY(state_mu_);
-  // Wakeup coalescing: at most one kSchedWake in flight.
-  svc::WakeGate wake_gate_;
+  bool wake_wanted_ DAC_GUARDED_BY(state_mu_) = false;
+  // Jobs in kQueued: the scheduler can start one.
+  std::size_t queued_jobs_ DAC_GUARDED_BY(state_mu_) = 0;
 
   vnet::Address scheduler_ DAC_GUARDED_BY(state_mu_);
   bool scheduler_known_ DAC_GUARDED_BY(state_mu_) = false;

@@ -1,22 +1,27 @@
 // The incremental ≡ full-rescan contract, pinned at the feed level: a model
 // server mutates scheduler-visible state exactly the way PbsServer does
 // (every job mutation routed through DirtyTracker::touch, every node change
-// through the NodeDb's own dirty set), serves SchedDelta fetches the way
-// on_get_sched builds them, and the test asserts that a QueueMirror folding
-// any prefix of incremental deltas reconstructs byte-identical fetch inputs
-// to a full fetch taken at the same instant.
+// through the NodeDb's own dirty set), builds SchedDeltas the way
+// PbsServer::take_delta does, and the test asserts that a QueueMirror
+// folding any prefix of deltas reconstructs byte-identical fetch inputs to
+// a full fetch taken at the same instant.
 //
-// This is the property that makes delta fetches safe to ship as the
-// default: the scheduler's decisions are a pure function of (queue(),
-// node_views()), so reconstruction equivalence implies decision equivalence.
-// The suite runs ≥1000 seeded random event streams; each stream also
-// exercises the forced full-rescan path (which must change nothing) and a
-// scheduler restart (epoch mismatch forces a full serve).
+// This is the property that makes pushed deltas safe to decide on: the
+// scheduler's decisions are a pure function of (queue(), node_views()), so
+// reconstruction equivalence implies decision equivalence. The suite runs
+// ≥1000 seeded random event streams. Each folds several pushed wake deltas
+// and one reply delta per cycle, checks the cycle's re-evaluation set
+// against what one fetch over the same span carries, replays stale deltas
+// (ignored), loses one delta (the gap forces a full fetch), and exercises
+// the forced full-rescan path (which must change nothing) and a scheduler
+// restart (epoch mismatch forces a full serve).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "maui/queue_mirror.hpp"
@@ -39,13 +44,21 @@ struct ModelServer {
   double now = 0.0;
   torque::JobId next_id = 1;
   std::uint64_t next_dyn = 1;
+  // Ids one fetch would carry if taken now: touched since the last delta
+  // that ended a cycle's span, or every live job after a full one.
+  std::set<torque::JobId> span;
+
+  void touch(torque::JobId id) {
+    feed.touch(id);
+    span.insert(id);
+  }
 
   static bool terminal(const torque::JobInfo& j) {
     return j.state == torque::JobState::kComplete ||
            j.state == torque::JobState::kCancelled;
   }
 
-  // Mirrors PbsServer::on_get_sched: the real fetch, draining the dirty
+  // Mirrors PbsServer::take_delta: a kGetSched fetch, draining the dirty
   // bookkeeping and advancing the epoch.
   torque::SchedDelta fetch(std::uint64_t client_epoch, bool force_full) {
     const auto f = feed.begin_fetch(client_epoch, force_full);
@@ -59,6 +72,8 @@ struct ModelServer {
       }
       d.nodes = nodes.snapshot();
       (void)nodes.drain_dirty();
+      span.clear();
+      for (const auto& j : d.jobs) span.insert(j.id);
     } else {
       for (const auto id : f.jobs) {
         if (const auto it = jobs.find(id); it != jobs.end()) {
@@ -74,12 +89,16 @@ struct ModelServer {
     return d;
   }
 
+  // A delta the server pushes in kSchedWake or ends a reply with: always
+  // against its own epoch.
+  torque::SchedDelta push() { return fetch(feed.epoch(), false); }
+
   // The comparison oracle: a full reconstruction of the current state that
   // does NOT touch the dirty bookkeeping, so taking it never perturbs the
   // incremental stream under test.
   torque::SchedDelta reference() const {
     torque::SchedDelta d;
-    d.epoch = 0;
+    d.epoch = 1;  // any epoch folds into a fresh mirror
     d.full = true;
     d.now = now;
     for (const auto& [id, info] : jobs) {
@@ -150,7 +169,7 @@ void mutate(ModelServer& s, std::mt19937& rng) {
       j.spec.resources.acpn = static_cast<int>(rng() % 2);
       j.submit_time = s.now;
       s.jobs.emplace(j.id, j);
-      s.feed.touch(j.id);
+      s.touch(j.id);
       break;
     }
     case 2:
@@ -162,7 +181,7 @@ void mutate(ModelServer& s, std::mt19937& rng) {
         info.state = torque::JobState::kRunning;
         info.start_time = s.now;
         info.compute_hosts = {host};
-        s.feed.touch(id);
+        s.touch(id);
         break;
       }
       break;
@@ -173,7 +192,7 @@ void mutate(ModelServer& s, std::mt19937& rng) {
         info.state = torque::JobState::kComplete;
         info.end_time = s.now;
         for (const auto& h : info.compute_hosts) s.nodes.release(h, id);
-        s.feed.touch(id);
+        s.touch(id);
         break;
       }
       break;
@@ -182,7 +201,7 @@ void mutate(ModelServer& s, std::mt19937& rng) {
       for (auto it = s.jobs.rbegin(); it != s.jobs.rend(); ++it) {
         if (it->second.state != torque::JobState::kQueued) continue;
         it->second.spec.priority = static_cast<int>(rng() % 9);
-        s.feed.touch(it->first);
+        s.touch(it->first);
         break;
       }
       break;
@@ -247,20 +266,65 @@ void run_stream(std::uint32_t seed) {
   }
 
   QueueMirror mirror;  // the incremental consumer under test
-  const int fetches = 6 + static_cast<int>(rng() % 6);
-  for (int f = 0; f < fetches; ++f) {
-    const int burst = 1 + static_cast<int>(rng() % 7);
-    for (int e = 0; e < burst; ++e) mutate(server, rng);
-
-    // Every ~4th fetch forces a rescan, like SchedulerConfig::
-    // full_rescan_every does; the rescan must be a no-op on the fold.
-    const bool force_full = f != 0 && (f % 4) == 0;
-    mirror.apply(round_trip(server.fetch(mirror.epoch(), force_full)));
-
+  const auto expect_current = [&](const char* what, int cycle) {
     QueueMirror oracle;
     oracle.apply(round_trip(server.reference()));
-    ASSERT_TRUE(mirrors_equal(mirror, oracle))
-        << "after fetch " << f << (force_full ? " (forced full)" : "");
+    return mirrors_equal(mirror, oracle) ? ::testing::AssertionSuccess()
+                                         : ::testing::AssertionFailure()
+                                               << what << " in cycle "
+                                               << cycle;
+  };
+  // First contact: a fresh mirror's fetch is served full.
+  ASSERT_TRUE(mirror.apply(round_trip(server.fetch(mirror.epoch(), false))));
+  ASSERT_TRUE(expect_current("first fetch", -1));
+  (void)mirror.take_changed();
+
+  const int cycles = 6 + static_cast<int>(rng() % 6);
+  const int lost_at = static_cast<int>(rng() % static_cast<unsigned>(cycles));
+  std::vector<torque::SchedDelta> seen;  // every delta folded, for replays
+  for (int c = 0; c < cycles; ++c) {
+    // Between cycles the server pushes one delta per wake; the cycle's
+    // reply ends with one more. Each continues the epoch sequence.
+    const int deltas = 2 + static_cast<int>(rng() % 4);
+    for (int k = 0; k < deltas; ++k) {
+      const int burst = 1 + static_cast<int>(rng() % 4);
+      for (int e = 0; e < burst; ++e) mutate(server, rng);
+      const auto d = round_trip(server.push());
+      ASSERT_FALSE(d.full);
+      ASSERT_TRUE(mirror.apply(d)) << "delta " << k << " of cycle " << c;
+      ASSERT_TRUE(expect_current("pushed delta", c));
+      // A late copy of any delta already folded is stale: ignored.
+      if (!seen.empty()) {
+        ASSERT_FALSE(mirror.apply(seen[rng() % seen.size()]));
+        ASSERT_TRUE(expect_current("stale replay", c));
+      }
+      seen.push_back(d);
+    }
+    // The cycle re-evaluates what one fetch over the span would carry.
+    ASSERT_EQ(mirror.take_changed(), std::exchange(server.span, {}))
+        << "cycle " << c;
+
+    if (c == lost_at) {
+      // A lost wake: the next delta skips an epoch and is not folded, nor
+      // is any later one, until a full fetch repairs the mirror.
+      mutate(server, rng);
+      (void)server.push();
+      for (int k = 0; k < 2; ++k) {
+        mutate(server, rng);
+        ASSERT_FALSE(mirror.apply(round_trip(server.push())));
+        ASSERT_TRUE(mirror.needs_full());
+      }
+      ASSERT_TRUE(
+          mirror.apply(round_trip(server.fetch(mirror.epoch(), true))));
+      ASSERT_FALSE(mirror.needs_full());
+      ASSERT_TRUE(expect_current("full fetch after a gap", c));
+    } else if (c % 4 == 3) {
+      // The rescan backstop, like SchedulerConfig::full_rescan_every: a
+      // no-op on the fold.
+      ASSERT_TRUE(
+          mirror.apply(round_trip(server.fetch(mirror.epoch(), true))));
+      ASSERT_TRUE(expect_current("forced full", c));
+    }
   }
 
   // Scheduler restart: a fresh mirror opens with epoch 0, which must force

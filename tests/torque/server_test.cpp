@@ -181,30 +181,82 @@ TEST_F(ServerTest, NodeRegistrationVisibleInStat) {
   ASSERT_EQ(nodes.size(), 2u);
 }
 
+// The server pushes the scheduler its state: a wake carries the delta since
+// the last one, and goes out only when the scheduler could act on it. A
+// reply to the scheduler ends with the delta as of that reply.
 TEST_F(ServerTest, SchedulerWakeOnSubmit) {
-  // Register a fake scheduler and expect a wake after a submission.
+  register_node("cn0", NodeKind::kCompute, 8, {1, 50});
   auto sched_ep = cluster_.node(1).open_endpoint();
   util::ByteWriter reg;
   reg.put<std::int32_t>(sched_ep->address().node);
   reg.put<std::int32_t>(sched_ep->address().port);
   (void)rpc::call(cluster_.node(1), server_->address(),
                   MsgType::kRegisterScheduler, std::move(reg).take());
-  // Registration itself triggers one wake; drain it.
-  (void)sched_ep->recv_for(1000ms);
-  // Wakes are edge-triggered: the server holds further wakes until the
-  // scheduler fetches state (which disarms the gate), so a real scheduler
-  // gets exactly one wake per fetch no matter how many events pile up.
-  (void)submit_simple();
-  EXPECT_FALSE(sched_ep->recv_for(50ms).has_value());  // still coalesced
+  // Nothing queued: registering wakes nobody.
+  EXPECT_FALSE(sched_ep->recv_for(50ms).has_value());
   util::ByteWriter fetch;
   fetch.put<std::uint64_t>(0);  // epoch
   fetch.put_bool(true);         // force_full
-  (void)rpc::call(cluster_.node(1), server_->address(), MsgType::kGetSched,
-                  std::move(fetch).take());
-  (void)submit_simple();
-  auto wake = sched_ep->recv_for(1000ms);
-  ASSERT_TRUE(wake.has_value());
-  EXPECT_EQ(wake->type, as_u32(MsgType::kSchedWake));
+  const auto full_reply =
+      rpc::call(cluster_.node(1), server_->address(), MsgType::kGetSched,
+                std::move(fetch).take());
+  util::ByteReader full_r(full_reply);
+  const auto epoch = get_sched_delta(full_r).epoch;
+
+  const auto wake_delta = [&] {
+    auto wake = sched_ep->recv_for(1000ms);
+    EXPECT_TRUE(wake.has_value());
+    if (!wake) return SchedDelta{};
+    EXPECT_EQ(wake->type, as_u32(MsgType::kSchedWake));
+    const auto req = svc::parse_request(*wake);
+    util::ByteReader r(req.body);
+    return get_sched_delta(r);
+  };
+  const auto state_in = [](const SchedDelta& d, JobId id) {
+    for (const auto& j : d.jobs) {
+      if (j.id == id) return std::optional<JobState>(j.state);
+    }
+    return std::optional<JobState>();
+  };
+
+  // A submit: one wake whose delta holds the job, at the next epoch.
+  const auto first = submit_simple("app");
+  const auto woke = wake_delta();
+  EXPECT_EQ(woke.epoch, epoch + 1);
+  EXPECT_FALSE(woke.full);
+  EXPECT_EQ(state_in(woke, first), JobState::kQueued);
+  EXPECT_FALSE(sched_ep->recv_for(50ms).has_value());
+
+  // A RUN_JOB reply's delta shows its own start as RUNNING.
+  util::ByteWriter w;
+  put_run_starts(w, {{.job = first, .compute = {"cn0"}}});
+  const auto run_reply = rpc::call(cluster_.node(1), server_->address(),
+                                   MsgType::kRunJob, std::move(w).take());
+  util::ByteReader run_r(run_reply);
+  ASSERT_EQ(run_r.get<std::uint32_t>(), 1u);
+  EXPECT_TRUE(run_r.get_bool());
+  const auto ran = get_sched_delta(run_r);
+  EXPECT_EQ(ran.epoch, epoch + 2);
+  EXPECT_EQ(state_in(ran, first), JobState::kRunning);
+  ASSERT_EQ(ran.nodes.size(), 1u);
+  EXPECT_EQ(ran.nodes[0].used, 1);
+
+  // A completion with nothing queued and no dynget pending wakes nobody...
+  util::ByteWriter done;
+  done.put<std::uint64_t>(first);
+  done.put<std::int32_t>(kExitOk);
+  rpc::notify(*sched_ep, server_->address(), MsgType::kJobComplete,
+              std::move(done).take());
+  EXPECT_FALSE(sched_ep->recv_for(50ms).has_value());
+
+  // ...and its change rides in the next wake's delta.
+  const auto second = submit_simple("app");
+  const auto next = wake_delta();
+  EXPECT_EQ(next.epoch, epoch + 3);
+  EXPECT_EQ(state_in(next, first), JobState::kComplete);
+  EXPECT_EQ(state_in(next, second), JobState::kQueued);
+  ASSERT_EQ(next.nodes.size(), 1u);
+  EXPECT_EQ(next.nodes[0].used, 0);
 }
 
 TEST_F(ServerTest, RunJobAllocatesAndEmptyProgramCompletes) {
