@@ -68,9 +68,7 @@ RunResult run(bool elastic_on, std::size_t nodes, std::size_t requesters) {
   // 1,000 moms at the 25 ms test cadence would drown the event stream.
   cfg.timing.mom_heartbeat_interval = std::chrono::milliseconds(1000);
   if (elastic_on) {
-    cfg.elastic_policy = std::make_shared<elastic::ShrinkUnderPressurePolicy>(
-        elastic::ShrinkUnderPressurePolicy::Config{.queue_threshold = 1,
-                                                   .min_wait_s = 0.0});
+    cfg.elastic_policy = std::make_shared<elastic::ShrinkUnderPressurePolicy>();
   }
   core::DacCluster cluster(cfg);
 
@@ -80,7 +78,7 @@ RunResult run(bool elastic_on, std::size_t nodes, std::size_t requesters) {
   double useful_ac_seconds = 0.0;
 
   // Hog: grabs its share of the pool and idles on it. With elasticity it
-  // registers shrinkable and hands sets back as the broker reclaims them;
+  // registers shrinkable and hands sets back as the server reclaims them;
   // without, it holds everything until the stream is over.
   cluster.register_program("hog", [&](core::JobContext& ctx) {
     util::ByteReader r(ctx.info().program_args);

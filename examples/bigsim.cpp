@@ -4,15 +4,18 @@
 // growers — through the full TORQUE/Maui pipeline in virtual time, and
 // reports virtual-vs-wall speedup to BENCH_sim_scale.json.
 //
-//   ./bigsim [nodes] [jobs]      (defaults: 1000 1000 ... see below)
+//   ./bigsim [nodes] [jobs]      (defaults: 1000 10000; --help for usage)
 //
 // The whole point is that minutes of simulated cluster time cost seconds of
 // wall time: the clock only moves when every daemon thread is parked, so a
 // 250 ms heartbeat interval across 1,000 moms costs exactly as many wall
 // microseconds as the wakeups themselves need.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -24,6 +27,22 @@ using namespace dac;
 namespace {
 
 constexpr const char* kGrowerProgram = "bigsim.grower";
+
+// Three nodes is the smallest cluster that runs a job: the head, one
+// compute front-end and one accelerator.
+constexpr const char* kUsage =
+    "usage: bigsim [nodes] [jobs]\n"
+    "  nodes  cluster size including the head node, >= 3 (default 1000)\n"
+    "  jobs   jobs to push through the cluster, >= 1 (default 10000)\n";
+
+// The decimal count `arg` spells out in full, or nullopt.
+std::optional<std::size_t> parse_count(const char* arg) {
+  std::size_t value = 0;
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 // A malleable job: runs briefly, asks the scheduler for one more compute
 // node mid-flight (rejections are a normal outcome at this load), and
@@ -41,17 +60,12 @@ util::Bytes sleep_args(std::uint64_t ms) {
   return std::move(w).take();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// Boots the cluster, runs the jobs, writes BENCH_sim_scale.json; the exit
+// status.
+int run(std::size_t nodes, std::size_t jobs) {
   // This example IS the virtual-time showcase: force DiscreteEvent no
   // matter what DACSCHED_CLOCK says.
   simtime::Clock::instance().set_mode(simtime::Mode::kDiscreteEvent);
-
-  const std::size_t nodes =
-      argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 1000;
-  const std::size_t jobs =
-      argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 10000;
 
   core::DacClusterConfig cfg = core::DacClusterConfig::fast();
   // Split the non-head nodes 1:8 between compute front-ends (np=8 each) and
@@ -161,3 +175,21 @@ int main(int argc, char** argv) {
       static_cast<double>(events) / wall_seconds);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && (std::string_view(argv[1]) == "--help" ||
+                   std::string_view(argv[1]) == "-h")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const auto nodes = argc > 1 ? parse_count(argv[1]) : 1000;
+  const auto jobs = argc > 2 ? parse_count(argv[2]) : 10000;
+  if (argc > 3 || !nodes || *nodes < 3 || !jobs || *jobs < 1) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  return run(*nodes, *jobs);
+}
+

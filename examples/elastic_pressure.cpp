@@ -22,10 +22,8 @@ using namespace std::chrono_literals;
 int main() {
   auto config = core::DacClusterConfig::paper_testbed(2, 2);
   // Shrink as soon as one dynget is queued and cannot be served from free
-  // capacity; min_wait 0 keeps the demo snappy.
-  config.elastic_policy = std::make_shared<elastic::ShrinkUnderPressurePolicy>(
-      elastic::ShrinkUnderPressurePolicy::Config{.queue_threshold = 1,
-                                                 .min_wait_s = 0.0});
+  // capacity.
+  config.elastic_policy = std::make_shared<elastic::ShrinkUnderPressurePolicy>();
   core::DacCluster cluster(config);
 
   std::atomic<bool> hog_ready{false};

@@ -6,52 +6,45 @@ namespace dac::elastic {
 
 std::vector<Action> ExpandIdlePolicy::evaluate(
     const PoolPressure& pressure, const std::vector<JobView>& jobs,
-    const std::vector<DynDemand>& demand) {
-  std::vector<Action> out;
+    const DynQueue& demand) {
   // Queued demand outranks speculative growth: whatever is free belongs to
   // the dynget queue first.
-  if (!demand.empty()) return out;
-  int free_accel = pressure.free_accel;
-  int free_compute = pressure.free_compute;
+  if (!demand.empty()) return {};
   for (const auto& jv : jobs) {  // JobViews arrive sorted by job id
-    if (static_cast<int>(out.size()) >= config_.max_offers_per_cycle) break;
     if (!jv.can_grow || jv.offer_pending || jv.appetite <= 0) continue;
-    int& budget = jv.grow_kind == torque::NodeKind::kAccelerator
-                      ? free_accel
-                      : free_compute;
-    const int grant = std::min<int>(jv.appetite, budget);
+    const int free = jv.grow_kind == torque::NodeKind::kAccelerator
+                         ? pressure.free_accel
+                         : pressure.free_compute;
+    const int grant = std::min<int>(jv.appetite, free);
     if (grant <= 0) continue;
     Action a;
     a.proposal.job = jv.job;
     a.proposal.kind = OfferKind::kGrow;
     a.proposal.count = grant;
     a.proposal.node_kind = jv.grow_kind;
-    budget -= grant;
-    out.push_back(a);
+    return {a};  // one offer per cycle bounds the negotiation fan-out
   }
-  return out;
+  return {};
 }
 
 std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
     const PoolPressure& pressure, const std::vector<JobView>& jobs,
-    const std::vector<DynDemand>& demand) {
+    const DynQueue& demand) {
   std::vector<Action> out;
-  if (pressure.queued_dyn < config_.queue_threshold || demand.empty()) {
-    return out;
-  }
+  if (demand.empty()) return out;
   // Walk the FIFO the way service_dynamic will: free capacity serves
   // requests in order (budgeted at their full count — conservative, an
   // unnecessary deferral just costs one skipped cycle); whatever does not
   // fit is starved.
   int avail_accel = pressure.free_accel;
   int avail_compute = pressure.free_compute;
-  std::vector<const DynDemand*> starved;
+  std::vector<const torque::DynQueueEntry*> starved;
   for (const auto& d : demand) {
     int& avail = d.kind == torque::NodeKind::kAccelerator ? avail_accel
                                                           : avail_compute;
     if (avail >= d.min_count) {
       avail -= std::min(d.count, avail);
-    } else if (d.waited_s >= config_.min_wait_s) {
+    } else {
       starved.push_back(&d);
     }
   }
@@ -59,7 +52,7 @@ std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
   // Strictly the first starved request drives victim selection: servicing
   // it unblocks the queue, and one new negotiation per cycle keeps the
   // reclaim story deterministic.
-  const DynDemand& head = *starved.front();
+  const torque::DynQueueEntry& head = *starved.front();
   // A shrink already in flight (ours, from an earlier cycle) also counts as
   // reclaiming: its freed capacity is coming even if we add no victim now.
   bool reclaiming =
@@ -67,8 +60,10 @@ std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
         return jv.can_shrink && jv.offer_pending;
       });
   for (const auto& jv : jobs) {
-    if (!jv.can_shrink || jv.offer_pending || jv.job == head.job) continue;
-    if (jv.shrinkable_sets.empty() || jv.newest_set_size <= 0) continue;
+    if (!jv.can_shrink || jv.offer_pending || jv.job == head.job ||
+        jv.newest_set_size <= 0) {
+      continue;
+    }
     Action a;
     a.proposal.job = jv.job;
     a.proposal.kind = OfferKind::kShrink;
@@ -98,7 +93,7 @@ std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
 
 std::vector<Action> BalancedPolicy::evaluate(
     const PoolPressure& pressure, const std::vector<JobView>& jobs,
-    const std::vector<DynDemand>& demand) {
+    const DynQueue& demand) {
   auto out = shrink_.evaluate(pressure, jobs, demand);
   auto grow = expand_.evaluate(pressure, jobs, demand);
   out.insert(out.end(), grow.begin(), grow.end());

@@ -1,39 +1,28 @@
 // Pluggable utilization policies driving the elastic negotiation from the
-// Maui side. Each scheduling cycle the scheduler feeds the policy the pool
-// pressure (free capacity vs. dynamic-queue backlog) and the per-job
-// elasticity views from the queue snapshot; the policy answers with
-// proposals to send to the server (kElastPropose) and — for shrink
-// proposals aimed at a specific starved dynget — which dynamic request to
-// defer instead of rejecting while the negotiation runs.
+// Maui side. Each scheduling cycle the scheduler feeds the policy the free
+// pool, the per-job elasticity views and the dynamic-request FIFO from the
+// queue snapshot; the policy answers with proposals to send to the server
+// (kElastPropose) and — for shrink proposals aimed at a specific starved
+// dynget — which dynamic request to defer instead of rejecting while the
+// negotiation runs.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "elastic/protocol.hpp"
+#include "torque/sched_feed.hpp"
 
 namespace dac::elastic {
 
-// One queued dynamic request as the policy sees it (a torque-free projection
-// of the snapshot's DynQueueEntry, FIFO order preserved).
-struct DynDemand {
-  std::uint64_t dyn_id = 0;
-  torque::JobId job = torque::kInvalidJob;
-  std::int32_t count = 0;
-  std::int32_t min_count = 0;
-  torque::NodeKind kind = torque::NodeKind::kAccelerator;
-  double waited_s = 0.0;  // time since arrival, server seconds
-  // Requester's trace context: a proposal made on this demand's behalf joins
-  // its trace, so the whole negotiation shows up in one causal tree.
-  std::uint64_t trace_id = 0;
-  std::uint64_t origin_span = 0;
-};
+// The queued dynamic requests, FIFO, as the snapshot ships them. A proposal
+// made on a request's behalf joins the request's trace, so the whole
+// negotiation shows up in one causal tree.
+using DynQueue = std::vector<torque::DynQueueEntry>;
 
 struct PoolPressure {
-  double now = 0.0;      // server seconds
   int free_accel = 0;    // free accelerator nodes (kUp only)
   int free_compute = 0;  // free compute slots (kUp only)
-  int queued_dyn = 0;    // dynamic-queue length
 };
 
 // One policy decision: the proposal to send, plus the dynamic request (if
@@ -53,64 +42,40 @@ class Policy {
   virtual ~Policy() = default;
   [[nodiscard]] virtual std::vector<Action> evaluate(
       const PoolPressure& pressure, const std::vector<JobView>& jobs,
-      const std::vector<DynDemand>& demand) = 0;
+      const DynQueue& demand) = 0;
 };
 
 // Expands jobs with registered appetite while capacity idles and nobody is
 // waiting: pre-grants what a dynget would get anyway, saving the round trip.
-// Never grows past pending demand — queued dyngets always come first.
+// Never grows past pending demand — queued dyngets always come first. One
+// offer per cycle bounds the negotiation fan-out.
 class ExpandIdlePolicy : public Policy {
  public:
-  struct Config {
-    int max_offers_per_cycle = 1;  // bound per-cycle negotiation fan-out
-  };
-  ExpandIdlePolicy() = default;
-  explicit ExpandIdlePolicy(Config config) : config_(config) {}
-
   [[nodiscard]] std::vector<Action> evaluate(
       const PoolPressure& pressure, const std::vector<JobView>& jobs,
-      const std::vector<DynDemand>& demand) override;
-
- private:
-  Config config_;
+      const DynQueue& demand) override;
 };
 
-// Shrinks an over-provisioned job when the dynamic queue backs up past a
-// threshold and the free pool cannot satisfy the head request: proposes
-// reclaiming the newest dynamic set of the first shrinkable job (never the
-// requester itself) and defers the starved request while the negotiation
-// runs. While any reclaim is in flight, every other starved request of the
+// Shrinks an over-provisioned job when a queued dynget starves, i.e. the
+// free pool cannot satisfy it: proposes reclaiming the newest dynamic set of
+// the first shrinkable job (never the requester itself) and defers the
+// starved request while the negotiation runs. While any reclaim is in flight, every other starved request of the
 // same kind is deferred too (defer-only actions) — reclaimed capacity is
 // coming, so a final reject now would waste it on an empty queue. No
 // victim, nack, or timeout all fall back to the normal reject.
 class ShrinkUnderPressurePolicy : public Policy {
  public:
-  struct Config {
-    int queue_threshold = 1;  // dynqueue length that counts as backed up
-    double min_wait_s = 0.0;  // head request must have starved this long
-  };
-  ShrinkUnderPressurePolicy() = default;
-  explicit ShrinkUnderPressurePolicy(Config config) : config_(config) {}
-
   [[nodiscard]] std::vector<Action> evaluate(
       const PoolPressure& pressure, const std::vector<JobView>& jobs,
-      const std::vector<DynDemand>& demand) override;
-
- private:
-  Config config_;
+      const DynQueue& demand) override;
 };
 
 // Both of the above: reclaim under pressure, pre-grant when idle.
 class BalancedPolicy : public Policy {
  public:
-  BalancedPolicy() = default;
-  BalancedPolicy(ShrinkUnderPressurePolicy::Config shrink,
-                 ExpandIdlePolicy::Config expand)
-      : shrink_(shrink), expand_(expand) {}
-
   [[nodiscard]] std::vector<Action> evaluate(
       const PoolPressure& pressure, const std::vector<JobView>& jobs,
-      const std::vector<DynDemand>& demand) override;
+      const DynQueue& demand) override;
 
  private:
   ShrinkUnderPressurePolicy shrink_;

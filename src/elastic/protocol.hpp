@@ -164,10 +164,11 @@ struct JobView {
   bool can_shrink = false;
   torque::NodeKind grow_kind = torque::NodeKind::kAccelerator;
   std::int32_t appetite = 0;
-  bool offer_pending = false;  // pending or draining negotiation
-  // Dynamic sets the job could shed, oldest first (release is LIFO, so only
-  // the newest is actually offerable — but the count shows total slack).
-  std::vector<std::uint64_t> shrinkable_sets;
+  // A scheduler-started change is in flight: an offer awaiting its ack, or
+  // an accepted shrink whose release has not completed.
+  bool offer_pending = false;
+  // Hosts in the newest dynamic set, the one a shrink would offer (sets
+  // release LIFO); 0 when the job holds none.
   std::int32_t newest_set_size = 0;
 };
 
@@ -178,7 +179,6 @@ inline void put_job_view(util::ByteWriter& w, const JobView& v) {
   w.put_enum(v.grow_kind);
   w.put<std::int32_t>(v.appetite);
   w.put_bool(v.offer_pending);
-  w.put_vector<std::uint64_t>(v.shrinkable_sets);
   w.put<std::int32_t>(v.newest_set_size);
 }
 
@@ -190,7 +190,6 @@ inline JobView get_job_view(util::ByteReader& r) {
   out.grow_kind = r.get_enum<torque::NodeKind>();
   out.appetite = r.get<std::int32_t>();
   out.offer_pending = r.get_bool();
-  out.shrinkable_sets = r.get_vector<std::uint64_t>();
   out.newest_set_size = r.get<std::int32_t>();
   return out;
 }

@@ -152,7 +152,6 @@ void MauiScheduler::service_elastic(vnet::Process& proc,
   });
 
   elastic::PoolPressure pressure;
-  pressure.now = snap.now;
   for (const auto& n : nodes) {
     if (n.free < 1) continue;
     if (n.kind == torque::NodeKind::kAccelerator) {
@@ -161,25 +160,9 @@ void MauiScheduler::service_elastic(vnet::Process& proc,
       ++pressure.free_compute;
     }
   }
-  pressure.queued_dyn = static_cast<int>(snap.dyn.size());
-
-  std::vector<elastic::DynDemand> demand;
-  demand.reserve(snap.dyn.size());
-  for (const auto& d : snap.dyn) {
-    elastic::DynDemand dd;
-    dd.dyn_id = d.dyn_id;
-    dd.job = d.job;
-    dd.count = d.count;
-    dd.min_count = d.min_count;
-    dd.kind = d.kind;
-    dd.waited_s = std::max(0.0, snap.now - d.arrival);
-    dd.trace_id = d.trace_id;
-    dd.origin_span = d.origin_span;
-    demand.push_back(dd);
-  }
 
   const auto actions =
-      config_.elastic_policy->evaluate(pressure, snap.elastic, demand);
+      config_.elastic_policy->evaluate(pressure, snap.elastic, snap.dyn);
   if (actions.empty()) return;
   const svc::Caller caller(proc, config_.server, config_.retry);
   // try_emplace: a deferral window starts at the request's first deferral

@@ -20,12 +20,12 @@ enum class MsgType : std::uint32_t {
   kStatNodes,                 // -> vector<NodeStatus>
   kDeleteJob,                 // job id -> ok
   kAlterJob,                  // job id + attribute updates (qalter)
-  kDynGet,                    // job id, count, collective -> DynGetReply
+  kDynGet,                    // job id, count, min count, kind -> DynGetReply
   kDynFree,                   // job id, client id -> ok
   kRegisterNode,              // NodeStatus (from mom at startup)
   kRegisterScheduler,         // scheduler endpoint announces itself
   kJobStarted,                // MS -> server: job id
-  kJobComplete,               // MS -> server: job id
+  kJobComplete,               // MS -> server: job id, exit status
   kMsReleaseDone,             // MS -> server: disjoin finished (client id)
   kStatJob,                   // job id -> found flag + JobInfo
   kWaitJob,                   // job id, state, budget -> held until reached

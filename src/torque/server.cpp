@@ -240,8 +240,8 @@ void PbsServer::flush_wake() {
   wake_wanted_ = false;
   // A scheduler with nothing to start, grant or negotiate would run an
   // empty cycle; what changed reaches it in the next delta instead.
-  const bool can_act = queued_jobs_ > 0 || !dyn_fifo_.empty() ||
-                       !elastic_.registrations().empty();
+  const bool can_act =
+      queued_jobs_ > 0 || queued_dyns_ > 0 || !agents_.empty();
   if (!scheduler_known_ || !can_act) return;
   util::ByteWriter w;
   put_delta(w);
@@ -378,29 +378,6 @@ void PbsServer::on_stat_nodes(const rpc::Request& req, svc::Responder& resp) {
   resp.ok(std::move(w).take());
 }
 
-void PbsServer::reject_job_dyns(JobRecord& job) {
-  // Reject waiting requests first: finish_dyn on the active one activates
-  // the next waiter, which would put it back in the scheduler's queue.
-  while (!job.dyn_waiting.empty()) {
-    const auto waiting_id = job.dyn_waiting.front();
-    job.dyn_waiting.pop_front();
-    if (auto dit = dyn_.find(waiting_id); dit != dyn_.end()) {
-      DynGetReply reply;  // rejected
-      util::ByteWriter w;
-      put_dynget_reply(w, reply);
-      dit->second.responder.ok(std::move(w).take());
-      dyn_.erase(dit);
-    }
-  }
-  if (job.dyn_active != 0) {
-    if (auto dit = dyn_.find(job.dyn_active); dit != dyn_.end()) {
-      DynGetReply reply;  // rejected
-      finish_dyn(dit->second, reply);
-    }
-    job.dyn_active = 0;
-  }
-}
-
 void PbsServer::fail_jobs_on(const std::string& hostname) {
   // A compute node died: jobs it mother-superiors (or computes for) cannot
   // finish on it. With job_requeue_limit > 0 the job goes back to kQueued
@@ -416,19 +393,9 @@ void PbsServer::fail_jobs_on(const std::string& hostname) {
     if (std::find(hosts.begin(), hosts.end(), hostname) == hosts.end()) {
       continue;
     }
-    if (rec.ms_valid) {
-      // Tell the mother superior to tear the job down. If the MS itself is
-      // the dead node the message lands in a dead mailbox — harmless.
-      util::ByteWriter w;
-      w.put<std::uint64_t>(id);
-      rpc::notify(*endpoint_, rec.ms, MsgType::kMomKillJob,
-                  std::move(w).take());
-      rec.ms_valid = false;
-    }
-    nodes_.release_all(id);
-    elastic_.cancel_job(id);  // reservations freed by release_all above
-    rec.releasing.clear();
-    reject_job_dyns(rec);
+    // If the mother superior itself is the dead node, the kill lands in a
+    // dead mailbox — harmless.
+    end_job(id, rec, /*kill=*/true);
     rec.dyn_sets.clear();
     rec.info.compute_hosts.clear();
     rec.info.accel_hosts.clear();
@@ -450,8 +417,6 @@ void PbsServer::fail_jobs_on(const std::string& hostname) {
       rec.info.end_time = now_s();
       record_event(MsgType::kEvJobFailed);
     }
-    touch_job(id);
-    wake_scheduler();
   }
 }
 
@@ -478,17 +443,23 @@ void PbsServer::reclaim_accel_slots(const std::string& hostname) {
       reclaimed = true;
     }
   }
-  // Elastic offers touching the dead host cannot complete. Grow
-  // reservations are not in any job host list (the loop above never sees
-  // them), so release every reserved slot here — including those on hosts
-  // that are still alive.
-  for (const auto& offer : elastic_.cancel_on_host(hostname)) {
-    if (offer.kind == elastic::OfferKind::kGrow) {
-      for (const auto& h : offer.hosts) nodes_.release(h, offer.job);
+  // Offers naming the dead host cannot complete. Grow reservations are not
+  // in any job host list (the loop above never sees them), so the revert
+  // frees every reserved slot — including those on hosts that are still
+  // alive. A release in flight stays: the mother superior still answers
+  // MS_RELEASE_DONE once the dead sister's DISJOIN_JOB times out.
+  for (auto op = ops_.begin(); op != ops_.end();) {
+    if (op->stage != SetOp::Stage::kOffered ||
+        std::find(op->hosts.begin(), op->hosts.end(), hostname) ==
+            op->hosts.end()) {
+      ++op;
+      continue;
     }
+    revert_offer(*op);
     kLog.warn("elastic offer {} for job {} cancelled: node '{}' down",
-              offer.id, offer.job, hostname);
+              op->offer_id, op->job, hostname);
     reclaimed = true;
+    op = erase_op(op);
   }
   if (reclaimed) wake_scheduler();
 }
@@ -502,22 +473,11 @@ void PbsServer::on_delete_job(const rpc::Request& req, svc::Responder& resp) {
     return;
   }
   auto& rec = it->second;
-  if (rec.info.state == JobState::kRunning ||
-      rec.info.state == JobState::kDynQueued) {
-    if (rec.ms_valid) {
-      util::ByteWriter w;
-      w.put<std::uint64_t>(id);
-      rpc::notify(*endpoint_, rec.ms, MsgType::kMomKillJob, std::move(w).take());
-    }
-    nodes_.release_all(id);
-  }
-  elastic_.cancel_job(id);  // reservations freed by release_all above
   if (rec.info.state == JobState::kQueued) --queued_jobs_;
+  end_job(id, rec, /*kill=*/true);
   rec.info.state = JobState::kCancelled;
   rec.info.end_time = now_s();
-  touch_job(id);
   resp.ok();
-  wake_scheduler();
 }
 
 void PbsServer::on_alter_job(const rpc::Request& req, svc::Responder& resp) {
@@ -549,13 +509,8 @@ void PbsServer::on_dynget(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto job_id = r.get<std::uint64_t>();
   const auto count = r.get<std::int32_t>();
-  // Older callers omit min_count; default to all-or-nothing.
-  const auto min_count = r.remaining() >= sizeof(std::int32_t)
-                             ? r.get<std::int32_t>()
-                             : count;
-  const auto kind = r.remaining() >= sizeof(std::uint8_t)
-                        ? r.get_enum<NodeKind>()
-                        : NodeKind::kAccelerator;
+  const auto min_count = r.get<std::int32_t>();
+  const auto kind = r.get_enum<NodeKind>();
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) {
     resp.error(ReplyCode::kUnknownJob, "dynget: no such job");
@@ -570,79 +525,36 @@ void PbsServer::on_dynget(const rpc::Request& req, svc::Responder& resp) {
     resp.error(ReplyCode::kBadRequest, "dynget: need 0 < min_count <= count");
     return;
   }
-  auto& rec = it->second;
 
-  DynRecord dyn;
-  dyn.id = next_dyn_id_++;
-  dyn.job = job_id;
-  dyn.count = count;
-  dyn.min_count = min_count;
-  dyn.kind = kind;
-  // Requester's trace context: the scheduler's grant/reject decision span
-  // joins this trace via the queue snapshot.
-  dyn.trace_id = req.ctx.trace;
-  dyn.origin_span = req.ctx.span;
+  SetOp op;
+  op.job = job_id;
+  // The requester's trace context rides in the queue snapshot, so the
+  // scheduler's grant/reject decision span joins its trace.
+  op.entry = DynQueueEntry{.dyn_id = next_dyn_id_++,
+                           .job = job_id,
+                           .count = count,
+                           .min_count = min_count,
+                           .kind = kind,
+                           .arrival = now_s(),
+                           .trace_id = req.ctx.trace,
+                           .origin_span = req.ctx.span};
+  // Deferred reply: finish_dynget completes the Responder once the
+  // scheduler has decided, or end_job if the job ends first.
+  op.responder = resp;
+  op.arrival_ns = steady_ns();
+  const auto dyn_id = op.entry.dyn_id;
   trace::note("job", std::to_string(job_id));
-  trace::note("dyn", std::to_string(dyn.id));
-  // Deferred reply: the Responder is completed by finish_dyn once the
-  // scheduler has decided (or the job dies first).
-  dyn.responder = resp;
-  dyn.arrival_ns = steady_ns();
-  dyn.arrival_s = now_s();
-  const auto dyn_id = dyn.id;
-  dyn_.emplace(dyn_id, dyn);
-
-  // The paper's server services one dynamic request at a time per job;
-  // later requests wait at the server (§III-D). So do requests that arrive
-  // while a set the job freed is still being released.
-  if (rec.dyn_active != 0 || !rec.releasing.empty()) {
-    rec.dyn_waiting.push_back(dyn_id);
-    kLog.debug("dyn {} for job {} waits (active dyn {}, {} release(s))",
-               dyn_id, job_id, rec.dyn_active, rec.releasing.size());
+  trace::note("dyn", std::to_string(dyn_id));
+  const bool blocked = dynget_blocked(job_id);
+  const auto queued = ops_.insert(ops_.end(), std::move(op));
+  if (blocked) {
+    kLog.debug("dyn {} for job {} waits for the job's queued dyn or release",
+               dyn_id, job_id);
     return;
   }
-  rec.dyn_active = dyn_id;
-  rec.info.state = JobState::kDynQueued;
-  dyn_.at(dyn_id).active = true;
-  dyn_fifo_.push_back(dyn_id);
-  touch_job(job_id);
+  queue_dynget(queued, it->second);
   kLog.info("job {} dynqueued: +{} accelerators (dyn {})", job_id, count,
             dyn_id);
-  wake_scheduler();
-}
-
-void PbsServer::activate_next_dyn(JobRecord& job) {
-  job.dyn_active = 0;
-  if (job.info.state == JobState::kDynQueued) {
-    job.info.state = JobState::kRunning;
-  }
-  if (!job.releasing.empty()) return;
-  while (!job.dyn_waiting.empty()) {
-    const auto next_id = job.dyn_waiting.front();
-    job.dyn_waiting.pop_front();
-    auto it = dyn_.find(next_id);
-    if (it == dyn_.end()) continue;
-    job.dyn_active = next_id;
-    job.info.state = JobState::kDynQueued;
-    it->second.active = true;
-    dyn_fifo_.push_back(next_id);
-    wake_scheduler();
-    return;
-  }
-}
-
-void PbsServer::finish_dyn(DynRecord& dyn, const DynGetReply& reply) {
-  util::ByteWriter w;
-  put_dynget_reply(w, reply);
-  dyn.responder.ok(std::move(w).take());
-  std::erase(dyn_fifo_, dyn.id);
-  auto job_it = jobs_.find(dyn.job);
-  const auto dyn_id = dyn.id;
-  // Finishing a dyn flips the job's DYNQUEUED/RUNNING state (and a grant
-  // changed its host lists before calling here).
-  touch_job(dyn.job);
-  if (job_it != jobs_.end()) activate_next_dyn(job_it->second);
-  dyn_.erase(dyn_id);
 }
 
 void PbsServer::on_dynfree(const rpc::Request& req, svc::Responder& resp) {
@@ -655,15 +567,19 @@ void PbsServer::on_dynfree(const rpc::Request& req, svc::Responder& resp) {
     return;
   }
   auto& rec = it->second;
-  auto set = rec.dyn_sets.find(client_id);
-  if (set == rec.dyn_sets.end()) {
+  if (!rec.dyn_sets.contains(client_id)) {
     resp.error(ReplyCode::kBadRequest, "dynfree: unknown client id");
     return;
   }
   // Positive reply first; disassociation proceeds while the application
   // continues (paper §III-D).
   resp.ok();
-  (void)release_dyn_set(job_id, rec, client_id);
+  if (release_dyn_set(job_id, rec, client_id)) {
+    ops_.push_back(SetOp{.job = job_id,
+                         .grow = false,
+                         .stage = SetOp::Stage::kReleasing,
+                         .client_id = client_id});
+  }
 }
 
 bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
@@ -692,7 +608,6 @@ bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
     w.put<std::uint64_t>(client_id);
     put_host_refs(w, host_refs(live));
     rpc::notify(*endpoint_, rec.ms, MsgType::kMomRelease, std::move(w).take());
-    rec.releasing.insert(client_id);
     return true;
   }
   // No mother superior (already exiting) or nothing left alive: free
@@ -714,12 +629,22 @@ void PbsServer::on_ms_release_done(const rpc::Request& req) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
   auto& rec = it->second;
-  // The release is over, so requests that waited for it may go to the
-  // scheduler. It sees the slots freed below: this handler runs first.
-  rec.releasing.erase(client_id);
-  if (rec.dyn_active == 0 && rec.info.state == JobState::kRunning) {
-    activate_next_dyn(rec);
+  // The release is over, whether a dynfree or an accepted shrink started
+  // it, so dyngets that waited for it may go to the scheduler. It sees the
+  // slots freed below: this handler runs first.
+  for (auto op = ops_.begin(); op != ops_.end();) {
+    if (op->job != job_id || op->stage != SetOp::Stage::kReleasing ||
+        op->client_id != client_id) {
+      ++op;
+      continue;
+    }
+    if (op->by_scheduler) {
+      kLog.info("elastic shrink of job {} committed (offer {}, set {})",
+                job_id, op->offer_id, client_id);
+    }
+    op = erase_op(op);
   }
+  queue_next_dynget(job_id, rec);
   auto set = rec.dyn_sets.find(client_id);
   if (set == rec.dyn_sets.end()) return;
   for (const auto& h : set->second) nodes_.release(h, job_id);
@@ -730,12 +655,6 @@ void PbsServer::on_ms_release_done(const rpc::Request& req) {
   rec.dyn_sets.erase(set);
   touch_job(job_id);
   kLog.info("job {} released dynamic set {}", job_id, client_id);
-  // If this release completed an accepted elastic shrink, the negotiation is
-  // over: the offer stops blocking new proposals for the job.
-  if (const auto offer = elastic_.take_draining(job_id, client_id)) {
-    kLog.info("elastic shrink of job {} committed (offer {}, set {})",
-              job_id, offer->id, client_id);
-  }
   wake_scheduler();
 }
 
@@ -778,48 +697,32 @@ void PbsServer::on_job_started(const rpc::Request& req) {
 void PbsServer::on_job_complete(const rpc::Request& req) {
   util::ByteReader r(req.body);
   const auto id = r.get<std::uint64_t>();
-  const auto exit_status = r.remaining() >= sizeof(std::int32_t)
-                               ? r.get<std::int32_t>()
-                               : kExitOk;
+  const auto exit_status = r.get<std::int32_t>();
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return;
   auto& rec = it->second;
-  nodes_.release_all(id);
-  // Drop elastic state with the job. Grow reservations are assigned under
-  // the job id, so release_all above already freed them — no extra release.
-  elastic_.cancel_job(id);
+  end_job(id, rec, /*kill=*/false);
   rec.info.state = JobState::kComplete;
   rec.info.exit_status = exit_status;
   rec.info.end_time = now_s();
-  rec.ms_valid = false;
-  touch_job(id);
-  // Fail every dynamic request still pending for the departed job, waiting
-  // ones first so none is handed to the scheduler on the way.
-  rec.releasing.clear();
-  reject_job_dyns(rec);
   kLog.info("job {} complete", id);
-  wake_scheduler();
 }
 
 // ------------------------------------------------------------- scheduler
 
 std::vector<DynQueueEntry> PbsServer::dyn_entries() const {
   std::vector<DynQueueEntry> out;
-  out.reserve(dyn_fifo_.size());
-  for (const auto dyn_id : dyn_fifo_) {
-    const auto& d = dyn_.at(dyn_id);
-    out.push_back(DynQueueEntry{d.id, d.job, d.count, d.min_count, d.kind,
-                                d.arrival_s, d.trace_id, d.origin_span});
+  out.reserve(queued_dyns_);
+  for (const auto& op : ops_) {
+    if (op.stage == SetOp::Stage::kQueued) out.push_back(op.entry);
   }
   return out;
 }
 
 std::vector<elastic::JobView> PbsServer::elastic_views() const {
   std::vector<elastic::JobView> out;
-  for (const auto& [job_id, reg] : elastic_.registrations()) {
-    const auto jit = jobs_.find(job_id);
-    if (jit == jobs_.end()) continue;
-    const auto& rec = jit->second;
+  for (const auto& [job_id, reg] : agents_) {
+    const auto& rec = jobs_.at(job_id);
     if (rec.info.state != JobState::kRunning &&
         rec.info.state != JobState::kDynQueued) {
       continue;
@@ -830,15 +733,12 @@ std::vector<elastic::JobView> PbsServer::elastic_views() const {
     v.can_shrink = reg.can_shrink;
     v.grow_kind = reg.grow_kind;
     v.appetite = reg.appetite;
-    v.offer_pending = elastic_.offer_pending(job_id);
-    for (const auto& [cid, hosts] : rec.dyn_sets) {
-      v.shrinkable_sets.push_back(cid);
-    }
+    v.offer_pending = negotiating(job_id);
     if (!rec.dyn_sets.empty()) {
       v.newest_set_size =
           static_cast<std::int32_t>(rec.dyn_sets.rbegin()->second.size());
     }
-    out.push_back(std::move(v));
+    out.push_back(v);
   }
   return out;
 }
@@ -984,30 +884,28 @@ bool PbsServer::run_apply(const RunStart& start) {
 
 bool PbsServer::apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
                                 const std::vector<std::string>& hosts) {
-  auto dit = dyn_.find(dyn_id);
-  if (dit == dyn_.end()) return false;
-  auto& dyn = dit->second;
-  auto jit = jobs_.find(dyn.job);
-  if (jit == jobs_.end()) return false;
-  auto& rec = jit->second;
+  const auto op = find_queued(dyn_id);
+  if (op == ops_.end()) return false;
+  const auto job = op->job;
+  const auto& dyn = op->entry;
 
-  std::vector<std::pair<std::string, int>> applied;
+  std::vector<std::string> applied;
   bool ok = hosts.size() >= static_cast<std::size_t>(dyn.min_count) &&
             hosts.size() <= static_cast<std::size_t>(dyn.count);
   for (const auto& h : hosts) {
     if (!ok) break;
-    if (nodes_.assign(h, dyn.job, 1)) {
-      applied.emplace_back(h, 1);
+    if (nodes_.assign(h, job, 1)) {
+      applied.push_back(h);
     } else {
       ok = false;
     }
   }
   if (!ok) {
-    for (const auto& [h, slots] : applied) nodes_.release(h, dyn.job);
+    for (const auto& h : applied) nodes_.release(h, job);
     DynGetReply reply;  // rejected
     reply.queue_wait_seconds =
-        static_cast<double>(pickup_ns - dyn.arrival_ns) * 1e-9;
-    finish_dyn(dyn, reply);
+        static_cast<double>(pickup_ns - op->arrival_ns) * 1e-9;
+    finish_dynget(op, reply);
     return false;
   }
 
@@ -1021,53 +919,36 @@ bool PbsServer::apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
             "dyn {}: grant of {} outside [{}, {}]", dyn_id, hosts.size(),
             dyn.min_count, dyn.count);
 
-  const auto client_id = next_client_id_++;
-  rec.dyn_sets[client_id] = hosts;
-  rec.info.dyn_accel_hosts.insert(rec.info.dyn_accel_hosts.end(),
-                                  hosts.begin(), hosts.end());
-
-  const auto refs = host_refs(hosts);
-
-  // Forward the addition to the mother superior first, then answer the
-  // compute node with the client-id — the paper's ordering (§III-D).
-  if (rec.ms_valid) {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(dyn.job);
-    w.put<std::uint64_t>(dyn_id);
-    w.put<std::uint64_t>(client_id);
-    put_host_refs(w, refs);
-    rpc::notify(*endpoint_, rec.ms, MsgType::kMomDynAdd, std::move(w).take());
-  }
-
+  // The mother superior learns the set first, then the compute node gets
+  // its client-id — the paper's ordering (§III-D).
   DynGetReply reply;
   reply.granted = true;
-  reply.client_id = client_id;
-  for (const auto& ref : refs) {
+  reply.client_id = attach_set(job, jobs_.at(job), hosts, dyn_id);
+  for (const auto& ref : host_refs(hosts)) {
     reply.hosts.push_back(ref.hostname);
     reply.host_nodes.push_back(ref.node);
   }
   const auto done_ns = steady_ns();
   reply.queue_wait_seconds =
-      static_cast<double>(pickup_ns - dyn.arrival_ns) * 1e-9;
+      static_cast<double>(pickup_ns - op->arrival_ns) * 1e-9;
   reply.service_seconds = static_cast<double>(done_ns - pickup_ns) * 1e-9;
   kLog.info("dyn {} for job {} granted: {} accelerator(s), client id {}",
-            dyn_id, dyn.job, reply.hosts.size(), client_id);
-  finish_dyn(dyn, reply);
+            dyn_id, job, reply.hosts.size(), reply.client_id);
+  finish_dynget(op, reply);
   return true;
 }
 
 bool PbsServer::apply_dyn_reject(std::uint64_t dyn_id,
                                  std::uint64_t pickup_ns) {
-  auto dit = dyn_.find(dyn_id);
-  if (dit == dyn_.end()) return false;
-  auto& dyn = dit->second;
+  const auto op = find_queued(dyn_id);
+  if (op == ops_.end()) return false;
   DynGetReply reply;  // granted = false
   const auto done_ns = steady_ns();
   reply.queue_wait_seconds =
-      static_cast<double>(pickup_ns - dyn.arrival_ns) * 1e-9;
+      static_cast<double>(pickup_ns - op->arrival_ns) * 1e-9;
   reply.service_seconds = static_cast<double>(done_ns - pickup_ns) * 1e-9;
-  kLog.info("dyn {} for job {} rejected by scheduler", dyn_id, dyn.job);
-  finish_dyn(dyn, reply);
+  kLog.info("dyn {} for job {} rejected by scheduler", dyn_id, op->job);
+  finish_dynget(op, reply);
   return true;
 }
 
@@ -1114,7 +995,9 @@ void PbsServer::on_elast_register(const rpc::Request& req,
     return;
   }
   trace::note("job", std::to_string(reg.job));
-  elastic_.register_job(reg);
+  // Re-registering replaces the record, restoring capabilities a revert
+  // cleared.
+  agents_[reg.job] = reg;
   kLog.info("job {} registered elastic agent at {} (grow {}, shrink {}, "
             "appetite {})",
             reg.job, reg.agent.str(), static_cast<int>(reg.can_grow),
@@ -1127,19 +1010,20 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
                                  svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto prop = elastic::get_proposal(r);
-  const auto* reg = elastic_.agent(prop.job);
+  const auto agent = agents_.find(prop.job);
   auto it = jobs_.find(prop.job);
-  if (reg == nullptr || it == jobs_.end()) {
+  if (agent == agents_.end() || it == jobs_.end()) {
     resp.error(ReplyCode::kBadRequest, "elast_propose: job not registered");
     return;
   }
   auto& rec = it->second;
+  const auto& reg = agent->second;
   if (rec.info.state != JobState::kRunning &&
       rec.info.state != JobState::kDynQueued) {
     resp.error(ReplyCode::kBadRequest, "elast_propose: job not running");
     return;
   }
-  if (elastic_.offer_pending(prop.job)) {
+  if (negotiating(prop.job)) {
     resp.error(ReplyCode::kBadRequest, "elast_propose: negotiation in flight");
     return;
   }
@@ -1149,15 +1033,17 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
   }
   trace::note("job", std::to_string(prop.job));
 
-  elastic::Broker::OfferRecord offer;
-  offer.job = prop.job;
-  offer.kind = prop.kind;
-  offer.deadline =
+  SetOp op;
+  op.job = prop.job;
+  op.grow = prop.kind == elastic::OfferKind::kGrow;
+  op.by_scheduler = true;
+  op.stage = SetOp::Stage::kOffered;
+  op.deadline =
       now_s() +
       std::chrono::duration<double>(timing_.elastic_offer_timeout).count();
 
-  if (prop.kind == elastic::OfferKind::kGrow) {
-    if (!reg->can_grow) {
+  if (op.grow) {
+    if (!reg.can_grow) {
       resp.error(ReplyCode::kBadRequest, "elast_propose: job cannot grow");
       return;
     }
@@ -1168,20 +1054,20 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
                           ? 1
                           : rec.info.spec.resources.ppn;
     for (const auto& n : nodes_.snapshot()) {
-      if (static_cast<std::int32_t>(offer.hosts.size()) >= prop.count) break;
+      if (static_cast<std::int32_t>(op.hosts.size()) >= prop.count) break;
       if (n.kind != prop.node_kind || !n.up || n.free_slots() < slots) {
         continue;
       }
       if (!nodes_.assign(n.hostname, prop.job, slots)) continue;
-      offer.hosts.push_back(n.hostname);
-      offer.nodes.push_back(n.node_id);
+      op.hosts.push_back(n.hostname);
+      op.nodes.push_back(n.node_id);
     }
-    if (offer.hosts.empty()) {
+    if (op.hosts.empty()) {
       resp.error(ReplyCode::kError, "elast_propose: no free nodes");
       return;
     }
   } else {
-    if (!reg->can_shrink) {
+    if (!reg.can_shrink) {
       resp.error(ReplyCode::kBadRequest, "elast_propose: job cannot shrink");
       return;
     }
@@ -1191,30 +1077,23 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
     }
     // Dynamic sets release LIFO (rmlib generations): offer the newest.
     const auto newest = rec.dyn_sets.rbegin();
-    offer.client_id = newest->first;
-    offer.hosts = newest->second;
-    for (const auto& ref : host_refs(offer.hosts)) {
-      offer.nodes.push_back(ref.node);
-    }
+    op.client_id = newest->first;
+    op.hosts = newest->second;
+    for (const auto& ref : host_refs(op.hosts)) op.nodes.push_back(ref.node);
   }
 
-  const auto offer_id = elastic_.start_offer(offer);
-  elastic::Offer wire;
-  wire.offer_id = offer_id;
-  wire.job = prop.job;
-  wire.kind = prop.kind;
-  wire.client_id = offer.client_id;
-  wire.hosts = offer.hosts;
-  wire.nodes = offer.nodes;
+  op.offer_id = next_offer_id_++;
   util::ByteWriter w;
-  elastic::put_offer(w, wire);
-  rpc::notify(*endpoint_, reg->agent, MsgType::kElastOffer,
+  elastic::put_offer(w, elastic::Offer{op.offer_id, prop.job, prop.kind,
+                                       op.client_id, op.hosts, op.nodes});
+  rpc::notify(*endpoint_, reg.agent, MsgType::kElastOffer,
               std::move(w).take());
   kLog.info("elastic {} offer {} for job {}: {} host(s)",
-            elastic::offer_kind_name(prop.kind), offer_id, prop.job,
-            wire.hosts.size());
+            elastic::offer_kind_name(prop.kind), op.offer_id, prop.job,
+            op.hosts.size());
   util::ByteWriter reply;
-  reply.put<std::uint64_t>(offer_id);
+  reply.put<std::uint64_t>(op.offer_id);
+  ops_.push_back(std::move(op));
   put_delta(reply);
   resp.ok(std::move(reply).take());
 }
@@ -1222,131 +1101,202 @@ void PbsServer::on_elast_propose(const rpc::Request& req,
 void PbsServer::on_elast_ack(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto ack = elastic::get_ack(r);
-  auto* offer = elastic_.find(ack.offer_id);
-  if (offer == nullptr ||
-      offer->state != elastic::Broker::OfferState::kPending ||
-      offer->job != ack.job) {
-    // Late ack: the offer expired (or the job died) and was reverted
+  const auto op =
+      std::find_if(ops_.begin(), ops_.end(), [&ack](const SetOp& o) {
+        return o.stage == SetOp::Stage::kOffered &&
+               o.offer_id == ack.offer_id && o.job == ack.job;
+      });
+  if (op == ops_.end()) {
+    // Late ack: the offer expired (or the job ended) and was reverted
     // already; the agent just lost the race.
     resp.error(ReplyCode::kBadRequest, "elast_ack: no such pending offer");
     return;
   }
   trace::note("job", std::to_string(ack.job));
-  auto it = jobs_.find(ack.job);
-  if (!ack.accept || it == jobs_.end()) {
-    // Nack (or the job record vanished under the offer): revert the
-    // reservation and stop proposing this direction until the agent
-    // re-registers with fresh capabilities.
-    const elastic::Broker::OfferRecord removed = *offer;
-    elastic_.erase(ack.offer_id);
-    elastic_.clear_capability(removed.job, removed.kind);
-    if (removed.kind == elastic::OfferKind::kGrow) {
-      for (const auto& h : removed.hosts) nodes_.release(h, removed.job);
-    }
+  auto& rec = jobs_.at(ack.job);
+  if (!ack.accept) {
+    revert_offer(*op);
     kLog.info("elastic offer {} for job {} declined; reverted", ack.offer_id,
               ack.job);
-    resp.ok();
-    wake_scheduler();
-    return;
-  }
-  auto& rec = it->second;
-  if (offer->kind == elastic::OfferKind::kGrow) {
-    const elastic::Broker::OfferRecord committed = *offer;
-    elastic_.erase(ack.offer_id);
-    commit_elastic_grow(rec, committed);
+    erase_op(op);
+  } else if (op->grow) {
+    // The reservation must still be intact: every reserved host shows the
+    // job among its holders. Slot conservation is the invariant the
+    // negotiation promises — no double grant, no leak.
+    for (const auto& h : op->hosts) {
+      const auto n = nodes_.lookup(h);
+      DAC_CHECK(n.has_value() &&
+                    std::find(n->jobs.begin(), n->jobs.end(), ack.job) !=
+                        n->jobs.end(),
+                "elastic grow: reservation on '{}' lost before commit", h);
+    }
+    const auto client_id = attach_set(ack.job, rec, op->hosts, /*dyn_id=*/0);
+    auto& appetite = agents_.at(ack.job).appetite;
+    appetite =
+        std::max(0, appetite - static_cast<std::int32_t>(op->hosts.size()));
+    send_reconfig(*op, client_id);
+    kLog.info("elastic grow committed for job {}: {} host(s), client id {}",
+              ack.job, op->hosts.size(), client_id);
+    erase_op(op);
   } else {
     // Tell the agent the committed footprint first so the application
-    // detaches from the set, then run the regular release path.
-    const std::uint64_t client_id = offer->client_id;
-    elastic::Reconfig re;
-    re.offer_id = ack.offer_id;
-    re.job = ack.job;
-    re.kind = elastic::OfferKind::kShrink;
-    re.client_id = client_id;
-    re.hosts = offer->hosts;
-    re.nodes = offer->nodes;
-    if (const auto* areg = elastic_.agent(ack.job)) {
-      util::ByteWriter w;
-      elastic::put_offer(w, re);
-      rpc::notify(*endpoint_, areg->agent, MsgType::kElastReconfig,
-                  std::move(w).take());
-    }
-    if (rec.dyn_sets.find(client_id) == rec.dyn_sets.end()) {
-      // The application freed the set itself while the offer was pending:
-      // nothing left to reclaim.
-      elastic_.erase(ack.offer_id);
-    } else if (release_dyn_set(ack.job, rec, client_id)) {
-      // Forwarded to the mother superior; the offer drains until
-      // MS_RELEASE_DONE so policies do not re-propose meanwhile.
-      elastic_.mark_draining(ack.offer_id);
-    } else {
-      elastic_.erase(ack.offer_id);
-    }
+    // detaches from the set, then run the regular release path. The set is
+    // already gone when the application freed it while the offer was
+    // pending.
+    send_reconfig(*op, op->client_id);
     kLog.info("elastic shrink accepted by job {}: releasing set {}", ack.job,
-              client_id);
+              op->client_id);
+    if (release_dyn_set(ack.job, rec, op->client_id)) {
+      op->stage = SetOp::Stage::kReleasing;
+    } else {
+      erase_op(op);
+    }
   }
   resp.ok();
   wake_scheduler();
 }
 
-void PbsServer::commit_elastic_grow(
-    JobRecord& rec, const elastic::Broker::OfferRecord& offer) {
-  // The reservation must still be intact: every reserved host shows the job
-  // among its holders. Slot conservation is the invariant the negotiation
-  // promises — no double grant, no leak.
-  for (const auto& h : offer.hosts) {
-    const auto n = nodes_.lookup(h);
-    DAC_CHECK(n.has_value() &&
-                  std::find(n->jobs.begin(), n->jobs.end(), offer.job) !=
-                      n->jobs.end(),
-              "elastic grow: reservation on '{}' lost before commit", h);
-  }
-  const auto client_id = next_client_id_++;
-  rec.dyn_sets[client_id] = offer.hosts;
-  rec.info.dyn_accel_hosts.insert(rec.info.dyn_accel_hosts.end(),
-                                  offer.hosts.begin(), offer.hosts.end());
-  touch_job(offer.job);
-  elastic_.consume_appetite(offer.job,
-                            static_cast<std::int32_t>(offer.hosts.size()));
-
-  const auto refs = host_refs(offer.hosts);
-  // Forward the addition to the mother superior first, then tell the agent —
-  // the same ordering as a dynget grant (§III-D), so the moms know the set
-  // before the application starts using it.
-  if (rec.ms_valid) {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(offer.job);
-    w.put<std::uint64_t>(0);  // no dynget behind this addition
-    w.put<std::uint64_t>(client_id);
-    put_host_refs(w, refs);
-    rpc::notify(*endpoint_, rec.ms, MsgType::kMomDynAdd, std::move(w).take());
-  }
-  if (const auto* reg = elastic_.agent(offer.job)) {
-    elastic::Reconfig re;
-    re.offer_id = offer.id;
-    re.job = offer.job;
-    re.kind = elastic::OfferKind::kGrow;
-    re.client_id = client_id;
-    re.hosts = offer.hosts;
-    re.nodes = offer.nodes;
-    util::ByteWriter w;
-    elastic::put_offer(w, re);
-    rpc::notify(*endpoint_, reg->agent, MsgType::kElastReconfig,
-                std::move(w).take());
-  }
-  kLog.info("elastic grow committed for job {}: {} host(s), client id {}",
-            offer.job, offer.hosts.size(), client_id);
+void PbsServer::send_reconfig(const SetOp& op, std::uint64_t client_id) {
+  const auto agent = agents_.find(op.job);
+  if (agent == agents_.end()) return;
+  util::ByteWriter w;
+  elastic::put_offer(
+      w, elastic::Reconfig{op.offer_id, op.job,
+                           op.grow ? elastic::OfferKind::kGrow
+                                   : elastic::OfferKind::kShrink,
+                           client_id, op.hosts, op.nodes});
+  rpc::notify(*endpoint_, agent->second.agent, MsgType::kElastReconfig,
+              std::move(w).take());
 }
 
 void PbsServer::sweep_elastic_offers() {
-  for (const auto& offer : elastic_.take_expired(now_s())) {
-    if (offer.kind == elastic::OfferKind::kGrow) {
-      for (const auto& h : offer.hosts) nodes_.release(h, offer.job);
+  const double now = now_s();
+  for (auto op = ops_.begin(); op != ops_.end();) {
+    if (op->stage != SetOp::Stage::kOffered || op->deadline > now) {
+      ++op;
+      continue;
     }
-    kLog.warn("elastic offer {} for job {} timed out; reverted", offer.id,
-              offer.job);
+    revert_offer(*op);
+    kLog.warn("elastic offer {} for job {} timed out; reverted", op->offer_id,
+              op->job);
     wake_scheduler();
+    op = erase_op(op);
   }
+}
+
+// ------------------------------------------------------------ SetOp table
+
+PbsServer::OpIt PbsServer::find_queued(std::uint64_t dyn_id) {
+  return std::find_if(ops_.begin(), ops_.end(), [dyn_id](const SetOp& op) {
+    return op.stage == SetOp::Stage::kQueued && op.entry.dyn_id == dyn_id;
+  });
+}
+
+bool PbsServer::dynget_blocked(JobId job) const {
+  return std::any_of(ops_.begin(), ops_.end(), [job](const SetOp& op) {
+    return op.job == job && (op.stage == SetOp::Stage::kQueued ||
+                             op.stage == SetOp::Stage::kReleasing);
+  });
+}
+
+bool PbsServer::negotiating(JobId job) const {
+  return std::any_of(ops_.begin(), ops_.end(), [job](const SetOp& op) {
+    return op.job == job && op.by_scheduler;
+  });
+}
+
+void PbsServer::queue_dynget(OpIt op, JobRecord& rec) {
+  op->stage = SetOp::Stage::kQueued;
+  ops_.splice(ops_.end(), ops_, op);
+  ++queued_dyns_;
+  rec.info.state = JobState::kDynQueued;
+  touch_job(op->job);
+  wake_scheduler();
+}
+
+void PbsServer::queue_next_dynget(JobId job, JobRecord& rec) {
+  if (dynget_blocked(job)) return;
+  const auto next =
+      std::find_if(ops_.begin(), ops_.end(), [job](const SetOp& op) {
+        return op.job == job && op.stage == SetOp::Stage::kWaiting;
+      });
+  if (next != ops_.end()) queue_dynget(next, rec);
+}
+
+void PbsServer::finish_dynget(OpIt op, const DynGetReply& reply) {
+  util::ByteWriter w;
+  put_dynget_reply(w, reply);
+  op->responder.ok(std::move(w).take());
+  const auto job = op->job;
+  erase_op(op);
+  // Finishing a dyn flips the job's DYNQUEUED/RUNNING state (and a grant
+  // changed its host lists before calling here).
+  touch_job(job);
+  auto& rec = jobs_.at(job);
+  if (rec.info.state == JobState::kDynQueued) {
+    rec.info.state = JobState::kRunning;
+  }
+  queue_next_dynget(job, rec);
+}
+
+PbsServer::OpIt PbsServer::erase_op(OpIt op) {
+  if (op->stage == SetOp::Stage::kQueued) --queued_dyns_;
+  return ops_.erase(op);
+}
+
+std::uint64_t PbsServer::attach_set(JobId job, JobRecord& rec,
+                                    const std::vector<std::string>& hosts,
+                                    std::uint64_t dyn_id) {
+  const auto client_id = next_client_id_++;
+  rec.dyn_sets[client_id] = hosts;
+  rec.info.dyn_accel_hosts.insert(rec.info.dyn_accel_hosts.end(),
+                                  hosts.begin(), hosts.end());
+  touch_job(job);
+  if (rec.ms_valid) {
+    util::ByteWriter w;
+    w.put<std::uint64_t>(job);
+    w.put<std::uint64_t>(dyn_id);
+    w.put<std::uint64_t>(client_id);
+    put_host_refs(w, host_refs(hosts));
+    rpc::notify(*endpoint_, rec.ms, MsgType::kMomDynAdd, std::move(w).take());
+  }
+  return client_id;
+}
+
+void PbsServer::revert_offer(const SetOp& op) {
+  if (op.grow) {
+    for (const auto& h : op.hosts) nodes_.release(h, op.job);
+  }
+  if (const auto agent = agents_.find(op.job); agent != agents_.end()) {
+    (op.grow ? agent->second.can_grow : agent->second.can_shrink) = false;
+  }
+}
+
+void PbsServer::end_job(JobId id, JobRecord& rec, bool kill) {
+  if (kill && rec.ms_valid) {
+    util::ByteWriter w;
+    w.put<std::uint64_t>(id);
+    rpc::notify(*endpoint_, rec.ms, MsgType::kMomKillJob, std::move(w).take());
+  }
+  rec.ms_valid = false;
+  // Grow reservations are assigned under the job id: this frees them too.
+  nodes_.release_all(id);
+  for (auto op = ops_.begin(); op != ops_.end();) {
+    if (op->job != id) {
+      ++op;
+      continue;
+    }
+    if (op->stage == SetOp::Stage::kWaiting ||
+        op->stage == SetOp::Stage::kQueued) {
+      util::ByteWriter w;
+      put_dynget_reply(w, DynGetReply{});  // rejected
+      op->responder.ok(std::move(w).take());
+    }
+    op = erase_op(op);
+  }
+  agents_.erase(id);
+  touch_job(id);
+  wake_scheduler();
 }
 
 }  // namespace dac::torque

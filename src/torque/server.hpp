@@ -2,7 +2,10 @@
 // client (IFL) requests, relays scheduler decisions to mother-superior moms,
 // and implements the paper's dynamic-allocation extensions — the DYNQUEUED
 // job state, serialized per-job dynamic requests, client-ids for dynamic
-// accelerator sets, and the forward-then-reply ordering of §III-D.
+// accelerator sets, and the forward-then-reply ordering of §III-D. Every
+// change to a running job's dynamic sets, a dynget, a dynfree or an elastic
+// offer, is one SetOp record with one attach, one revert and one release
+// path (docs/ELASTIC.md).
 //
 // The server runs on a svc::ServiceLoop. Every request, read or write, runs
 // on the loop's single serialized lane — the paper's single-threaded daemon
@@ -17,14 +20,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "elastic/broker.hpp"
+#include "elastic/protocol.hpp"
 #include "svc/config.hpp"
 #include "svc/metrics.hpp"
 #include "svc/service_loop.hpp"
@@ -90,20 +92,42 @@ class PbsServer {
   void run(vnet::Process& proc);
 
  private:
-  struct DynRecord {
-    std::uint64_t id = 0;
+  // One change to a running job's dynamic sets, the one record behind
+  // pbs_dynget, pbs_dynfree and elastic offers (docs/ELASTIC.md, "SetOp
+  // lifecycle"). The application starts a grow with a dynget and a shrink
+  // with a dynfree; the scheduler starts either with an elastic offer, which
+  // the job's agent must accept:
+  //
+  //   dynget:  kWaiting -> kQueued --grant--> attached, or rejected
+  //   offer:   kOffered --accept--> attached (grow) or kReleasing (shrink)
+  //                     --nack | timeout | node down--> reverted
+  //   release: kReleasing --MS_RELEASE_DONE--> done
+  //
+  // An op leaves ops_ when it ends, and with its job.
+  struct SetOp {
+    enum class Stage : std::uint8_t {
+      kWaiting,    // dynget held behind the job's queued grow or a release
+      kQueued,     // dynget visible to the scheduler
+      kOffered,    // offer waiting for the agent's ack until `deadline`
+      kReleasing,  // set forwarded to the mother superior for release
+    };
     JobId job = kInvalidJob;
-    int count = 0;
-    int min_count = 0;
-    NodeKind kind = NodeKind::kAccelerator;
-    svc::Responder responder;       // deferred pbs_dynget reply
-    std::uint64_t arrival_ns = 0;   // steady clock, for the timing split
-    double arrival_s = 0.0;         // server seconds, for FIFO display
-    bool active = false;            // visible to the scheduler
-    // Requester's trace context, forwarded in the queue snapshot.
-    std::uint64_t trace_id = 0;
-    std::uint64_t origin_span = 0;
+    bool grow = true;
+    bool by_scheduler = false;  // an elastic offer; else the application
+    Stage stage = Stage::kWaiting;
+    // Dynget: what the scheduler sees, and the held pbs_dynget reply.
+    DynQueueEntry entry;
+    svc::Responder responder;
+    std::uint64_t arrival_ns = 0;  // steady clock, for the timing split
+    // Offer: what the agent was offered, until when. A shrink, offered or
+    // released, names its set by client id.
+    std::uint64_t offer_id = 0;
+    std::uint64_t client_id = 0;
+    std::vector<std::string> hosts;   // grow: reserved; shrink: set members
+    std::vector<std::int32_t> nodes;  // vnet node ids, same order
+    double deadline = 0.0;            // server seconds
   };
+  using OpIt = std::list<SetOp>::iterator;
 
   // A held WAIT_JOB: answered when the job reaches `state` or a terminal
   // state, or with "not reached" when the client's budget runs out.
@@ -119,13 +143,6 @@ class PbsServer {
     vnet::Address ms;  // mother superior's mom
     bool ms_valid = false;
     std::map<std::uint64_t, std::vector<std::string>> dyn_sets;  // client-id
-    std::deque<std::uint64_t> dyn_waiting;  // queued dyn request ids
-    std::uint64_t dyn_active = 0;           // currently serviced dyn id
-    // Sets forwarded to the mother superior for release whose
-    // MS_RELEASE_DONE is still out. While any is, new dyn requests wait:
-    // their slots are on the way back, so deciding now would reject a
-    // request that fits a moment later.
-    std::set<std::uint64_t> releasing;  // client ids
   };
 
   void register_handlers(svc::ServiceLoop& loop);
@@ -218,25 +235,64 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   void on_elast_ack(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
-  // Commits an accepted grow offer: turns the reservation into a dynamic
-  // set, notifies the mother superior, tells the agent the new footprint.
-  void commit_elastic_grow(JobRecord& rec,
-                           const elastic::Broker::OfferRecord& offer)
+  // ELAST_RECONFIG: tells the job's agent the committed footprint of
+  // accepted offer `op` (grow: the new set's client id).
+  void send_reconfig(const SetOp& op, std::uint64_t client_id)
       DAC_REQUIRES(state_mu_);
-  // Reverts expired offers (grow: releases the reserved slots).
+  // Reverts every offer whose ack deadline passed.
   void sweep_elastic_offers() DAC_REQUIRES(state_mu_);
 
+  // ---- the SetOp table ---------------------------------------------------
+  // The queued dynget `dyn_id`, or ops_.end().
+  [[nodiscard]] OpIt find_queued(std::uint64_t dyn_id) DAC_REQUIRES(state_mu_);
+  // True while `job` has a grow queued for the scheduler or a release in
+  // flight. Its next dynget then waits: the paper's server takes one
+  // dynamic request at a time per job (§III-D), and a released set's slots
+  // are on their way back, so deciding now would reject a request that fits
+  // a moment later.
+  [[nodiscard]] bool dynget_blocked(JobId job) const DAC_REQUIRES(state_mu_);
+  // True while `job` has a scheduler-started op (JobView.offer_pending), so
+  // policies do not propose twice.
+  [[nodiscard]] bool negotiating(JobId job) const DAC_REQUIRES(state_mu_);
+  // Shows dynget `op` to the scheduler, at the back of its FIFO.
+  void queue_dynget(OpIt op, JobRecord& rec) DAC_REQUIRES(state_mu_);
+  // Hands the scheduler the job's oldest waiting dynget, unless it is still
+  // blocked (on_ms_release_done retries then).
+  void queue_next_dynget(JobId job, JobRecord& rec) DAC_REQUIRES(state_mu_);
+  // Answers dynget `op`, drops it and queues the job's next one.
+  void finish_dynget(OpIt op, const DynGetReply& reply)
+      DAC_REQUIRES(state_mu_);
+  // Every op leaves the table here, which keeps queued_dyns_ exact.
+  OpIt erase_op(OpIt op) DAC_REQUIRES(state_mu_);
+
+  // The one attach of a grow, a granted dynget's or an accepted offer's:
+  // `hosts` (already assigned to the job) become a new dynamic set, and the
+  // mother superior learns it before the starter is answered (§III-D).
+  // `dyn_id` is 0 for an offer. Returns the set's client id.
+  std::uint64_t attach_set(JobId job, JobRecord& rec,
+                           const std::vector<std::string>& hosts,
+                           std::uint64_t dyn_id) DAC_REQUIRES(state_mu_);
+  // The one revert of an offer that ends uncommitted (nack, timeout, a node
+  // down): frees a grow's reservation, and clears the capability so the
+  // policy stops proposing what the job keeps declining until its agent
+  // re-registers.
+  void revert_offer(const SetOp& op) DAC_REQUIRES(state_mu_);
   // Releases dynamic set `client_id` of `rec` the way on_dynfree does: dead
   // hosts freed directly, the live remainder forwarded to the mother
   // superior. Returns true when forwarded (MS_RELEASE_DONE completes it
   // later), false when the set was freed and erased here.
   bool release_dyn_set(JobId job_id, JobRecord& rec, std::uint64_t client_id)
       DAC_REQUIRES(state_mu_);
+  // The one end of a job (complete, qdel, compute node down): frees its
+  // slots, grow reservations included, stops using its mother superior
+  // (telling it to kill the job when `kill`), rejects its held dyngets and
+  // drops its ops and its elastic registration.
+  void end_job(JobId id, JobRecord& rec, bool kill) DAC_REQUIRES(state_mu_);
 
   // Marks a scheduling cycle wanted; flush_wake() sends it.
   void wake_scheduler() DAC_REQUIRES(state_mu_) { wake_wanted_ = true; }
   // Ends every handler and tick. If a cycle was wanted and the scheduler
-  // could act (a job queued, a dynget pending or an elastic job
+  // could act (a job queued, a dynget queued or an elastic job
   // registered), pushes the pending delta in one kSchedWake. Otherwise the
   // changes ride in the next delta.
   void flush_wake() DAC_REQUIRES(state_mu_);
@@ -253,16 +309,9 @@ class PbsServer {
   // the application learns through the DAC frontend and may re-issue dynget.
   void reclaim_accel_slots(const std::string& hostname)
       DAC_REQUIRES(state_mu_);
-  // Rejects the active and any waiting dynamic requests of `job`.
-  void reject_job_dyns(JobRecord& job) DAC_REQUIRES(state_mu_);
   // Records a synthetic detector/recovery event in the metrics table.
   void record_event(MsgType ev) { metrics_.record(as_u32(ev), 0.0); }
 
-  // Hands the scheduler the job's next waiting dyn request, unless one of
-  // its sets is still being released (on_ms_release_done resumes then).
-  void activate_next_dyn(JobRecord& job) DAC_REQUIRES(state_mu_);
-  void finish_dyn(DynRecord& dyn, const DynGetReply& reply)
-      DAC_REQUIRES(state_mu_);
   [[nodiscard]] double now_s() const;
   [[nodiscard]] std::vector<HostRef> host_refs(
       const std::vector<std::string>& hostnames) const
@@ -280,24 +329,28 @@ class PbsServer {
   Mutex state_mu_{"server.state"};
 
   NodeDb nodes_ DAC_GUARDED_BY(state_mu_);
-  elastic::Broker elastic_ DAC_GUARDED_BY(state_mu_);
   std::map<JobId, JobRecord> jobs_ DAC_GUARDED_BY(state_mu_);
-  std::map<std::uint64_t, DynRecord> dyn_ DAC_GUARDED_BY(state_mu_);
+  // Every open SetOp, in the order each was created or queued: the queued
+  // dyngets, read in this order, are the scheduler's FIFO.
+  std::list<SetOp> ops_ DAC_GUARDED_BY(state_mu_);
+  // Running jobs that opted into elastic offers (kElastRegister).
+  std::map<JobId, elastic::Registration> agents_ DAC_GUARDED_BY(state_mu_);
   std::map<std::uint64_t, JobWait> job_waits_ DAC_GUARDED_BY(state_mu_);
   std::uint64_t next_wait_id_ DAC_GUARDED_BY(state_mu_) = 1;
-  // Active dyn ids, FIFO.
-  std::deque<std::uint64_t> dyn_fifo_ DAC_GUARDED_BY(state_mu_);
   // Dirty-job bookkeeping for the incremental scheduler feed.
   DirtyTracker sched_feed_ DAC_GUARDED_BY(state_mu_);
   bool wake_wanted_ DAC_GUARDED_BY(state_mu_) = false;
-  // Jobs in kQueued: the scheduler can start one.
+  // Jobs in kQueued and dyngets in kQueued: the scheduler can start or
+  // decide one.
   std::size_t queued_jobs_ DAC_GUARDED_BY(state_mu_) = 0;
+  std::size_t queued_dyns_ DAC_GUARDED_BY(state_mu_) = 0;
 
   vnet::Address scheduler_ DAC_GUARDED_BY(state_mu_);
   bool scheduler_known_ DAC_GUARDED_BY(state_mu_) = false;
 
   JobId next_job_id_ DAC_GUARDED_BY(state_mu_) = 1;
   std::uint64_t next_dyn_id_ DAC_GUARDED_BY(state_mu_) = 1;
+  std::uint64_t next_offer_id_ DAC_GUARDED_BY(state_mu_) = 1;
   std::uint64_t next_client_id_ DAC_GUARDED_BY(state_mu_) = 1;
 };
 

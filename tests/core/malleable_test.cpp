@@ -5,8 +5,8 @@
 
 #include <atomic>
 
-#include "simtime/clock.hpp"
 #include "core/cluster.hpp"
+#include "harness/scenario.hpp"
 
 namespace dac::core {
 namespace {
@@ -124,17 +124,15 @@ TEST_F(MalleableTest, ReleaseKillsLeftoverWorkers) {
     ASSERT_TRUE(grant.granted);
     (void)ctx.spawn_workers("test.stuck_worker", {}, grant.nodes,
                             ctx.mpi().self(), 0, grant.client_id);
+    const int held = used_slots();
     ctx.release_compute(grant.client_id);
-    // Give the DISJOIN a moment, then prove the job itself is still alive.
-    dac::simtime::sleep_for(20ms);  // NOLINT-DACSCHED(sleep-poll)
-    job_survived = true;
+    // The set's slot comes back once the DISJOIN reaped the worker; the job
+    // itself must still be alive to see it.
+    job_survived =
+        dac::testing::await([&] { return used_slots() == held - 1; }, 5s);
   });
   EXPECT_TRUE(job_survived);
   // All slots free: the stuck worker was killed with its set.
-  const auto deadline = dac::simtime::now() + 5s;
-  while (used_slots() != 0 && dac::simtime::now() < deadline) {
-    dac::simtime::sleep_for(5ms);  // NOLINT-DACSCHED(sleep-poll)
-  }
   EXPECT_EQ(used_slots(), 0);
 }
 

@@ -36,10 +36,7 @@ void run_storm(std::uint32_t seed) {
 
   testing::Scenario s;
   s.compute_nodes(2).accel_nodes(4);
-  s.config().elastic_policy = std::make_shared<BalancedPolicy>(
-      ShrinkUnderPressurePolicy::Config{.queue_threshold = 1,
-                                        .min_wait_s = 0.0},
-      ExpandIdlePolicy::Config{.max_offers_per_cycle = 1});
+  s.config().elastic_policy = std::make_shared<BalancedPolicy>();
   s.config().timing.elastic_offer_timeout = 150ms;
 
   // Hog: grabs dynamic sets, registers shrinkable, and keeps servicing

@@ -1,4 +1,4 @@
-// Fault-path test of the elastic broker: a reserved accelerator node dies
+// Fault-path test of elastic offers: a reserved accelerator node dies
 // while a grow negotiation is in flight (mid-reconfigure, before the ack
 // lands). The node-down reclaim must cancel the offer and revert the whole
 // reservation — including reserved hosts that did NOT die — so no slot

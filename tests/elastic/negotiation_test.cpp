@@ -1,6 +1,6 @@
 // End-to-end tests of the elastic negotiation (src/elastic): the three-phase
 // offer -> ack/nack -> reconfigure protocol between the Maui utilization
-// policies, the pbs_server broker, and the job-side ElasticAgent. The core
+// policies, pbs_server's offer handling, and the job-side ElasticAgent. The core
 // acceptance scenario — a scheduler-initiated shrink re-granting capacity to
 // a queued dynget — plus the fallback paths (nack, offer timeout) that must
 // revert reservations with no slot leak.
@@ -36,7 +36,7 @@ void await_flag(const std::atomic<bool>& flag,
 
 // A registered-but-unhelpful elastic participant: announces capabilities via
 // kElastRegister like a real ElasticAgent, then either nacks every offer or
-// ignores them entirely — the two fallback paths the broker must absorb
+// ignores them entirely — the two fallback paths the server must absorb
 // without leaking the reservation.
 class StubAgent {
  public:
@@ -117,9 +117,7 @@ TEST(ElasticNegotiation, ShrinkRegrantsStarvedDynget) {
 
   testing::Scenario s;
   s.compute_nodes(2).accel_nodes(2);
-  s.config().elastic_policy = std::make_shared<ShrinkUnderPressurePolicy>(
-      ShrinkUnderPressurePolicy::Config{.queue_threshold = 1,
-                                        .min_wait_s = 0.0});
+  s.config().elastic_policy = std::make_shared<ShrinkUnderPressurePolicy>();
 
   s.program("hog", [&](core::JobContext& ctx) {
     auto& ses = ctx.session();
@@ -279,7 +277,7 @@ TEST(ElasticNegotiation, NackReleasesGrowReservation) {
   EXPECT_EQ(used_slots(s.cluster()), 0);
 }
 
-// Timeout fallback: a registered job that never answers offers. The broker
+// Timeout fallback: a registered job that never answers offers. The server
 // expires the offer on the liveness sweep, releases the reservation, and
 // clears the capability so the deaf job is not offered again.
 TEST(ElasticNegotiation, OfferTimeoutReleasesGrowReservation) {

@@ -88,9 +88,7 @@ std::string run_elastic_shrink_flow() {
   Scenario s;
   s.compute_nodes(2).accel_nodes(1);
   s.config().elastic_policy =
-      std::make_shared<elastic::ShrinkUnderPressurePolicy>(
-          elastic::ShrinkUnderPressurePolicy::Config{.queue_threshold = 1,
-                                                     .min_wait_s = 0.0});
+      std::make_shared<elastic::ShrinkUnderPressurePolicy>();
   s.program("golden_hog", [&](core::JobContext& ctx) {
     auto& ses = ctx.session();
     (void)ses.ac_init();

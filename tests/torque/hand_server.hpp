@@ -1,7 +1,8 @@
 // A pbs_server driven by hand for protocol tests: the test plays scheduler
-// (RUN_JOB, DYN_DECIDE, GET_SCHED) and mother superior (JOB_COMPLETE,
-// MS_RELEASE_DONE). The "moms" are one plain endpoint that swallows what the
-// server sends them, so no message lands in a closed mailbox.
+// (RUN_JOB, DYN_DECIDE, GET_SCHED, ELAST_PROPOSE), mother superior
+// (JOB_COMPLETE, MS_RELEASE_DONE) and elastic agent (ELAST_REGISTER,
+// ELAST_ACK). The "moms" and the agent are plain endpoints that swallow what
+// the server sends them, so no message lands in a closed mailbox.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "elastic/protocol.hpp"
 #include "harness/clock_mode.hpp"
 #include "simtime/clock.hpp"
 #include "torque/ifl.hpp"
@@ -50,7 +52,8 @@ class HandServer {
           t.process_start_delay = std::chrono::microseconds(0);
           return t;
         }()),
-        mom_(cluster_.node(2).open_endpoint()) {
+        mom_(cluster_.node(2).open_endpoint()),
+        agent_(cluster_.node(2).open_endpoint()) {
     if (faults) cluster_.fabric().set_fault_injector(std::move(faults));
     timing.server_service_cost = std::chrono::microseconds(0);
     server_ = std::make_unique<PbsServer>(cluster_.node(0), timing);
@@ -143,6 +146,64 @@ class HandServer {
                 std::move(w).take());
   }
 
+  // Agent-style ELAST_REGISTER for job `id`, offers to the agent endpoint.
+  void register_agent(JobId id, bool can_grow, bool can_shrink,
+                      int appetite = 0) {
+    elastic::Registration reg;
+    reg.job = id;
+    reg.agent = agent_->address();
+    reg.can_grow = can_grow;
+    reg.can_shrink = can_shrink;
+    reg.appetite = appetite;
+    util::ByteWriter w;
+    elastic::put_registration(w, reg);
+    (void)rpc::call(cluster_.node(1), server(), MsgType::kElastRegister,
+                    std::move(w).take());
+  }
+
+  // Scheduler-style ELAST_PROPOSE of accelerators; returns the offer id.
+  // Throws rpc::CallError when the server refuses the proposal.
+  std::uint64_t propose(JobId id, elastic::OfferKind kind, int count) {
+    util::ByteWriter w;
+    elastic::put_proposal(w, elastic::Proposal{.job = id,
+                                               .kind = kind,
+                                               .count = count});
+    const auto reply = rpc::call(cluster_.node(2), server(),
+                                 MsgType::kElastPropose, std::move(w).take());
+    util::ByteReader r(reply);
+    return r.get<std::uint64_t>();
+  }
+
+  // Agent-style ELAST_ACK. Throws rpc::CallError when the offer is no
+  // longer pending.
+  void ack(std::uint64_t offer_id, JobId id, bool accept) {
+    util::ByteWriter w;
+    elastic::put_ack(w, elastic::Ack{.offer_id = offer_id,
+                                     .job = id,
+                                     .accept = accept});
+    (void)rpc::call(cluster_.node(1), server(), MsgType::kElastAck,
+                    std::move(w).take());
+  }
+
+  // The job's elasticity view in a forced-full GET_SCHED; fails the test
+  // when the job has none.
+  [[nodiscard]] elastic::JobView view(JobId id) {
+    for (const auto& v : queue().elastic) {
+      if (v.job == id) return v;
+    }
+    ADD_FAILURE() << "no elastic view for job " << id;
+    return {};
+  }
+
+  // Slots in use on `host`, per the server's node table.
+  [[nodiscard]] int used(const std::string& host) {
+    for (const auto& n : client().stat_nodes()) {
+      if (n.hostname == host) return n.used;
+    }
+    ADD_FAILURE() << "no node " << host;
+    return -1;
+  }
+
   // Runs `fn` on its own process once the clock reaches `when`.
   vnet::ProcessPtr at(simtime::TimePoint when, std::function<void()> fn) {
     return cluster_.node(2).spawn(
@@ -180,6 +241,7 @@ class HandServer {
   dac::testing::ClockModeGuard mode_;  // first: everything runs on it
   vnet::Cluster cluster_;
   std::unique_ptr<vnet::Endpoint> mom_;
+  std::unique_ptr<vnet::Endpoint> agent_;
   std::unique_ptr<PbsServer> server_;
   vnet::ProcessPtr server_proc_;
 };

@@ -1,0 +1,153 @@
+// Changes to a running job's dynamic sets, started by either side: the
+// application (pbs_dynget / pbs_dynfree) or the scheduler (elastic offers).
+// pbs_server keeps both in one table, so these cases pin how the two meet:
+// a shrink the agent accepted holds the job's next dynget like a dynfree's
+// release does, only scheduler-started changes count as a negotiation in
+// flight, and an offer that ended (timed out, or its job did) moves no slot
+// when its ack arrives late. The test plays Maui and the agent. Virtual
+// clock: the test acts at exact instants.
+#include <gtest/gtest.h>
+
+#include <optional>
+
+#include "hand_server.hpp"
+
+namespace dac::torque {
+namespace {
+
+using namespace std::chrono_literals;
+using elastic::OfferKind;
+using testing::HandServer;
+
+// Runs a dynget(1) for `id` and grants it `host`; returns the client id.
+std::uint64_t grant_one(HandServer& s, JobId id, const std::string& host) {
+  std::optional<DynGetReply> reply;
+  auto getter = s.dynget_now(id, reply);
+  s.settle();
+  const auto q = s.queue();
+  EXPECT_EQ(q.dyn.size(), 1u);
+  if (q.dyn.empty()) return 0;
+  s.grant_dyn(q.dyn[0].dyn_id, {host});
+  getter->join();
+  EXPECT_TRUE(reply.has_value() && reply->granted);
+  return reply.has_value() ? reply->client_id : 0;
+}
+
+TEST(SetOp, AcceptedShrinkHoldsTheNextDyngetUntilReleaseDone) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+  const auto set = grant_one(s, id, "ac0");
+  s.register_agent(id, /*can_grow=*/false, /*can_shrink=*/true);
+
+  const auto offer = s.propose(id, OfferKind::kShrink, 1);
+  s.ack(offer, id, /*accept=*/true);
+
+  // ac0 is on its way back, but the mother superior has not released it.
+  std::optional<DynGetReply> next;
+  auto getter = s.dynget_now(id, next);
+  s.settle();
+  EXPECT_TRUE(s.queue().dyn.empty());
+  EXPECT_EQ(s.client().stat_job(id)->state, JobState::kRunning);
+  EXPECT_EQ(s.used("ac0"), 1);
+
+  s.release_done(id, set);
+  s.settle();
+  const auto q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+  EXPECT_EQ(s.used("ac0"), 0);
+  s.grant_dyn(q.dyn[0].dyn_id, {"ac0"});
+  getter->join();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_TRUE(next->granted);
+  EXPECT_EQ(s.used("ac0"), 1);
+}
+
+TEST(SetOp, OfferPendingCountsOnlySchedulerStartedChanges) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  s.register_node("ac1", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+  const auto freed = grant_one(s, id, "ac0");
+  const auto shrunk = grant_one(s, id, "ac1");
+  s.register_agent(id, /*can_grow=*/false, /*can_shrink=*/true);
+
+  // The application's own release is not a negotiation.
+  s.client().dynfree(id, freed);
+  EXPECT_FALSE(s.view(id).offer_pending);
+
+  // The shrink offers the newest set and stays in flight once accepted...
+  const auto offer = s.propose(id, OfferKind::kShrink, 1);
+  EXPECT_TRUE(s.view(id).offer_pending);
+  s.ack(offer, id, /*accept=*/true);
+  EXPECT_TRUE(s.view(id).offer_pending);
+  // ...past the end of the other release...
+  s.release_done(id, freed);
+  s.settle();
+  EXPECT_TRUE(s.view(id).offer_pending);
+  EXPECT_EQ(s.used("ac0"), 0);
+  // ...until its own set is back.
+  s.release_done(id, shrunk);
+  s.settle();
+  EXPECT_FALSE(s.view(id).offer_pending);
+  EXPECT_EQ(s.used("ac1"), 0);
+}
+
+TEST(SetOp, AckAfterTheOfferTimedOutErrorsAndMovesNoSlot) {
+  auto timing = BatchTiming::fast();
+  timing.elastic_offer_timeout = 30ms;
+  HandServer s(simtime::Mode::kDiscreteEvent, timing);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+  s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
+                   /*appetite=*/1);
+
+  const auto offer = s.propose(id, OfferKind::kGrow, 1);
+  EXPECT_EQ(s.used("ac0"), 1);  // reserved for the offer
+  // The liveness tick sweeps the expired offer and frees the reservation.
+  simtime::sleep_until(simtime::now() + timing.elastic_offer_timeout +
+                       2 * timing.mom_heartbeat_interval);
+  EXPECT_EQ(s.used("ac0"), 0);
+  EXPECT_FALSE(s.view(id).offer_pending);
+  EXPECT_FALSE(s.view(id).can_grow);  // the timeout cleared it
+
+  EXPECT_THROW(s.ack(offer, id, /*accept=*/true), rpc::CallError);
+  EXPECT_EQ(s.used("ac0"), 0);
+  EXPECT_TRUE(s.client().stat_job(id)->dyn_accel_hosts.empty());
+}
+
+TEST(SetOp, CompletionDuringAGrowOfferFreesTheReservationOnce) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  s.register_node("ac1", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+  s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
+                   /*appetite=*/2);
+  const auto offer = s.propose(id, OfferKind::kGrow, 2);
+  EXPECT_EQ(s.used("ac0"), 1);
+  EXPECT_EQ(s.used("ac1"), 1);
+
+  s.complete_job(id);
+  s.settle();
+  EXPECT_EQ(s.used("ac0"), 0);
+  EXPECT_EQ(s.used("ac1"), 0);
+  EXPECT_EQ(s.used("cn0"), 0);
+
+  // A second job takes the freed accelerators; the first job's late ack
+  // must neither commit the offer nor free them a second time.
+  const auto next = s.submit();
+  s.run_job(next);
+  (void)grant_one(s, next, "ac0");
+  (void)grant_one(s, next, "ac1");
+  EXPECT_THROW(s.ack(offer, id, /*accept=*/true), rpc::CallError);
+  EXPECT_EQ(s.used("ac0"), 1);
+  EXPECT_EQ(s.used("ac1"), 1);
+  EXPECT_TRUE(s.client().stat_job(id)->dyn_accel_hosts.empty());
+}
+
+}  // namespace
+}  // namespace dac::torque
