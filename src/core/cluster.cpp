@@ -93,7 +93,6 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
   sched.dynamic_first = config_.dynamic_first;
   sched.dyn_owner_pool_cap = config_.dyn_owner_pool_cap;
   sched.elastic_policy = config_.elastic_policy;
-  sched.elastic_defer_window = config_.elastic_defer_window;
   sched.retry = config_.svc.retry;
   sched.full_rescan_every = config_.sched_full_rescan_every;
   sched.batched_dyn = config_.sched_batched_dyn;

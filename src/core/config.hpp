@@ -34,9 +34,6 @@ struct DacClusterConfig {
   // lets the scheduler grow/shrink running jobs. Null keeps elasticity off —
   // the seed scheduler behaviour.
   std::shared_ptr<elastic::Policy> elastic_policy;
-  // How long a starved dynamic request waits for a shrink negotiated on its
-  // behalf before it is decided normally.
-  std::chrono::milliseconds elastic_defer_window{5'000};
 
   gpusim::DeviceConfig device;
   dacc::TransferOptions transfer;
@@ -55,7 +52,7 @@ struct DacClusterConfig {
   // Cycles between forced full kGetSched fetches; the ones between fetch
   // deltas (drift backstop). 1 = every cycle fetches in full (ablation).
   int sched_full_rescan_every = 16;
-  // One kDynDecide batch per cycle; off = one kDynDecide per decision.
+  // One kDynDecide batch per cycle; off = one kDynDecide per item.
   bool sched_batched_dyn = true;
 
   // Deterministic failure injection (docs/FAULTS.md): when set, the plan is

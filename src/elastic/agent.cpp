@@ -59,7 +59,6 @@ void ElasticAgent::send_registration() {
   // capability without an apply path would turn every offer into a nack.
   reg.can_grow = config_.accept_grow && static_cast<bool>(grow_fn_);
   reg.can_shrink = config_.accept_shrink && static_cast<bool>(shrink_fn_);
-  reg.grow_kind = config_.grow_kind;
   reg.appetite = config_.appetite;
   util::ByteWriter w;
   put_registration(w, reg);

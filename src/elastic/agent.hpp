@@ -39,8 +39,7 @@ struct AgentConfig {
   vnet::Address server;
   bool accept_grow = false;
   bool accept_shrink = false;
-  torque::NodeKind grow_kind = torque::NodeKind::kAccelerator;
-  std::int32_t appetite = 0;  // max extra nodes this job would absorb
+  std::int32_t appetite = 0;  // max extra accelerators this job would absorb
   svc::RetryPolicy retry;
 };
 

@@ -12,16 +12,12 @@ std::vector<Action> ExpandIdlePolicy::evaluate(
   if (!demand.empty()) return {};
   for (const auto& jv : jobs) {  // JobViews arrive sorted by job id
     if (!jv.can_grow || jv.offer_pending || jv.appetite <= 0) continue;
-    const int free = jv.grow_kind == torque::NodeKind::kAccelerator
-                         ? pressure.free_accel
-                         : pressure.free_compute;
-    const int grant = std::min<int>(jv.appetite, free);
+    const int grant = std::min<int>(jv.appetite, pressure.free_accel);
     if (grant <= 0) continue;
     Action a;
     a.proposal.job = jv.job;
     a.proposal.kind = OfferKind::kGrow;
     a.proposal.count = grant;
-    a.proposal.node_kind = jv.grow_kind;
     return {a};  // one offer per cycle bounds the negotiation fan-out
   }
   return {};
@@ -32,10 +28,10 @@ std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
     const DynQueue& demand) {
   std::vector<Action> out;
   if (demand.empty()) return out;
-  // Walk the FIFO the way service_dynamic will: free capacity serves
-  // requests in order (budgeted at their full count — conservative, an
-  // unnecessary deferral just costs one skipped cycle); whatever does not
-  // fit is starved.
+  // Walk the FIFO the way the scheduler's decide pass will: free capacity
+  // serves requests in order (budgeted at their full count — conservative,
+  // an unnecessary deferral just costs one skipped cycle); whatever does
+  // not fit is starved.
   int avail_accel = pressure.free_accel;
   int avail_compute = pressure.free_compute;
   std::vector<const torque::DynQueueEntry*> starved;
@@ -68,7 +64,6 @@ std::vector<Action> ShrinkUnderPressurePolicy::evaluate(
     a.proposal.job = jv.job;
     a.proposal.kind = OfferKind::kShrink;
     a.proposal.count = jv.newest_set_size;
-    a.proposal.node_kind = head.kind;
     a.defer_dyn = head.dyn_id;
     a.trace_id = head.trace_id;
     a.origin_span = head.origin_span;

@@ -1,10 +1,10 @@
 // Pluggable utilization policies driving the elastic negotiation from the
-// Maui side. Each scheduling cycle the scheduler feeds the policy the free
-// pool, the per-job elasticity views and the dynamic-request FIFO from the
-// queue snapshot; the policy answers with proposals to send to the server
-// (kElastPropose) and — for shrink proposals aimed at a specific starved
-// dynget — which dynamic request to defer instead of rejecting while the
-// negotiation runs.
+// Maui side. In its one dynamic decide pass the scheduler feeds the policy
+// the free pool, the per-job elasticity views and the dynamic-request FIFO;
+// the policy answers with proposals, which ride in the pass's kDynDecide
+// batch ahead of its dynget decisions, and — for shrink proposals aimed at a
+// specific starved dynget — which dynamic request to defer instead of
+// rejecting while the negotiation runs.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,16 @@ using DynQueue = std::vector<torque::DynQueueEntry>;
 struct PoolPressure {
   int free_accel = 0;    // free accelerator nodes (kUp only)
   int free_compute = 0;  // free compute slots (kUp only)
+};
+
+// A change the policy wants for a registered job. A grow asks for `count`
+// more accelerators, which the scheduler picks from its view; a shrink
+// offers the job's newest dynamic set (sets release LIFO), so its count is
+// advisory.
+struct Proposal {
+  torque::JobId job = torque::kInvalidJob;
+  OfferKind kind = OfferKind::kGrow;
+  std::int32_t count = 0;
 };
 
 // One policy decision: the proposal to send, plus the dynamic request (if

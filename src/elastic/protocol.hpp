@@ -1,10 +1,12 @@
 // Wire format of the elastic negotiation protocol: scheduler-initiated
-// grow/shrink of running jobs (ROADMAP item 3, following the offer/ack
-// reconfiguration model of the DMR API). Three phases:
+// grow/shrink of running jobs (following the offer/ack reconfiguration model
+// of the DMR API). Three phases:
 //
-//   offer       — the server, prompted by a Maui utilization policy
-//                 (kElastPropose), reserves resources and offers the change
-//                 to the job's ElasticAgent (kElastOffer).
+//   offer       — Maui's utilization policy proposes the change as an item
+//                 of its kDynDecide batch (torque/sched_feed.hpp; a grow
+//                 names the accelerators Maui picked). The server reserves
+//                 them and offers the change to the job's ElasticAgent
+//                 (kElastOffer).
 //   ack/nack    — the agent answers within a named deadline (kElastAck).
 //                 A nack, or a timed-out offer, reverts the reservation with
 //                 no slot leak.
@@ -13,16 +15,17 @@
 //                 tells the agent the committed footprint (kElastReconfig)
 //                 so the application resizes its session.
 //
+// Grows are accelerator grows of one slot per host, like a dynget's grant.
 // Like svc/wire.hpp, this header reuses torque's header-only protocol types
-// (MsgType codes, JobId, NodeKind); the elastic library does not link against
-// the torque library.
+// (MsgType codes, JobId); the elastic library does not link against the
+// torque library.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "torque/node_db.hpp"
+#include "torque/job.hpp"
 #include "torque/protocol.hpp"
 #include "util/bytes.hpp"
 #include "vnet/message.hpp"
@@ -43,8 +46,7 @@ struct Registration {
   vnet::Address agent;      // the ElasticAgent's endpoint
   bool can_grow = false;    // accepts grow offers
   bool can_shrink = false;  // accepts shrink offers (newest set first)
-  torque::NodeKind grow_kind = torque::NodeKind::kAccelerator;
-  std::int32_t appetite = 0;  // max extra nodes the job would still take
+  std::int32_t appetite = 0;  // max extra accelerators the job would take
 };
 
 inline void put_registration(util::ByteWriter& w, const Registration& r) {
@@ -53,7 +55,6 @@ inline void put_registration(util::ByteWriter& w, const Registration& r) {
   w.put<std::int32_t>(r.agent.port);
   w.put_bool(r.can_grow);
   w.put_bool(r.can_shrink);
-  w.put_enum(r.grow_kind);
   w.put<std::int32_t>(r.appetite);
 }
 
@@ -64,34 +65,7 @@ inline Registration get_registration(util::ByteReader& r) {
   out.agent.port = r.get<std::int32_t>();
   out.can_grow = r.get_bool();
   out.can_shrink = r.get_bool();
-  out.grow_kind = r.get_enum<torque::NodeKind>();
   out.appetite = r.get<std::int32_t>();
-  return out;
-}
-
-// maui -> server (kElastPropose): a utilization policy asks the server to
-// start a negotiation. The server validates against the job's registration,
-// reserves resources (grow), and emits the offer.
-struct Proposal {
-  torque::JobId job = torque::kInvalidJob;
-  OfferKind kind = OfferKind::kGrow;
-  std::int32_t count = 0;  // grow: nodes to add; shrink: advisory set size
-  torque::NodeKind node_kind = torque::NodeKind::kAccelerator;
-};
-
-inline void put_proposal(util::ByteWriter& w, const Proposal& p) {
-  w.put<std::uint64_t>(p.job);
-  w.put_enum(p.kind);
-  w.put<std::int32_t>(p.count);
-  w.put_enum(p.node_kind);
-}
-
-inline Proposal get_proposal(util::ByteReader& r) {
-  Proposal out;
-  out.job = r.get<std::uint64_t>();
-  out.kind = r.get_enum<OfferKind>();
-  out.count = r.get<std::int32_t>();
-  out.node_kind = r.get_enum<torque::NodeKind>();
   return out;
 }
 
@@ -162,7 +136,6 @@ struct JobView {
   torque::JobId job = torque::kInvalidJob;
   bool can_grow = false;
   bool can_shrink = false;
-  torque::NodeKind grow_kind = torque::NodeKind::kAccelerator;
   std::int32_t appetite = 0;
   // A scheduler-started change is in flight: an offer awaiting its ack, or
   // an accepted shrink whose release has not completed.
@@ -176,7 +149,6 @@ inline void put_job_view(util::ByteWriter& w, const JobView& v) {
   w.put<std::uint64_t>(v.job);
   w.put_bool(v.can_grow);
   w.put_bool(v.can_shrink);
-  w.put_enum(v.grow_kind);
   w.put<std::int32_t>(v.appetite);
   w.put_bool(v.offer_pending);
   w.put<std::int32_t>(v.newest_set_size);
@@ -187,7 +159,6 @@ inline JobView get_job_view(util::ByteReader& r) {
   out.job = r.get<std::uint64_t>();
   out.can_grow = r.get_bool();
   out.can_shrink = r.get_bool();
-  out.grow_kind = r.get_enum<torque::NodeKind>();
   out.appetite = r.get<std::int32_t>();
   out.offer_pending = r.get_bool();
   out.newest_set_size = r.get<std::int32_t>();

@@ -44,6 +44,7 @@ SchedulerStatsSnapshot MauiScheduler::stats() const {
   s.dyn_capped = dyn_capped_.load();
   s.backfilled = backfilled_.load();
   s.elast_proposed = elast_proposed_.load();
+  s.refused = refused_.load();
   return s;
 }
 
@@ -133,81 +134,132 @@ void MauiScheduler::cycle(vnet::Process& proc) {
 
   decay_fairshare(snap.now);
 
-  service_elastic(proc, snap, view);
-  if (config_.dynamic_first) service_dynamic(proc, snap, view);
+  if (config_.dynamic_first) decide_dynamic(proc, snap, view);
   schedule_static(proc, snap, view, changed);
-  if (!config_.dynamic_first) service_dynamic(proc, snap, view);
+  if (!config_.dynamic_first) decide_dynamic(proc, snap, view);
 }
 
-void MauiScheduler::service_elastic(vnet::Process& proc,
-                                    const torque::QueueSnapshot& snap,
-                                    const std::vector<NodeView>& nodes) {
-  if (!config_.elastic_policy) return;
-  // Drop deferrals whose request left the queue (granted, rejected, or the
-  // job died) so the map cannot grow without bound.
-  std::erase_if(deferred_, [&](const auto& kv) {
-    return std::none_of(
-        snap.dyn.begin(), snap.dyn.end(),
-        [&](const torque::DynQueueEntry& d) { return d.dyn_id == kv.first; });
-  });
-
-  elastic::PoolPressure pressure;
-  for (const auto& n : nodes) {
-    if (n.free < 1) continue;
-    if (n.kind == torque::NodeKind::kAccelerator) {
-      ++pressure.free_accel;
-    } else {
-      ++pressure.free_compute;
-    }
-  }
-
-  const auto actions =
-      config_.elastic_policy->evaluate(pressure, snap.elastic, snap.dyn);
-  if (actions.empty()) return;
+void MauiScheduler::decide_dynamic(vnet::Process& proc,
+                                   const torque::QueueSnapshot& snap,
+                                   std::vector<NodeView>& nodes) {
+  using Kind = torque::DynDecision::Kind;
   const svc::Caller caller(proc, config_.server, config_.retry);
-  // try_emplace: a deferral window starts at the request's first deferral
-  // and is never refreshed — re-deferring every cycle must not extend it.
-  const double defer_until =
-      snap.now +
-      std::chrono::duration<double>(config_.elastic_defer_window).count();
-  for (const auto& a : actions) {
-    if (a.proposal.count <= 0) {
-      // Defer-only: a reclaim already in flight will free the capacity this
-      // request is waiting for; no proposal, no span (deferral is silent).
-      if (a.defer_dyn != 0) deferred_.try_emplace(a.defer_dyn, defer_until);
-      continue;
-    }
-    // A shrink made on a starved request's behalf joins that request's
-    // trace, so the whole negotiation is one causal tree from the dynget.
-    trace::SpanScope span(a.proposal.kind == elastic::OfferKind::kShrink
-                              ? "maui.propose_shrink"
-                              : "maui.propose_grow",
-                          trace::Context{a.trace_id, a.origin_span});
-    span.note("job", std::to_string(a.proposal.job));
-    span.note("count", std::to_string(a.proposal.count));
+
+  // Every item the pass decides, an elastic proposal or a dynget grant or
+  // reject, is staged inside its decision span. Batched, the items ship as
+  // one kDynDecide after the pass and the per-request base cost is charged
+  // once for the whole batch; serial, each ships alone inside its span and
+  // pays the base cost itself. The server applies them in order and answers
+  // one outcome per item; only applied items count.
+  struct Staged {
+    bool capped = false;         // a reject by the owner pool cap
+    std::uint64_t deferred = 0;  // the deferral a proposal made
+  };
+  std::vector<torque::DynDecision> batch;
+  std::vector<Staged> staged;
+  const auto ship = [&] {
+    if (batch.empty()) return;
+    std::vector<bool> applied(batch.size(), false);
     util::ByteWriter w;
-    elastic::put_proposal(w, a.proposal);
+    torque::put_dyn_decisions(w, batch);
     try {
       const auto reply =
-          caller.call(torque::MsgType::kElastPropose, std::move(w).take(),
+          caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
                       {.deadline = svc::deadlines::kDefault});
       util::ByteReader r(reply);
-      (void)r.get<std::uint64_t>();  // offer id
+      const auto n = r.get<std::uint32_t>();
+      for (std::size_t i = 0; i < n; ++i) applied.at(i) = r.get_bool();
       fold_reply(r);
-      elast_proposed_.fetch_add(1, std::memory_order_relaxed);
-      if (a.defer_dyn != 0) deferred_.try_emplace(a.defer_dyn, defer_until);
     } catch (const util::ProtocolError& e) {
-      span.note("error", e.what());
-      kLog.warn("elastic proposal for job {} not applied: {}", a.proposal.job,
-                e.what());
+      kLog.warn("dyn decision batch ({} item(s)) not applied: {}",
+                batch.size(), e.what());
+    }
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto kind = batch[i].kind;
+      const bool proposal = kind == Kind::kGrow || kind == Kind::kShrink;
+      if (applied[i]) {
+        auto& counter = proposal             ? elast_proposed_
+                        : kind == Kind::kGrant ? dyn_granted_
+                                               : dyn_rejected_;
+        counter.fetch_add(1, std::memory_order_relaxed);
+        if (staged[i].capped) {
+          dyn_capped_.fetch_add(1, std::memory_order_relaxed);
+        }
+        continue;
+      }
+      refused_.fetch_add(1, std::memory_order_relaxed);
+      if (proposal) {
+        // The request it deferred is decided in the next cycle, at once.
+        kLog.warn("elastic proposal for job {} refused by the server",
+                  batch[i].id);
+        if (staged[i].deferred != 0) deferred_.erase(staged[i].deferred);
+        woken_ = true;
+      }
+    }
+    batch.clear();
+    staged.clear();
+  };
+  const auto stage = [&](torque::DynDecision item, Staged info,
+                         const trace::SpanScope& span) {
+    // Ship the decision span's identity so the server-side application runs
+    // as its child, whichever batch the item rides in.
+    const auto ctx = span.context();
+    item.trace_id = ctx.trace;
+    item.span = ctx.span;
+    batch.push_back(std::move(item));
+    staged.push_back(info);
+    if (!config_.batched_dyn) ship();
+  };
+
+  if (config_.elastic_policy) {
+    // Drop deferrals whose request left the queue (granted, rejected, or
+    // the job died) so the map cannot grow without bound.
+    std::erase_if(deferred_, [&](const auto& kv) {
+      return std::none_of(
+          snap.dyn.begin(), snap.dyn.end(),
+          [&](const torque::DynQueueEntry& d) { return d.dyn_id == kv.first; });
+    });
+    elastic::PoolPressure pressure;
+    for (const auto& n : nodes) {
+      if (n.free < 1) continue;
+      if (n.kind == torque::NodeKind::kAccelerator) {
+        ++pressure.free_accel;
+      } else {
+        ++pressure.free_compute;
+      }
+    }
+    const double defer_until =
+        snap.now + std::chrono::duration<double>(kDeferWindow).count();
+    for (const auto& a :
+         config_.elastic_policy->evaluate(pressure, snap.elastic, snap.dyn)) {
+      // try_emplace: a deferral window starts at the request's first
+      // deferral and is never refreshed — re-deferring every cycle must not
+      // extend it. A defer-only action (count 0) waits for a reclaim
+      // already in flight: no proposal, no span (deferral is silent).
+      const bool deferred =
+          a.defer_dyn != 0 &&
+          deferred_.try_emplace(a.defer_dyn, defer_until).second;
+      if (a.proposal.count <= 0) continue;
+      const bool grow = a.proposal.kind == elastic::OfferKind::kGrow;
+      torque::DynDecision item{.id = a.proposal.job,
+                               .kind = grow ? Kind::kGrow : Kind::kShrink};
+      // A grow's hosts come from this pass's view, like a grant's, so no
+      // grant or static start later in the pass lands on them.
+      if (grow) {
+        item.hosts = try_allocate_dyn(nodes, torque::NodeKind::kAccelerator,
+                                      a.proposal.count);
+        if (item.hosts.empty()) continue;
+      }
+      // A shrink made on a starved request's behalf joins that request's
+      // trace, so the whole negotiation is one causal tree from the dynget.
+      trace::SpanScope span(grow ? "maui.propose_grow" : "maui.propose_shrink",
+                            trace::Context{a.trace_id, a.origin_span});
+      span.note("job", std::to_string(a.proposal.job));
+      span.note("count", std::to_string(a.proposal.count));
+      stage(std::move(item), {.deferred = deferred ? a.defer_dyn : 0}, span);
     }
   }
-}
 
-void MauiScheduler::service_dynamic(vnet::Process& proc,
-                                    const torque::QueueSnapshot& snap,
-                                    std::vector<NodeView>& nodes) {
-  const svc::Caller caller(proc, config_.server, config_.retry);
   // Fairshare cap inputs: the accelerator pool size and each owner's
   // current accelerator holdings (static + dynamic), from the snapshot.
   int pool = 0;
@@ -227,28 +279,7 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
 
   // Strictly FIFO, one at a time — the serialization the paper's Figure 9
   // observes across concurrent requesters. Decisions are made one at a time
-  // against the same shared view either way. Batched, they ship to the
-  // server as one kDynDecide after the loop and the per-request base cost
-  // is charged once for the whole batch; serial, each ships alone inside
-  // its decision span and pays the base cost itself.
-  std::vector<torque::DynDecision> batch;
-  const auto ship = [&] {
-    if (batch.empty()) return;
-    util::ByteWriter w;
-    torque::put_dyn_decisions(w, batch);
-    try {
-      const auto reply =
-          caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
-                      {.deadline = svc::deadlines::kDefault});
-      util::ByteReader r(reply);
-      (void)r.get<std::uint32_t>();  // decisions applied
-      fold_reply(r);
-    } catch (const util::ProtocolError& e) {
-      kLog.warn("dyn decision batch ({} decision(s)) not applied: {}",
-                batch.size(), e.what());
-    }
-    batch.clear();
-  };
+  // against the same shared view either way.
   bool batch_base_charged = false;
   for (const auto& d : snap.dyn) {
     // A request deferred for an in-flight shrink negotiation is skipped
@@ -349,30 +380,14 @@ void MauiScheduler::service_dynamic(vnet::Process& proc,
     if (capped) span.note("capped", "1");
     if (grant) span.note("hosts", std::to_string(hosts.size()));
 
-    // Stats count the *decision*: a grant the server later rolls back
-    // (allocation race) still counts as granted here.
-    if (grant) {
-      dyn_granted_.fetch_add(1, std::memory_order_relaxed);
-      if (auto it = job_by_id.find(d.job); it != job_by_id.end()) {
-        holdings[it->second->spec.owner] += static_cast<int>(hosts.size());
-      }
-    } else {
-      dyn_rejected_.fetch_add(1, std::memory_order_relaxed);
-      if (capped) dyn_capped_.fetch_add(1, std::memory_order_relaxed);
+    if (auto it = job_by_id.find(d.job); grant && it != job_by_id.end()) {
+      holdings[it->second->spec.owner] += static_cast<int>(hosts.size());
     }
-
-    torque::DynDecision dec;
-    dec.dyn_id = d.dyn_id;
-    dec.grant = grant;
-    dec.pickup_ns = pickup;
+    torque::DynDecision dec{.id = d.dyn_id,
+                            .kind = grant ? Kind::kGrant : Kind::kReject,
+                            .pickup_ns = pickup};
     if (grant) dec.hosts = std::move(hosts);
-    // Ship the decision span's identity so the server-side application runs
-    // as its child, whichever batch the decision rides in.
-    const auto ctx = span.context();
-    dec.trace_id = ctx.trace;
-    dec.span = ctx.span;
-    batch.push_back(std::move(dec));
-    if (!config_.batched_dyn) ship();
+    stage(std::move(dec), {.capped = capped}, span);
   }
   ship();
 }
@@ -629,6 +644,7 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
     const auto& [job, backfill] = staged[i];
     if (!accepted[i]) {
       kLog.warn("run_job {} refused by the server", job->id);
+      refused_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     jobs_started_.fetch_add(1, std::memory_order_relaxed);

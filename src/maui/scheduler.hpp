@@ -1,10 +1,12 @@
 // The Maui-like scheduler daemon. Each cycle works on its mirror of the
 // pbs_server's queue and node state, which the server keeps current by
-// pushing deltas (docs/SCHEDULING.md). It services dynamic requests first
-// (the paper's basic dynamic-priority mechanism, FIFO among themselves),
-// then schedules static jobs under the configured policy: FIFO,
-// multi-factor priority (queue time, QoS, fairshare), or EASY backfill with
-// a reservation for the highest-priority blocked job.
+// pushing deltas (docs/SCHEDULING.md). It runs one dynamic decide pass first
+// (the paper's basic dynamic-priority mechanism): the elastic policy's grow
+// and shrink proposals, then the dynamic requests, FIFO among themselves,
+// all shipped in one kDynDecide. Then it schedules static jobs under the
+// configured policy: FIFO, multi-factor priority (queue time, QoS,
+// fairshare), or EASY backfill with a reservation for the highest-priority
+// blocked job.
 //
 // The cycle structure is what the paper's Figures 8/9 measure: a dynamic
 // request arriving while the scheduler is mid-cycle waits for the cycle to
@@ -13,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -60,10 +63,6 @@ struct SchedulerConfig {
   // entirely — no proposals, no deferrals, cycle behaviour identical to the
   // seed scheduler.
   std::shared_ptr<elastic::Policy> elastic_policy;
-  // How long a dynamic request may be deferred while a shrink negotiation
-  // made on its behalf runs. Past the window the request is decided
-  // normally (usually rejected, since the pool is still short).
-  std::chrono::milliseconds elastic_defer_window{5'000};
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
   // Cycles decide on a local QueueMirror fed by the deltas the server
@@ -74,22 +73,24 @@ struct SchedulerConfig {
   // after the first fetch. Decisions are identical either way; only the
   // fetch volume and modeled evaluation cost change.
   int full_rescan_every = 16;
-  // Ship all of a cycle's dynamic grant/reject decisions in one kDynDecide
-  // batch instead of one kDynDecide per decision. Decision logic is
-  // unchanged; the per-request scheduling cost drops from
-  // (base + count*per_node) to per-node only, with the base charged once
-  // per batch.
+  // Ship all of a cycle's dynamic items (elastic proposals, then grant and
+  // reject decisions) in one kDynDecide batch instead of one kDynDecide per
+  // item. Decision logic is unchanged; the per-request scheduling cost
+  // drops from (base + count*per_node) to per-node only, with the base
+  // charged once per batch.
   bool batched_dyn = true;
 };
 
 struct SchedulerStatsSnapshot {
   std::uint64_t cycles = 0;
   std::uint64_t jobs_started = 0;
+  // Dynamic items count when the server applied them.
   std::uint64_t dyn_granted = 0;
   std::uint64_t dyn_rejected = 0;
   std::uint64_t dyn_capped = 0;  // rejected by the owner pool cap
   std::uint64_t backfilled = 0;
-  std::uint64_t elast_proposed = 0;  // grow/shrink proposals sent
+  std::uint64_t elast_proposed = 0;  // grow/shrink proposals accepted
+  std::uint64_t refused = 0;  // starts and dynamic items the server refused
 };
 
 class MauiScheduler {
@@ -113,15 +114,15 @@ class MauiScheduler {
   void fold_wake(const vnet::Message& msg);
   void drain_wakes();
   void fold_reply(util::ByteReader& r);
-  // Feeds pool pressure and elasticity views to the configured policy and
-  // sends its proposals to the server; a shrink proposal defers the starved
-  // dynamic request it serves instead of rejecting it.
-  void service_elastic(vnet::Process& proc,
-                       const torque::QueueSnapshot& snap,
-                       const std::vector<NodeView>& nodes);
-  void service_dynamic(vnet::Process& proc,
-                       const torque::QueueSnapshot& snap,
-                       std::vector<NodeView>& nodes);
+  // The one dynamic decide pass. Feeds pool pressure and elasticity views
+  // to the configured policy and stages its proposals (a grow's hosts are
+  // debited from `nodes`; a shrink defers the starved dynamic request it
+  // serves instead of rejecting it), then decides the dynamic requests in
+  // FIFO order against the same view. Ships every item in kDynDecide. A
+  // refused proposal drops the deferral it made and asks for the next cycle
+  // at once.
+  void decide_dynamic(vnet::Process& proc, const torque::QueueSnapshot& snap,
+                      std::vector<NodeView>& nodes);
   // `changed`: distinct jobs changed since the last cycle, the
   // prioritization bill.
   void schedule_static(vnet::Process& proc,
@@ -162,6 +163,10 @@ class MauiScheduler {
   // dyn_id -> deadline (server seconds). A deferred request is skipped
   // silently — no decision span — until capacity arrives or the window ends.
   std::map<std::uint64_t, double> deferred_;
+  // How long a dynamic request may be deferred while a shrink negotiation
+  // made on its behalf runs. Past the window the request is decided
+  // normally (usually rejected, since the pool is still short).
+  static constexpr std::chrono::milliseconds kDeferWindow{5'000};
 
   std::atomic<std::uint64_t> cycles_{0};
   std::atomic<std::uint64_t> jobs_started_{0};
@@ -170,6 +175,7 @@ class MauiScheduler {
   std::atomic<std::uint64_t> dyn_capped_{0};
   std::atomic<std::uint64_t> backfilled_{0};
   std::atomic<std::uint64_t> elast_proposed_{0};
+  std::atomic<std::uint64_t> refused_{0};
 };
 
 }  // namespace dac::maui

@@ -138,7 +138,6 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kEvJobFailed): return "EV_JOB_FAILED";
     case as_u32(MsgType::kEvAcReclaim): return "EV_AC_RECLAIM";
     case as_u32(MsgType::kElastRegister): return "ELAST_REGISTER";
-    case as_u32(MsgType::kElastPropose): return "ELAST_PROPOSE";
     case as_u32(MsgType::kElastOffer): return "ELAST_OFFER";
     case as_u32(MsgType::kElastAck): return "ELAST_ACK";
     case as_u32(MsgType::kElastReconfig): return "ELAST_RECONFIG";

@@ -33,9 +33,9 @@ enum class MsgType : std::uint32_t {
   // scheduler <-> server
   // Consumed by the scheduler's plain wake endpoint, not a ServiceLoop.
   kSchedWake = 0x5430'0100,   // NOLINT-DACSCHED(handler-coverage)
-  // One state fetch (full or delta), one dynamic-decision batch and one
-  // static-start batch per cycle (docs/SCHEDULING.md). Wire structs live in
-  // sched_feed.hpp.
+  // One state fetch (full or delta), one dynamic-decision batch (dynget
+  // grants/rejects and elastic proposals) and one static-start batch per
+  // cycle (docs/SCHEDULING.md). Wire structs live in sched_feed.hpp.
   kRunJob,                    // scheduler -> server: vector<RunStart>
   kGetSched,                  // scheduler -> server: epoch -> SchedDelta
   kDynDecide,                 // scheduler -> server: vector<DynDecision>
@@ -73,11 +73,11 @@ enum class MsgType : std::uint32_t {
   kEvAcReclaim,
 
   // Elastic negotiation (scheduler-initiated grow/shrink, src/elastic):
-  // offer -> ack/nack -> reconfigure. Register/Propose/Ack are handled by
-  // the server's ServiceLoop; Offer/Reconfig by the job-side ElasticAgent
-  // loop. Wire structs live in elastic/protocol.hpp.
+  // offer -> ack/nack -> reconfigure. Maui proposes inside kDynDecide.
+  // Register/Ack are handled by the server's ServiceLoop; Offer/Reconfig by
+  // the job-side ElasticAgent loop. Wire structs live in
+  // elastic/protocol.hpp.
   kElastRegister = 0x5430'0700,  // agent -> server: job, address, caps
-  kElastPropose,                 // maui -> server: grow/shrink proposal
   kElastOffer,                   // server -> agent: offer id, kind, hosts
   kElastAck,                     // agent -> server: offer id, accept flag
   kElastReconfig,                // server -> agent: committed new footprint

@@ -70,8 +70,8 @@ void put_dyn_decisions(util::ByteWriter& w,
                        const std::vector<DynDecision>& ds) {
   w.put<std::uint32_t>(static_cast<std::uint32_t>(ds.size()));
   for (const auto& d : ds) {
-    w.put<std::uint64_t>(d.dyn_id);
-    w.put_bool(d.grant);
+    w.put<std::uint64_t>(d.id);
+    w.put_enum(d.kind);
     w.put<std::uint64_t>(d.pickup_ns);
     w.put_string_vector(d.hosts);
     w.put<std::uint64_t>(d.trace_id);
@@ -85,8 +85,8 @@ std::vector<DynDecision> get_dyn_decisions(util::ByteReader& r) {
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     DynDecision d;
-    d.dyn_id = r.get<std::uint64_t>();
-    d.grant = r.get_bool();
+    d.id = r.get<std::uint64_t>();
+    d.kind = r.get_enum<DynDecision::Kind>();
     d.pickup_ns = r.get<std::uint64_t>();
     d.hosts = r.get_string_vector();
     d.trace_id = r.get<std::uint64_t>();

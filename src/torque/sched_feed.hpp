@@ -1,23 +1,25 @@
 // The high-throughput scheduler feed: wire structures and server-side
 // bookkeeping for the incremental (delta-driven) Maui cycle and for batched
-// dynamic-request servicing.
+// dynamic decisions.
 //
 // A SchedDelta is either *full* (every non-terminal job, every node) or a
 // *delta* (only the jobs and nodes whose scheduler-visible state changed
 // since the previous one). The server feeds DirtyTracker from its mutation
 // handlers and the NodeDb's own dirty set, and pushes each delta to the
 // scheduler: in kSchedWake when a cycle can act, and at the end of every
-// reply to the scheduler's kRunJob, kDynDecide and kElastPropose. kGetSched
-// fetches one, full on first contact and for the rescan backstop. The
-// scheduler folds deltas, in epoch order, into a QueueMirror
-// (src/maui/queue_mirror.hpp) that reconstructs bit-identical fetch inputs —
-// the incremental ≡ full-rescan contract pinned by tests/maui.
+// reply to the scheduler's kRunJob and kDynDecide. kGetSched fetches one,
+// full on first contact and for the rescan backstop. The scheduler folds
+// deltas, in epoch order, into a QueueMirror (src/maui/queue_mirror.hpp)
+// that reconstructs bit-identical fetch inputs — the incremental ≡
+// full-rescan contract pinned by tests/maui.
 //
 // kDynDecide is the scheduler's one dynamic decision message: a batch of
-// grant/reject decisions, applied under one server lock acquisition. The
-// scheduler ships a whole cycle's decisions at once, or (serial ablation)
-// each decision alone (docs/SCHEDULING.md). kRunJob is its static twin: one
-// batch of a pass's job starts, always shipped whole.
+// dynget grants and rejects and elastic grow and shrink proposals, applied
+// in order under one server lock acquisition. The scheduler ships a whole
+// pass's items at once, or (serial ablation) each item alone
+// (docs/SCHEDULING.md). kRunJob is its static twin: one batch of a pass's
+// job starts, always shipped whole. Both replies are a u32 count followed by
+// one bool per item, in order, then the delta.
 #pragma once
 
 #include <cstdint>
@@ -70,15 +72,22 @@ struct SchedDelta {
 void put_sched_delta(util::ByteWriter& w, const SchedDelta& d);
 SchedDelta get_sched_delta(util::ByteReader& r);
 
-// One scheduler decision inside a kDynDecide batch. The span fields carry
-// the scheduler's grant/reject decision span so the server-side application
-// (slot assignment, MOM_DYN_ADD, the dynget reply) stays inside the
-// requester's causal tree.
+// One item of a kDynDecide batch: a decision on a queued dynget (grant or
+// reject), or an elastic proposal for a registered job (grow or shrink). The
+// span fields carry the scheduler's decision span (maui.grant_dyn,
+// maui.reject_dyn, maui.propose_*), so the server-side application (slot
+// assignment, MOM_DYN_ADD, the dynget reply, the ELAST_OFFER) stays inside
+// the requester's causal tree. The outcome is true when the server applied
+// the item.
 struct DynDecision {
-  std::uint64_t dyn_id = 0;
-  bool grant = false;
+  enum class Kind : std::uint8_t { kReject = 0, kGrant, kGrow, kShrink };
+  // The dynget's dyn_id for a grant or reject; the job for a proposal.
+  std::uint64_t id = 0;
+  Kind kind = Kind::kReject;
   std::uint64_t pickup_ns = 0;  // scheduler pickup, for the timing split
-  std::vector<std::string> hosts;  // grant only
+  // Grant and grow: the hosts picked, one accelerator slot each. A shrink
+  // offers the job's newest set, which the server names.
+  std::vector<std::string> hosts;
   std::uint64_t trace_id = 0;
   std::uint64_t span = 0;
 };
@@ -90,8 +99,8 @@ std::vector<DynDecision> get_dyn_decisions(util::ByteReader& r);
 // One static start inside a kRunJob batch: the hosts Maui picked for a
 // queued job. The span fields carry the scheduler's maui.run_job decision
 // span, so the server-side application (slot assignment, MOM_RUN_JOB) stays
-// inside the job's causal tree. The reply is a u32 count followed by one
-// bool per start, in order: true when the server started the job.
+// inside the job's causal tree. The outcome is true when the server started
+// the job.
 struct RunStart {
   JobId job = kInvalidJob;
   std::vector<std::string> compute;

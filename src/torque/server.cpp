@@ -168,7 +168,6 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   mut(MsgType::kRegisterScheduler, &PbsServer::on_register_scheduler);
   mut(MsgType::kRunJob, &PbsServer::on_run_job);
   mut(MsgType::kElastRegister, &PbsServer::on_elast_register);
-  mut(MsgType::kElastPropose, &PbsServer::on_elast_propose);
   mut(MsgType::kElastAck, &PbsServer::on_elast_ack);
 
   note(MsgType::kJobStarted, &PbsServer::on_job_started);
@@ -699,7 +698,13 @@ void PbsServer::on_job_complete(const rpc::Request& req) {
   const auto id = r.get<std::uint64_t>();
   const auto exit_status = r.get<std::int32_t>();
   auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
+  // Only a running job completes. One that qdel or a node failure already
+  // ended, or requeued, stays as it is: the report of its killed task
+  // changes nothing.
+  if (it == jobs_.end() || (it->second.info.state != JobState::kRunning &&
+                            it->second.info.state != JobState::kDynQueued)) {
+    return;
+  }
   auto& rec = it->second;
   end_job(id, rec, /*kill=*/false);
   rec.info.state = JobState::kComplete;
@@ -731,7 +736,6 @@ std::vector<elastic::JobView> PbsServer::elastic_views() const {
     v.job = job_id;
     v.can_grow = reg.can_grow;
     v.can_shrink = reg.can_shrink;
-    v.grow_kind = reg.grow_kind;
     v.appetite = reg.appetite;
     v.offer_pending = negotiating(job_id);
     if (!rec.dyn_sets.empty()) {
@@ -820,28 +824,8 @@ bool PbsServer::run_apply(const RunStart& start) {
     return false;  // unknown, no longer queued, or no mother superior
   }
   auto& rec = it->second;
-
-  // Apply the allocation; back out if the scheduler raced a release.
-  std::vector<std::pair<std::string, int>> applied;
-  bool ok = true;
-  for (const auto& h : start.compute) {
-    if (nodes_.assign(h, id, rec.info.spec.resources.ppn)) {
-      applied.emplace_back(h, rec.info.spec.resources.ppn);
-    } else {
-      ok = false;
-      break;
-    }
-  }
-  for (const auto& h : start.accel) {
-    if (!ok) break;
-    if (nodes_.assign(h, id, 1)) {
-      applied.emplace_back(h, 1);
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok) {
-    for (const auto& [h, slots] : applied) nodes_.release(h, id);
+  if (!assign_all(id, start.compute, rec.info.spec.resources.ppn,
+                  start.accel)) {
     return false;
   }
 
@@ -889,35 +873,17 @@ bool PbsServer::apply_dyn_grant(std::uint64_t dyn_id, std::uint64_t pickup_ns,
   const auto job = op->job;
   const auto& dyn = op->entry;
 
-  std::vector<std::string> applied;
-  bool ok = hosts.size() >= static_cast<std::size_t>(dyn.min_count) &&
-            hosts.size() <= static_cast<std::size_t>(dyn.count);
-  for (const auto& h : hosts) {
-    if (!ok) break;
-    if (nodes_.assign(h, job, 1)) {
-      applied.push_back(h);
-    } else {
-      ok = false;
-    }
-  }
-  if (!ok) {
-    for (const auto& h : applied) nodes_.release(h, job);
+  // The grant must honor the request bounds the scheduler saw and come
+  // entirely from the free pool.
+  if (hosts.size() < static_cast<std::size_t>(dyn.min_count) ||
+      hosts.size() > static_cast<std::size_t>(dyn.count) ||
+      !assign_all(job, {}, 0, hosts)) {
     DynGetReply reply;  // rejected
     reply.queue_wait_seconds =
         static_cast<double>(pickup_ns - op->arrival_ns) * 1e-9;
     finish_dynget(op, reply);
     return false;
   }
-
-  // The grant came entirely from the free pool (every assign succeeded) and
-  // honors the request bounds the scheduler saw.
-  DAC_CHECK(applied.size() == hosts.size(),
-            "dyn {}: granted {} hosts but only {} applied", dyn_id,
-            hosts.size(), applied.size());
-  DAC_CHECK(hosts.size() >= static_cast<std::size_t>(dyn.min_count) &&
-                hosts.size() <= static_cast<std::size_t>(dyn.count),
-            "dyn {}: grant of {} outside [{}, {}]", dyn_id, hosts.size(),
-            dyn.min_count, dyn.count);
 
   // The mother superior learns the set first, then the compute node gets
   // its client-id — the paper's ordering (§III-D).
@@ -953,27 +919,33 @@ bool PbsServer::apply_dyn_reject(std::uint64_t dyn_id,
 }
 
 void PbsServer::on_dyn_decide(const rpc::Request& req, svc::Responder& resp) {
-  // A batch of scheduler decisions (a whole cycle's, or one), applied under
-  // a single lock acquisition. Each decision replays inside the requester's
-  // trace (the scheduler shipped its per-decision span), so each decision's
-  // causal tree is the same whether it shipped alone or in a batch. Stale or
-  // conflicting decisions are not batch errors: the conflict path already
-  // rejected the request, and a vanished id means the job died after the
-  // scheduler's view was taken.
+  // A pass's elastic proposals and dynget decisions (all of them, or one),
+  // applied in the scheduler's order under one lock acquisition. Each
+  // replays inside its decision span, so each causal tree is the same
+  // whatever batch the item rode in. A refused item is not a batch error:
+  // the reply carries one outcome per item. A grant that conflicts has
+  // already rejected its request; a vanished id means the job ended after
+  // the scheduler's view was taken.
   util::ByteReader r(req.body);
-  const auto decisions = get_dyn_decisions(r);
-  std::uint32_t applied = 0;
-  for (const auto& dec : decisions) {
-    trace::SpanScope span("serve.dyn_apply",
-                          trace::Context{dec.trace_id, dec.span});
-    trace::note("dyn", std::to_string(dec.dyn_id));
-    if (dec.grant ? apply_dyn_grant(dec.dyn_id, dec.pickup_ns, dec.hosts)
-                  : apply_dyn_reject(dec.dyn_id, dec.pickup_ns)) {
-      ++applied;
-    }
-  }
+  const auto items = get_dyn_decisions(r);
   util::ByteWriter w;
-  w.put<std::uint32_t>(applied);
+  w.put<std::uint32_t>(static_cast<std::uint32_t>(items.size()));
+  for (const auto& item : items) {
+    using Kind = DynDecision::Kind;
+    const bool offer = item.kind == Kind::kGrow || item.kind == Kind::kShrink;
+    trace::SpanScope span(offer ? "serve.elast_apply" : "serve.dyn_apply",
+                          trace::Context{item.trace_id, item.span});
+    trace::note(offer ? "job" : "dyn", std::to_string(item.id));
+    bool applied = false;
+    if (offer) {
+      applied = apply_offer(item);
+    } else if (item.kind == Kind::kGrant) {
+      applied = apply_dyn_grant(item.id, item.pickup_ns, item.hosts);
+    } else if (item.kind == Kind::kReject) {
+      applied = apply_dyn_reject(item.id, item.pickup_ns);
+    }
+    w.put_bool(applied);
+  }
   put_delta(w);
   resp.ok(std::move(w).take());
 }
@@ -1006,96 +978,67 @@ void PbsServer::on_elast_register(const rpc::Request& req,
   wake_scheduler();
 }
 
-void PbsServer::on_elast_propose(const rpc::Request& req,
-                                 svc::Responder& resp) {
-  util::ByteReader r(req.body);
-  const auto prop = elastic::get_proposal(r);
-  const auto agent = agents_.find(prop.job);
-  auto it = jobs_.find(prop.job);
+bool PbsServer::apply_offer(const DynDecision& item) {
+  const auto job = item.id;
+  const auto kind = item.kind == DynDecision::Kind::kGrow
+                        ? elastic::OfferKind::kGrow
+                        : elastic::OfferKind::kShrink;
+  const auto refuse = [&](const char* why) {
+    kLog.info("elastic {} for job {} refused: {}",
+              elastic::offer_kind_name(kind), job, why);
+    return false;
+  };
+  const auto agent = agents_.find(job);
+  const auto it = jobs_.find(job);
   if (agent == agents_.end() || it == jobs_.end()) {
-    resp.error(ReplyCode::kBadRequest, "elast_propose: job not registered");
-    return;
+    return refuse("job not registered");
   }
   auto& rec = it->second;
   const auto& reg = agent->second;
   if (rec.info.state != JobState::kRunning &&
       rec.info.state != JobState::kDynQueued) {
-    resp.error(ReplyCode::kBadRequest, "elast_propose: job not running");
-    return;
+    return refuse("job not running");
   }
-  if (negotiating(prop.job)) {
-    resp.error(ReplyCode::kBadRequest, "elast_propose: negotiation in flight");
-    return;
-  }
-  if (prop.count <= 0) {
-    resp.error(ReplyCode::kBadRequest, "elast_propose: need count > 0");
-    return;
-  }
-  trace::note("job", std::to_string(prop.job));
+  if (negotiating(job)) return refuse("negotiation in flight");
 
   SetOp op;
-  op.job = prop.job;
-  op.grow = prop.kind == elastic::OfferKind::kGrow;
+  op.job = job;
+  op.grow = kind == elastic::OfferKind::kGrow;
   op.by_scheduler = true;
   op.stage = SetOp::Stage::kOffered;
   op.deadline =
       now_s() +
       std::chrono::duration<double>(timing_.elastic_offer_timeout).count();
-
   if (op.grow) {
-    if (!reg.can_grow) {
-      resp.error(ReplyCode::kBadRequest, "elast_propose: job cannot grow");
-      return;
-    }
-    // Reserve free slots immediately so the offer window cannot be raced by
-    // a normal grant. The reservation is assigned under the job id, so a
+    if (!reg.can_grow) return refuse("job cannot grow");
+    // Reserve the scheduler's hosts now, so no grant can take them during
+    // the offer window. The reservation is assigned under the job id, so a
     // dying job's release_all frees it without knowing about the offer.
-    const int slots = prop.node_kind == NodeKind::kAccelerator
-                          ? 1
-                          : rec.info.spec.resources.ppn;
-    for (const auto& n : nodes_.snapshot()) {
-      if (static_cast<std::int32_t>(op.hosts.size()) >= prop.count) break;
-      if (n.kind != prop.node_kind || !n.up || n.free_slots() < slots) {
-        continue;
-      }
-      if (!nodes_.assign(n.hostname, prop.job, slots)) continue;
-      op.hosts.push_back(n.hostname);
-      op.nodes.push_back(n.node_id);
+    if (item.hosts.empty() || !assign_all(job, {}, 0, item.hosts)) {
+      return refuse("hosts not free");
     }
-    if (op.hosts.empty()) {
-      resp.error(ReplyCode::kError, "elast_propose: no free nodes");
-      return;
-    }
+    op.hosts = item.hosts;
   } else {
-    if (!reg.can_shrink) {
-      resp.error(ReplyCode::kBadRequest, "elast_propose: job cannot shrink");
-      return;
-    }
-    if (rec.dyn_sets.empty()) {
-      resp.error(ReplyCode::kBadRequest, "elast_propose: nothing to shrink");
-      return;
-    }
+    if (!reg.can_shrink) return refuse("job cannot shrink");
+    if (rec.dyn_sets.empty()) return refuse("nothing to shrink");
     // Dynamic sets release LIFO (rmlib generations): offer the newest.
     const auto newest = rec.dyn_sets.rbegin();
     op.client_id = newest->first;
     op.hosts = newest->second;
-    for (const auto& ref : host_refs(op.hosts)) op.nodes.push_back(ref.node);
   }
+  for (const auto& ref : host_refs(op.hosts)) op.nodes.push_back(ref.node);
 
   op.offer_id = next_offer_id_++;
   util::ByteWriter w;
-  elastic::put_offer(w, elastic::Offer{op.offer_id, prop.job, prop.kind,
-                                       op.client_id, op.hosts, op.nodes});
+  elastic::put_offer(w, elastic::Offer{op.offer_id, job, kind, op.client_id,
+                                       op.hosts, op.nodes});
   rpc::notify(*endpoint_, reg.agent, MsgType::kElastOffer,
               std::move(w).take());
   kLog.info("elastic {} offer {} for job {}: {} host(s)",
-            elastic::offer_kind_name(prop.kind), op.offer_id, prop.job,
+            elastic::offer_kind_name(kind), op.offer_id, job,
             op.hosts.size());
-  util::ByteWriter reply;
-  reply.put<std::uint64_t>(op.offer_id);
   ops_.push_back(std::move(op));
-  put_delta(reply);
-  resp.ok(std::move(reply).take());
+  return true;
 }
 
 void PbsServer::on_elast_ack(const rpc::Request& req, svc::Responder& resp) {
@@ -1185,6 +1128,23 @@ void PbsServer::sweep_elastic_offers() {
 }
 
 // ------------------------------------------------------------ SetOp table
+
+bool PbsServer::assign_all(JobId job, const std::vector<std::string>& compute,
+                           int ppn, const std::vector<std::string>& accel) {
+  std::vector<std::string> assigned;
+  const auto take = [&](const std::vector<std::string>& hosts, int slots) {
+    for (const auto& h : hosts) {
+      if (!nodes_.assign(h, job, slots)) return false;
+      assigned.push_back(h);
+    }
+    return true;
+  };
+  if (take(compute, ppn) && take(accel, 1)) return true;
+  // The scheduler's view raced another assignment: back out the hosts this
+  // call assigned.
+  for (const auto& h : assigned) nodes_.release(h, job);
+  return false;
+}
 
 PbsServer::OpIt PbsServer::find_queued(std::uint64_t dyn_id) {
   return std::find_if(ops_.begin(), ops_.end(), [dyn_id](const SetOp& op) {

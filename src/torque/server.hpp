@@ -15,8 +15,8 @@
 // High-throughput extensions (docs/SCHEDULING.md): job mutations feed a
 // DirtyTracker whose deltas the server pushes to the scheduler in
 // kSchedWake and in every reply it sends the scheduler, and one kDynDecide
-// message applies a whole cycle's dynamic grant/reject decisions under a
-// single lock acquisition.
+// message applies a whole cycle's dynget decisions and elastic proposals
+// under a single lock acquisition.
 #pragma once
 
 #include <cstdint>
@@ -195,6 +195,14 @@ class PbsServer {
   // conflict refuses only this start and rolls back only its slots.
   bool run_apply(const RunStart& start) DAC_REQUIRES(state_mu_);
 
+  // Assigns `ppn` slots on each `compute` host and one on each `accel` host
+  // to `job`, all or nothing: on the first conflict it releases what it
+  // assigned and returns false. Every allocation the scheduler picked (a
+  // start, a grant, a grow's reservation) goes through here.
+  bool assign_all(JobId job, const std::vector<std::string>& compute, int ppn,
+                  const std::vector<std::string>& accel)
+      DAC_REQUIRES(state_mu_);
+
   // Apply one kDynDecide decision; true when applied. A stale decision (the
   // request or its job vanished) returns false. So does a grant whose
   // allocation raced a concurrent assignment; that request is finished as
@@ -204,6 +212,12 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   bool apply_dyn_reject(std::uint64_t dyn_id, std::uint64_t pickup_ns)
       DAC_REQUIRES(state_mu_);
+  // Apply one kDynDecide elastic proposal: reserve a grow's hosts or pick a
+  // shrink's set, and offer the change to the job's agent. False, with
+  // nothing changed, unless the job is registered and running, has no
+  // negotiation in flight, allows the change, and has the hosts free (grow)
+  // or a dynamic set (shrink).
+  bool apply_offer(const DynDecision& item) DAC_REQUIRES(state_mu_);
 
   // The scheduler's next SchedDelta: full, or the jobs and nodes changed
   // since the last one. Drains both dirty sets and advances the epoch.
@@ -225,13 +239,10 @@ class PbsServer {
   void touch_job(JobId id) DAC_REQUIRES(state_mu_) { sched_feed_.touch(id); }
 
   // ---- elastic negotiation (src/elastic) -------------------------------
-  // kElastRegister/kElastPropose/kElastAck handlers. Offers never block the
-  // serialized lane: an offer is a notification to the job's agent, the ack
-  // arrives as a separate request, and stale offers are swept on the
-  // liveness tick.
+  // kElastRegister/kElastAck handlers. Offers never block the serialized
+  // lane: an offer is a notification to the job's agent, the ack arrives as
+  // a separate request, and stale offers are swept on the liveness tick.
   void on_elast_register(const rpc::Request& req, svc::Responder& resp)
-      DAC_REQUIRES(state_mu_);
-  void on_elast_propose(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_elast_ack(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);

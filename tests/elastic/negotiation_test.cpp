@@ -188,6 +188,20 @@ TEST(ElasticNegotiation, ShrinkRegrantsStarvedDynget) {
   EXPECT_TRUE(view.no_allocation_overlap(s.capacities()));
   EXPECT_EQ(view.named("alloc.assign").size(),
             view.named("alloc.release").size());
+
+  // The proposal rode in the decide pass's one DYN_DECIDE: the only elastic
+  // messages the server served came from the agent, and no cycle sent more
+  // than one batch.
+  const auto metrics = s.cluster().metrics_snapshot();
+  for (const auto& rpc : metrics.rpcs) {
+    if (!rpc.name.starts_with("ELAST_")) continue;
+    EXPECT_TRUE(rpc.name == "ELAST_REGISTER" || rpc.name == "ELAST_ACK")
+        << rpc.name << " served";
+  }
+  const auto* decide =
+      metrics.find(torque::as_u32(torque::MsgType::kDynDecide));
+  ASSERT_NE(decide, nullptr);
+  EXPECT_LE(decide->calls, s.cluster().scheduler_stats().cycles);
 }
 
 // Idle-expansion: a job with appetite is grown unprompted while the pool
@@ -235,6 +249,59 @@ TEST(ElasticNegotiation, GrowOfferAttachesAndFreesCleanly) {
   ASSERT_TRUE(s.wait_job(id, 30'000ms).has_value());
   EXPECT_TRUE(grew.load());
   EXPECT_GE(s.cluster().scheduler_stats().elast_proposed, 1u);
+  EXPECT_EQ(used_slots(s.cluster()), 0);
+}
+
+// A grow's hosts come out of the decide pass's own view, so a queued job
+// that needs the accelerator the grow takes is not started onto it in the
+// same pass: the server refuses nothing. The grower frees its dynget's set
+// and registers before the release lands, so the freed accelerator, the
+// registration and the queued job meet in one pass.
+TEST(ElasticNegotiation, GrowPassStartsNothingOnItsReservation) {
+  std::atomic<bool> holding{false};
+  std::atomic<bool> queued{false};
+  std::atomic<bool> grew{false};
+
+  testing::Scenario s;
+  s.compute_nodes(1).accel_nodes(1).clock_mode(simtime::Mode::kDiscreteEvent);
+  s.config().elastic_policy = std::make_shared<ExpandIdlePolicy>();
+
+  s.program("grower", [&](core::JobContext& ctx) {
+    auto& ses = ctx.session();
+    (void)ses.ac_init();
+    const auto got = ses.ac_get(1);
+    ASSERT_TRUE(got.granted);
+    holding = true;
+    await_flag(queued);
+
+    auto cfg = ctx.elastic_config();
+    cfg.accept_grow = true;
+    cfg.appetite = 1;
+    ElasticAgent agent(ctx.mpi().process(), cfg);
+    agent.on_grow([&](const Reconfig&) { grew = true; });
+    ses.ac_free(got.client_id);
+    agent.announce();
+    const auto deadline = simtime::now() + 20'000ms;
+    while (!grew.load() && simtime::now() < deadline) {
+      (void)agent.service(10ms);
+    }
+    agent.stop();
+    ses.ac_finalize();
+  });
+  s.program("taker", [](core::JobContext&) {});
+
+  const auto grower = s.submit_program("grower", /*nodes=*/1, /*acpn=*/0);
+  await_flag(holding);
+  const auto taker = s.submit_program("taker", /*nodes=*/1, /*acpn=*/1);
+  queued = true;
+  ASSERT_TRUE(s.wait_job(grower, 30'000ms).has_value());
+  ASSERT_TRUE(s.wait_job(taker, 30'000ms).has_value());
+
+  EXPECT_TRUE(grew.load()) << "the idle accelerator was never offered";
+  const auto stats = s.cluster().scheduler_stats();
+  EXPECT_EQ(stats.elast_proposed, 1u);
+  EXPECT_EQ(stats.refused, 0u);
+  EXPECT_EQ(stats.jobs_started, 2u);
   EXPECT_EQ(used_slots(s.cluster()), 0);
 }
 

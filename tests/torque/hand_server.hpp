@@ -1,8 +1,9 @@
 // A pbs_server driven by hand for protocol tests: the test plays scheduler
-// (RUN_JOB, DYN_DECIDE, GET_SCHED, ELAST_PROPOSE), mother superior
-// (JOB_COMPLETE, MS_RELEASE_DONE) and elastic agent (ELAST_REGISTER,
-// ELAST_ACK). The "moms" and the agent are plain endpoints that swallow what
-// the server sends them, so no message lands in a closed mailbox.
+// (RUN_JOB, DYN_DECIDE, GET_SCHED), mother superior (JOB_COMPLETE,
+// MS_RELEASE_DONE) and elastic agent (ELAST_REGISTER, ELAST_ACK). The "moms"
+// and the agent are plain endpoints that swallow what the server sends them,
+// so no message lands in a closed mailbox; the agent's ELAST_OFFERs can be
+// read back.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -110,13 +111,27 @@ class HandServer {
     EXPECT_EQ(ok, std::vector<bool>{true}) << "RUN_JOB refused job " << id;
   }
 
+  // Ships `items` as one scheduler-style DYN_DECIDE and returns the
+  // server's per-item outcomes, in order.
+  std::vector<bool> decide(const std::vector<DynDecision>& items) {
+    util::ByteWriter w;
+    put_dyn_decisions(w, items);
+    const auto reply = rpc::call(cluster_.node(2), server(),
+                                 MsgType::kDynDecide, std::move(w).take());
+    util::ByteReader r(reply);
+    std::vector<bool> out(r.get<std::uint32_t>());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = r.get_bool();
+    return out;
+  }
+
   // Scheduler-style decisions on one dyn request, each shipped as a
-  // one-decision DYN_DECIDE.
+  // one-item DYN_DECIDE.
   void grant_dyn(std::uint64_t dyn_id, const std::vector<std::string>& hosts) {
-    decide(DynDecision{.dyn_id = dyn_id, .grant = true, .hosts = hosts});
+    (void)decide({{.id = dyn_id, .kind = DynDecision::Kind::kGrant,
+                   .hosts = hosts}});
   }
   void reject_dyn(std::uint64_t dyn_id) {
-    decide(DynDecision{.dyn_id = dyn_id});
+    (void)decide({{.id = dyn_id, .kind = DynDecision::Kind::kReject}});
   }
 
   // Scheduler-style forced-full GET_SCHED: every live job, every node, and
@@ -161,17 +176,30 @@ class HandServer {
                     std::move(w).take());
   }
 
-  // Scheduler-style ELAST_PROPOSE of accelerators; returns the offer id.
-  // Throws rpc::CallError when the server refuses the proposal.
-  std::uint64_t propose(JobId id, elastic::OfferKind kind, int count) {
-    util::ByteWriter w;
-    elastic::put_proposal(w, elastic::Proposal{.job = id,
-                                               .kind = kind,
-                                               .count = count});
-    const auto reply = rpc::call(cluster_.node(2), server(),
-                                 MsgType::kElastPropose, std::move(w).take());
-    util::ByteReader r(reply);
-    return r.get<std::uint64_t>();
+  // Scheduler-style elastic proposal in a one-item DYN_DECIDE: a grow of
+  // `hosts`, or a shrink of the job's newest set. Fails the test when the
+  // server refuses it; returns the offer id the agent received.
+  std::uint64_t propose(JobId id, elastic::OfferKind kind,
+                        const std::vector<std::string>& hosts = {}) {
+    const auto item_kind = kind == elastic::OfferKind::kGrow
+                               ? DynDecision::Kind::kGrow
+                               : DynDecision::Kind::kShrink;
+    const auto outcome = decide({{.id = id, .kind = item_kind, .hosts = hosts}});
+    EXPECT_EQ(outcome, std::vector<bool>{true}) << "proposal refused";
+    return next_offer().offer_id;
+  }
+
+  // The next ELAST_OFFER the agent endpoint received, skipping the other
+  // notifications; fails the test when none arrives.
+  elastic::Offer next_offer() {
+    while (auto msg = agent_->recv_for(std::chrono::seconds(5))) {
+      if (msg->type != as_u32(MsgType::kElastOffer)) continue;
+      const auto req = rpc::parse_request(*msg);
+      util::ByteReader r(req.body);
+      return elastic::get_offer(r);
+    }
+    ADD_FAILURE() << "no ELAST_OFFER reached the agent";
+    return {};
   }
 
   // Agent-style ELAST_ACK. Throws rpc::CallError when the offer is no
@@ -231,13 +259,6 @@ class HandServer {
   }
 
  private:
-  void decide(const DynDecision& dec) {
-    util::ByteWriter w;
-    put_dyn_decisions(w, {dec});
-    (void)rpc::call(cluster_.node(2), server(), MsgType::kDynDecide,
-                    std::move(w).take());
-  }
-
   dac::testing::ClockModeGuard mode_;  // first: everything runs on it
   vnet::Cluster cluster_;
   std::unique_ptr<vnet::Endpoint> mom_;

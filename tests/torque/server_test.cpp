@@ -109,6 +109,31 @@ TEST_F(ServerTest, DeleteQueuedJobCancels) {
   EXPECT_EQ(info->state, JobState::kCancelled);
 }
 
+// A task that exits just as qdel's kill lands makes the mother superior
+// report JOB_COMPLETE for a job that already ended. The report changes
+// nothing: the job stays cancelled.
+TEST_F(ServerTest, JobCompleteAfterDeleteStaysCancelled) {
+  const auto mom = cluster_.node(2).open_endpoint();
+  register_node("cn0", NodeKind::kCompute, 8, mom->address());
+  const auto id = start_running_job();
+  client().delete_job(id);
+  const auto cancelled = client().stat_job(id);
+  ASSERT_TRUE(cancelled.has_value());
+  ASSERT_EQ(cancelled->state, JobState::kCancelled);
+
+  util::ByteWriter w;
+  w.put<std::uint64_t>(id);
+  w.put<std::int32_t>(kExitOk);
+  rpc::notify(*mom, server_->address(), MsgType::kJobComplete,
+              std::move(w).take());
+  // Asked from the mom's node, after the report: the server reads it first.
+  const auto after = Ifl(cluster_.node(2), server_->address()).stat_job(id);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->state, JobState::kCancelled);
+  EXPECT_EQ(after->end_time, cancelled->end_time);
+  EXPECT_EQ(client().stat_nodes().at(0).used, 0);
+}
+
 TEST_F(ServerTest, DeleteUnknownJobErrors) {
   EXPECT_THROW(client().delete_job(424242), rpc::CallError);
 }
@@ -332,6 +357,28 @@ TEST_F(ServerTest, RunJobBatchRefusesOnlyBadStarts) {
     // cn0 keeps a's and d's one process each; c's was rolled back.
     EXPECT_EQ(n.used, n.hostname == "cn0" ? 2 : 1) << n.hostname;
   }
+}
+
+// A compute node that stops beating takes its job back to the queue. A
+// JOB_COMPLETE its mother superior still sends afterwards leaves the job
+// queued, and the scheduler can start it again.
+TEST(ServerRequeue, StaleCompleteLeavesARequeuedJobQueued) {
+  auto timing = BatchTiming::fast();
+  timing.job_requeue_limit = 1;
+  HandServer s(simtime::Mode::kDiscreteEvent, timing);
+  const auto id = s.submit();
+  s.run_job(id);
+  // The hand-registered cn0 never beats, so it goes down.
+  simtime::sleep_until(simtime::now() + timing.heartbeat_stale_factor *
+                                            timing.mom_heartbeat_interval * 2);
+  ASSERT_EQ(s.client().stat_job(id)->state, JobState::kQueued);
+
+  s.complete_job(id);
+  s.settle();
+  EXPECT_EQ(s.client().stat_job(id)->state, JobState::kQueued);
+  s.register_node("cn0", NodeKind::kCompute, 8);  // back up
+  s.run_job(id);
+  EXPECT_EQ(s.client().stat_job(id)->state, JobState::kRunning);
 }
 
 // The dynamic-request queue as the scheduler fetches it, with the test

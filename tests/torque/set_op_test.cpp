@@ -4,8 +4,9 @@
 // a shrink the agent accepted holds the job's next dynget like a dynfree's
 // release does, only scheduler-started changes count as a negotiation in
 // flight, and an offer that ended (timed out, or its job did) moves no slot
-// when its ack arrives late. The test plays Maui and the agent. Virtual
-// clock: the test acts at exact instants.
+// when its ack arrives late. The test plays Maui, whose proposals ride in
+// DYN_DECIDE next to its dynget decisions, and the agent. Virtual clock: the
+// test acts at exact instants.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -41,7 +42,7 @@ TEST(SetOp, AcceptedShrinkHoldsTheNextDyngetUntilReleaseDone) {
   const auto set = grant_one(s, id, "ac0");
   s.register_agent(id, /*can_grow=*/false, /*can_shrink=*/true);
 
-  const auto offer = s.propose(id, OfferKind::kShrink, 1);
+  const auto offer = s.propose(id, OfferKind::kShrink);
   s.ack(offer, id, /*accept=*/true);
 
   // ac0 is on its way back, but the mother superior has not released it.
@@ -79,7 +80,7 @@ TEST(SetOp, OfferPendingCountsOnlySchedulerStartedChanges) {
   EXPECT_FALSE(s.view(id).offer_pending);
 
   // The shrink offers the newest set and stays in flight once accepted...
-  const auto offer = s.propose(id, OfferKind::kShrink, 1);
+  const auto offer = s.propose(id, OfferKind::kShrink);
   EXPECT_TRUE(s.view(id).offer_pending);
   s.ack(offer, id, /*accept=*/true);
   EXPECT_TRUE(s.view(id).offer_pending);
@@ -105,7 +106,7 @@ TEST(SetOp, AckAfterTheOfferTimedOutErrorsAndMovesNoSlot) {
   s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
                    /*appetite=*/1);
 
-  const auto offer = s.propose(id, OfferKind::kGrow, 1);
+  const auto offer = s.propose(id, OfferKind::kGrow, {"ac0"});
   EXPECT_EQ(s.used("ac0"), 1);  // reserved for the offer
   // The liveness tick sweeps the expired offer and frees the reservation.
   simtime::sleep_until(simtime::now() + timing.elastic_offer_timeout +
@@ -127,7 +128,7 @@ TEST(SetOp, CompletionDuringAGrowOfferFreesTheReservationOnce) {
   s.run_job(id);
   s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
                    /*appetite=*/2);
-  const auto offer = s.propose(id, OfferKind::kGrow, 2);
+  const auto offer = s.propose(id, OfferKind::kGrow, {"ac0", "ac1"});
   EXPECT_EQ(s.used("ac0"), 1);
   EXPECT_EQ(s.used("ac1"), 1);
 
@@ -147,6 +148,53 @@ TEST(SetOp, CompletionDuringAGrowOfferFreesTheReservationOnce) {
   EXPECT_EQ(s.used("ac0"), 1);
   EXPECT_EQ(s.used("ac1"), 1);
   EXPECT_TRUE(s.client().stat_job(id)->dyn_accel_hosts.empty());
+}
+
+// Maui's decide pass ships its elastic proposals and dynget decisions in
+// one DYN_DECIDE. Each item succeeds or fails on its own: a proposal for a
+// job with no agent is refused without reserving anything, and the items
+// after it still apply.
+TEST(SetOp, OneDynDecideCarriesProposalsAndGrants) {
+  HandServer s(simtime::Mode::kDiscreteEvent);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  s.register_node("ac1", NodeKind::kAccelerator, 1);
+  const auto grower = s.submit();
+  s.run_job(grower);
+  s.register_agent(grower, /*can_grow=*/true, /*can_shrink=*/false,
+                   /*appetite=*/1);
+  const auto requester = s.submit();  // no agent
+  s.run_job(requester);
+  std::optional<DynGetReply> reply;
+  auto getter = s.dynget_now(requester, reply);
+  s.settle();
+  const auto q = s.queue();
+  ASSERT_EQ(q.dyn.size(), 1u);
+
+  using Kind = DynDecision::Kind;
+  EXPECT_EQ(s.decide({{.id = grower, .kind = Kind::kGrow, .hosts = {"ac0"}},
+                      {.id = requester, .kind = Kind::kGrow, .hosts = {"ac1"}},
+                      {.id = q.dyn[0].dyn_id,
+                       .kind = Kind::kGrant,
+                       .hosts = {"ac1"}}}),
+            (std::vector<bool>{true, false, true}));
+
+  // The valid grow holds its reservation, offered but not attached.
+  const auto offer = s.next_offer();
+  EXPECT_EQ(offer.job, grower);
+  EXPECT_EQ(offer.kind, OfferKind::kGrow);
+  EXPECT_EQ(offer.hosts, std::vector<std::string>{"ac0"});
+  EXPECT_EQ(s.used("ac0"), 1);
+  EXPECT_TRUE(s.view(grower).offer_pending);
+  EXPECT_TRUE(s.client().stat_job(grower)->dyn_accel_hosts.empty());
+
+  // The refused proposal reserved nothing: the grant took ac1.
+  getter->join();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(reply->granted);
+  EXPECT_EQ(reply->hosts, std::vector<std::string>{"ac1"});
+  EXPECT_EQ(s.used("ac1"), 1);
+  EXPECT_EQ(s.client().stat_job(requester)->dyn_accel_hosts,
+            std::vector<std::string>{"ac1"});
 }
 
 }  // namespace
