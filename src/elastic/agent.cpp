@@ -21,8 +21,8 @@ ElasticAgent::ElasticAgent(vnet::Process& proc, AgentConfig config)
   loop_ = std::make_unique<svc::ServiceLoop>(*ep_, sc);
   auto& loop = *loop_;
   loop.on(MsgType::kElastOffer,
-          [this](const svc::Request& req, svc::Responder&) {
-            handle_offer(req);
+          [this](const svc::Request& req, svc::Responder& resp) {
+            handle_offer(req, resp);
           });
   loop.on(MsgType::kElastReconfig,
           [this](const svc::Request& req, svc::Responder&) {
@@ -67,37 +67,23 @@ void ElasticAgent::send_registration() {
                     {.deadline = svc::deadlines::kControl});
 }
 
-void ElasticAgent::handle_offer(const svc::Request& req) {
+void ElasticAgent::handle_offer(const svc::Request& req,
+                                svc::Responder& resp) {
   util::ByteReader r(req.body);
   const Offer offer = get_offer(r);
-  Ack ack;
-  ack.offer_id = offer.offer_id;
-  ack.job = config_.job;
-  ack.accept = offer.kind == OfferKind::kGrow
-                   ? config_.accept_grow && static_cast<bool>(grow_fn_)
-                   : config_.accept_shrink && static_cast<bool>(shrink_fn_);
-  trace::SpanScope span(ack.accept ? "elastic.ack" : "elastic.nack");
+  const bool accept =
+      offer.kind == OfferKind::kGrow
+          ? config_.accept_grow && static_cast<bool>(grow_fn_)
+          : config_.accept_shrink && static_cast<bool>(shrink_fn_);
+  trace::SpanScope span(accept ? "elastic.ack" : "elastic.nack");
   kLog.debug("job {} {}s {} offer {} ({} hosts)", config_.job,
-             ack.accept ? "ack" : "nack", offer_kind_name(offer.kind),
+             accept ? "ack" : "nack", offer_kind_name(offer.kind),
              offer.offer_id, offer.hosts.size());
+  // The reply is the ack. One that lands after the server's deadline
+  // settles nothing there: the offer was already reverted.
   util::ByteWriter w;
-  put_ack(w, ack);
-  try {
-    const svc::Caller caller(proc_, config_.server, config_.retry);
-    (void)caller.call(MsgType::kElastAck, std::move(w).take(),
-                      {.deadline = svc::deadlines::kElasticAck});
-  } catch (const svc::CallError& e) {
-    // Late ack: the server already timed the offer out and reverted the
-    // reservation; nothing to undo on this side.
-    kLog.debug("job {} ack for offer {} rejected: {}", config_.job,
-               offer.offer_id, e.what());
-  } catch (const svc::DeadlineError&) {
-    // Server unreachable; the pending offer expires on its own over there.
-    kLog.debug("job {} ack for offer {} timed out", config_.job,
-               offer.offer_id);
-  } catch (const util::StoppedError&) {
-    // Process being killed mid-ack; the loop drains and exits right after.
-  }
+  w.put_bool(accept);
+  resp.ok(std::move(w).take());
 }
 
 void ElasticAgent::handle_reconfig(const svc::Request& req) {

@@ -2,7 +2,7 @@
 // constructs an ElasticAgent inside its job process, declares what it
 // accepts (grow and/or shrink, with callbacks that resize the session), and
 // announces itself to the server (kElastRegister). From then on a small
-// service loop answers the server's offers within the named ack deadline,
+// service loop answers each of the server's offers with its accept flag,
 // while committed reconfigurations queue up until the application calls
 // service() — so the actual session resize (MPI spawn/abandon) runs on the
 // application thread, like any other MPI work, under the negotiation's trace
@@ -85,7 +85,7 @@ class ElasticAgent {
   };
 
   void send_registration();
-  void handle_offer(const svc::Request& req);
+  void handle_offer(const svc::Request& req, svc::Responder& resp);
   void handle_reconfig(const svc::Request& req);
   void apply(const Pending& pending);
 

@@ -7,9 +7,10 @@
 //                 names the accelerators Maui picked). The server reserves
 //                 them and offers the change to the job's ElasticAgent
 //                 (kElastOffer).
-//   ack/nack    — the agent answers within a named deadline (kElastAck).
-//                 A nack, or a timed-out offer, reverts the reservation with
-//                 no slot leak.
+//   ack/nack    — the agent's reply to the offer: one accept flag. The
+//                 offer is a call with the deadline
+//                 BatchTiming::elastic_offer_timeout; a nack, or no reply by
+//                 then, reverts the reservation with no slot leak.
 //   reconfigure — on an accepted offer the server atomically adjusts slot
 //                 accounting and AC grants, notifies the mother superior, and
 //                 tells the agent the committed footprint (kElastReconfig)
@@ -69,8 +70,8 @@ inline Registration get_registration(util::ByteReader& r) {
   return out;
 }
 
-// server -> agent (kElastOffer, notification) and server -> agent
-// (kElastReconfig, notification) share one shape: the concrete resource
+// server -> agent (kElastOffer, a request answered with the accept flag)
+// and server -> agent (kElastReconfig, notification) share one shape: the concrete resource
 // delta under negotiation. For a grow offer `hosts` are the reserved nodes
 // the job would gain; for a shrink offer they are the members of the dynamic
 // set the scheduler wants back, identified by `client_id`. The reconfigure
@@ -104,28 +105,6 @@ inline Offer get_offer(util::ByteReader& r) {
   out.client_id = r.get<std::uint64_t>();
   out.hosts = r.get_string_vector();
   out.nodes = r.get_vector<std::int32_t>();
-  return out;
-}
-
-// agent -> server (kElastAck): accept or decline a pending offer. Late acks
-// (after the offer timed out) get an error reply and change nothing.
-struct Ack {
-  std::uint64_t offer_id = 0;
-  torque::JobId job = torque::kInvalidJob;
-  bool accept = false;
-};
-
-inline void put_ack(util::ByteWriter& w, const Ack& a) {
-  w.put<std::uint64_t>(a.offer_id);
-  w.put<std::uint64_t>(a.job);
-  w.put_bool(a.accept);
-}
-
-inline Ack get_ack(util::ByteReader& r) {
-  Ack out;
-  out.offer_id = r.get<std::uint64_t>();
-  out.job = r.get<std::uint64_t>();
-  out.accept = r.get_bool();
   return out;
 }
 

@@ -17,12 +17,6 @@ inline constexpr std::chrono::milliseconds kDefault{30'000};
 // no scheduling work behind them, so a hung daemon should surface fast.
 inline constexpr std::chrono::milliseconds kControl{10'000};
 
-// Elastic negotiation: the job-side agent answering an offer with its
-// ack/nack. Short — the agent decides from in-memory config, and the server
-// side independently times the offer out (BatchTiming::elastic_offer_timeout)
-// so a silent agent must not pin a reservation for long.
-inline constexpr std::chrono::milliseconds kElasticAck{5'000};
-
 // Held replies that carry the client's own budget (WAIT_JOB): the server
 // answers "not reached" when the budget runs out, and the client listens
 // this much longer, so that answer never arrives at a closed endpoint.

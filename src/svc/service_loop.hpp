@@ -11,10 +11,11 @@
 // answered at most once. A held reply that must also go out at a deadline
 // arms a one-shot timer (add_timer) from its handler.
 //
-// Outbound fan-outs (a mother superior's JOIN/DYNJOIN/DISJOIN) leave from
-// the loop's own endpoint through call_all and end in a continuation: the
-// loop settles their replies by request id as it drains the endpoint, and a
-// timer ends the wait at the fan-out's deadline.
+// Outbound calls (a mother superior's JOIN/DYNJOIN/DISJOIN fan-outs,
+// pbs_server's MOM_RUN_JOB, MOM_RELEASE and ELAST_OFFER) leave from the
+// loop's own endpoint through call_all and end in a continuation: the loop
+// settles their replies by request id as it drains the endpoint, and a
+// timer ends the wait at the call's deadline.
 //
 // The loop remembers the last `dedup_window` completed request-ids together
 // with their reply payloads: a retransmitted request is answered from the

@@ -112,9 +112,7 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kDynFree): return "DYN_FREE";
     case as_u32(MsgType::kRegisterNode): return "REGISTER_NODE";
     case as_u32(MsgType::kRegisterScheduler): return "REGISTER_SCHED";
-    case as_u32(MsgType::kJobStarted): return "JOB_STARTED";
     case as_u32(MsgType::kJobComplete): return "JOB_COMPLETE";
-    case as_u32(MsgType::kMsReleaseDone): return "MS_RELEASE_DONE";
     case as_u32(MsgType::kSchedWake): return "SCHED_WAKE";
     case as_u32(MsgType::kRunJob): return "RUN_JOB";
     case as_u32(MsgType::kGetSched): return "GET_SCHED";
@@ -139,7 +137,6 @@ std::string msg_type_name(std::uint32_t type) {
     case as_u32(MsgType::kEvAcReclaim): return "EV_AC_RECLAIM";
     case as_u32(MsgType::kElastRegister): return "ELAST_REGISTER";
     case as_u32(MsgType::kElastOffer): return "ELAST_OFFER";
-    case as_u32(MsgType::kElastAck): return "ELAST_ACK";
     case as_u32(MsgType::kElastReconfig): return "ELAST_RECONFIG";
     // Fault-injection event codes (src/faults/fault_plan.hpp); raw hex so
     // svc does not depend on the faults library for a string table.

@@ -65,8 +65,8 @@ struct BatchTiming {
 
   // Elastic negotiation: how long a pending offer (and its grow-side slot
   // reservation) may wait for the job agent's ack before the server reverts
-  // it. Swept on the server's liveness tick, so effective resolution is
-  // mom_heartbeat_interval.
+  // it. The offer is a call with this deadline, so the revert lands at
+  // exactly this age, not on a later tick.
   msec elastic_offer_timeout{2'000};
 
   // Test profile: everything fast, shapes preserved.

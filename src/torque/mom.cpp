@@ -13,12 +13,6 @@ namespace dac::torque {
 
 namespace {
 const util::Logger kLog("pbs_mom");
-
-util::Bytes job_id_body(JobId id) {
-  util::ByteWriter w;
-  w.put<std::uint64_t>(id);
-  return std::move(w).take();
-}
 }  // namespace
 
 PbsMom::PbsMom(vnet::Node& node, MomConfig config, minimpi::Runtime& runtime,
@@ -90,30 +84,31 @@ void PbsMom::register_handlers(svc::ServiceLoop& loop) {
   using svc::Request;
   using svc::Responder;
 
-  const auto ms = [&](MsgType type,
-                      void (PbsMom::*fn)(const rpc::Request&)) {
-    loop.on(type, [this, fn](const Request& req, Responder&) {
-      (this->*fn)(req);
-    });
-  };
-  ms(MsgType::kMomRunJob, &PbsMom::on_run_job);
-  ms(MsgType::kMomDynAdd, &PbsMom::on_dyn_add);
-  ms(MsgType::kMomRelease, &PbsMom::on_release);
-  ms(MsgType::kMomKillJob, &PbsMom::on_kill_job);
-  ms(MsgType::kTaskDone, &PbsMom::on_task_done);
-
-  const auto sister = [&](MsgType type,
-                          void (PbsMom::*fn)(const rpc::Request&,
-                                             Responder&)) {
+  // Requests: answered now (sister duties) or once their protocol ends
+  // (MOM_RUN_JOB, MOM_RELEASE).
+  const auto call = [&](MsgType type,
+                        void (PbsMom::*fn)(const rpc::Request&, Responder&)) {
     loop.on(type, [this, fn](const Request& req, Responder& resp) {
       (this->*fn)(req, resp);
     });
   };
-  sister(MsgType::kJoinJob, &PbsMom::on_join);
-  sister(MsgType::kDynJoinJob, &PbsMom::on_dynjoin);
-  sister(MsgType::kDisjoinJob, &PbsMom::on_disjoin);
-  loop.on(MsgType::kJobUpdate,
-          [this](const Request& req, Responder&) { on_job_update(req); });
+  // Notifications (no reply expected).
+  const auto note = [&](MsgType type,
+                        void (PbsMom::*fn)(const rpc::Request&)) {
+    loop.on(type, [this, fn](const Request& req, Responder&) {
+      (this->*fn)(req);
+    });
+  };
+  call(MsgType::kMomRunJob, &PbsMom::on_run_job);
+  call(MsgType::kMomRelease, &PbsMom::on_release);
+  note(MsgType::kMomDynAdd, &PbsMom::on_dyn_add);
+  note(MsgType::kMomKillJob, &PbsMom::on_kill_job);
+  note(MsgType::kTaskDone, &PbsMom::on_task_done);
+
+  call(MsgType::kJoinJob, &PbsMom::on_join);
+  call(MsgType::kDynJoinJob, &PbsMom::on_dynjoin);
+  call(MsgType::kDisjoinJob, &PbsMom::on_disjoin);
+  note(MsgType::kJobUpdate, &PbsMom::on_job_update);
 }
 
 // --------------------------------------------------------- mother superior
@@ -200,14 +195,14 @@ void PbsMom::call_sisters(const std::vector<HostRef>& hosts, MsgType type,
                   std::move(settled));
 }
 
-void PbsMom::on_run_job(const rpc::Request& req) {
+void PbsMom::on_run_job(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   MomJob job;
   job.info = get_job_info(r);
   job.hosts = get_host_refs(r);
   job.is_ms = true;
   trace::note("job", std::to_string(job.info.id));
-  run_protocol([this, job = std::move(job)]() mutable {
+  run_protocol([this, job = std::move(job), resp]() mutable {
     job.started = simtime::now();
     kLog.info("MS '{}': starting job {}", node_.hostname(), job.info.id);
     // 1. JOIN_JOB with every other mom of the job, all at once; launch only
@@ -217,18 +212,19 @@ void PbsMom::on_run_job(const rpc::Request& req) {
     put_host_refs(body, job.hosts);
     const auto hosts = job.hosts;
     call_sisters(hosts, MsgType::kJoinJob, body.bytes(),
-                 [this, job = std::move(job)](
+                 [this, job = std::move(job), resp](
                      std::vector<HostRef> joined) mutable {
-                   launch(std::move(job), std::move(joined));
+                   launch(std::move(job), std::move(joined), resp);
                  });
   });
 }
 
-void PbsMom::launch(MomJob job, std::vector<HostRef> joined) {
+void PbsMom::launch(MomJob job, std::vector<HostRef> joined,
+                    const svc::Responder& resp) {
   const auto id = job.info.id;
   // A sister that failed or stayed silent fails the start: the ones that
   // joined are disjoined again and the job completes as killed, which frees
-  // its slots at the server.
+  // its slots at the server. The start's answer follows the completion.
   const auto sisters = std::count_if(
       job.hosts.begin(), job.hosts.end(),
       [this](const HostRef& h) { return h.node != node_.id(); });
@@ -240,6 +236,7 @@ void PbsMom::launch(MomJob job, std::vector<HostRef> joined) {
     w.put<std::uint64_t>(id);
     w.put<std::int32_t>(kExitKilled);
     notify_server(MsgType::kJobComplete, std::move(w).take());
+    resp.error(ReplyCode::kError, "a sister failed to join");
     return;
   }
 
@@ -308,7 +305,7 @@ void PbsMom::launch(MomJob job, std::vector<HostRef> joined) {
   }
 
   jobs_[id] = std::move(job);
-  notify_server(MsgType::kJobStarted, job_id_body(id));
+  resp.ok();
 }
 
 void PbsMom::on_dyn_add(const rpc::Request& req) {
@@ -361,21 +358,22 @@ void PbsMom::attach_dyn_set(const DynSet& set) {
   job.hosts.insert(job.hosts.end(), set.hosts.begin(), set.hosts.end());
 }
 
-void PbsMom::on_release(const rpc::Request& req) {
+void PbsMom::on_release(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   DynSet set;
   set.job = r.get<std::uint64_t>();
   set.client = r.get<std::uint64_t>();
   set.hosts = get_host_refs(r);
-  run_protocol([this, set = std::move(set)] {
-    if (!jobs_.contains(set.job)) return;
+  run_protocol([this, set = std::move(set), resp] {
     // DISJOIN_JOB: the departing moms kill any remaining daemon tasks and
-    // drop their membership (paper §III-D), all of them at once. A sister
-    // that died between the release request and the server's down
-    // detection cannot answer; the one deadline bounds the wait and the
-    // release moves on — the server reclaims its slots once the heartbeat
-    // goes stale. Releasing a set that includes this (mother superior) node
-    // is handled locally instead of calling ourselves.
+    // drop their membership (paper §III-D), all of them at once. This holds
+    // even when the job already ended here: its TASK_DONE can overtake the
+    // release, and the release must still reach each mom of the set and be
+    // answered. A sister that died between the release request and the
+    // server's down detection cannot answer; the one deadline bounds the
+    // wait and the release moves on — the server reclaims its slots once the
+    // heartbeat goes stale. Releasing a set that includes this (mother
+    // superior) node is handled locally instead of calling ourselves.
     if (std::any_of(set.hosts.begin(), set.hosts.end(),
                     [this](const HostRef& h) {
                       return h.node == node_.id();
@@ -383,7 +381,10 @@ void PbsMom::on_release(const rpc::Request& req) {
       tasks_.kill_node_tasks(set.job, node_.id(), set.client);
     }
     call_sisters(set.hosts, MsgType::kDisjoinJob, set_body(set, false),
-                 [this, set](std::vector<HostRef>) { finish_release(set); });
+                 [this, set, resp](std::vector<HostRef>) {
+                   finish_release(set);
+                   resp.ok();
+                 });
   });
 }
 
@@ -407,11 +408,6 @@ void PbsMom::finish_release(const DynSet& set) {
       rpc::notify(*endpoint_, h.mom, MsgType::kJobUpdate, update);
     }
   }
-
-  util::ByteWriter done;
-  done.put<std::uint64_t>(set.job);
-  done.put<std::uint64_t>(set.client);
-  notify_server(MsgType::kMsReleaseDone, std::move(done).take());
 }
 
 void PbsMom::on_kill_job(const rpc::Request& req) {

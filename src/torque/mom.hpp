@@ -1,9 +1,10 @@
 // The pbs_mom daemon: one per node (compute and accelerator nodes alike).
 // Implements the paper's protocols: as mother superior it JOINs the sister
 // moms, starts the accelerator daemons and the job script, handles dynamic
-// additions (DYNJOIN_JOB) and releases (DISJOIN_JOB), and reports job
-// start/completion to the server. As a sister it tracks membership and kills
-// its local tasks when disassociated.
+// additions (DYNJOIN_JOB) and releases (DISJOIN_JOB), answers the server's
+// MOM_RUN_JOB once the job launched and its MOM_RELEASE once the set is
+// disjoined, and reports completion. As a sister it tracks membership and
+// kills its local tasks when disassociated.
 //
 // Everything runs on the mom's one service-loop thread. A mother-superior
 // protocol (MOM_RUN_JOB, MOM_DYN_ADD, MOM_RELEASE, MOM_KILL_JOB, TASK_DONE)
@@ -87,14 +88,17 @@ class PbsMom {
   void register_handlers(svc::ServiceLoop& loop);
 
   // Mother-superior duties: each parses its message and queues the protocol.
-  void on_run_job(const rpc::Request& req);
+  // A start and a release answer the server when their protocol ends.
+  void on_run_job(const rpc::Request& req, svc::Responder& resp);
   void on_dyn_add(const rpc::Request& req);
-  void on_release(const rpc::Request& req);
+  void on_release(const rpc::Request& req, svc::Responder& resp);
   void on_kill_job(const rpc::Request& req);
   void on_task_done(const rpc::Request& req);
   // The rest of a start once the JOIN_JOB fan-out settled: the accelerator
-  // daemons and the job script if every sister joined, a kill otherwise.
-  void launch(MomJob job, std::vector<HostRef> joined);
+  // daemons and the job script if every sister joined, a kill otherwise;
+  // then the answer to MOM_RUN_JOB.
+  void launch(MomJob job, std::vector<HostRef> joined,
+              const svc::Responder& resp);
   // The rest of a dyn add once the DYNJOIN_JOB fan-out settled.
   void attach_dyn_set(const DynSet& set);
   // The rest of a release once the DISJOIN_JOB fan-out settled.

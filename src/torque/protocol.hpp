@@ -24,9 +24,7 @@ enum class MsgType : std::uint32_t {
   kDynFree,                   // job id, client id -> ok
   kRegisterNode,              // NodeStatus (from mom at startup)
   kRegisterScheduler,         // scheduler endpoint announces itself
-  kJobStarted,                // MS -> server: job id
   kJobComplete,               // MS -> server: job id, exit status
-  kMsReleaseDone,             // MS -> server: disjoin finished (client id)
   kStatJob,                   // job id -> found flag + JobInfo
   kWaitJob,                   // job id, state, budget -> held until reached
 
@@ -40,7 +38,9 @@ enum class MsgType : std::uint32_t {
   kGetSched,                  // scheduler -> server: epoch -> SchedDelta
   kDynDecide,                 // scheduler -> server: vector<DynDecision>
 
-  // server -> mom
+  // server -> mom. The MS answers MOM_RUN_JOB once the job launched (an
+  // error once a failed join killed it) and MOM_RELEASE once the set's
+  // moms were disjoined.
   kMomRunJob = 0x5430'0200,   // full job info; recipient becomes MS
   kMomDynAdd,                 // MS: job id, client id, new accel hosts
   kMomRelease,                // MS: job id, client id, hosts to disjoin
@@ -74,12 +74,11 @@ enum class MsgType : std::uint32_t {
 
   // Elastic negotiation (scheduler-initiated grow/shrink, src/elastic):
   // offer -> ack/nack -> reconfigure. Maui proposes inside kDynDecide.
-  // Register/Ack are handled by the server's ServiceLoop; Offer/Reconfig by
-  // the job-side ElasticAgent loop. Wire structs live in
-  // elastic/protocol.hpp.
+  // Register is handled by the server's ServiceLoop; Offer/Reconfig by the
+  // job-side ElasticAgent loop, which answers an offer with its accept flag
+  // as the reply. Wire structs live in elastic/protocol.hpp.
   kElastRegister = 0x5430'0700,  // agent -> server: job, address, caps
-  kElastOffer,                   // server -> agent: offer id, kind, hosts
-  kElastAck,                     // agent -> server: offer id, accept flag
+  kElastOffer,                   // server -> agent: offer -> accept flag
   kElastReconfig,                // server -> agent: committed new footprint
 };
 

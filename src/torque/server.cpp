@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "svc/deadlines.hpp"
 #include "trace/trace.hpp"
 
 #include "util/check.hpp"
@@ -108,18 +109,18 @@ void PbsServer::run(vnet::Process& proc) {
   cfg.service_cost = timing_.server_service_cost;
   cfg.dedup_window = tuning_.dedup_window;
   svc::ServiceLoop loop(*endpoint_, cfg, &metrics_);
+  loop_ = &loop;
   register_handlers(loop);
   // Failure detector: advance liveness at the heartbeat cadence so a dead
-  // node is declared suspect/down even when nobody runs pbsnodes. The same
-  // tick sweeps elastic offers whose ack deadline passed.
-  loop.add_tick(timing_.mom_heartbeat_interval, [this, &loop] {
+  // node is declared suspect/down even when nobody runs pbsnodes.
+  loop.add_tick(timing_.mom_heartbeat_interval, [this] {
     ScopedLock lock(state_mu_);
     refresh_liveness();
-    sweep_elastic_offers();
-    settle_job_waits(loop);
+    settle_job_waits();
     flush_wake();
   });
   loop.run();
+  loop_ = nullptr;
   kLog.info("pbs_server shutting down");
 }
 
@@ -132,20 +133,10 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   // sending the scheduler the wake it asked for.
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
-    loop.on(type, [this, fn, &loop](const Request& req, Responder& resp) {
+    loop.on(type, [this, fn](const Request& req, Responder& resp) {
       ScopedLock lock(state_mu_);
       (this->*fn)(req, resp);
-      settle_job_waits(loop);
-      flush_wake();
-    });
-  };
-  // Notifications (no reply expected).
-  const auto note = [&](MsgType type,
-                        void (PbsServer::*fn)(const rpc::Request&)) {
-    loop.on(type, [this, fn, &loop](const Request& req, Responder&) {
-      ScopedLock lock(state_mu_);
-      (this->*fn)(req);
-      settle_job_waits(loop);
+      settle_job_waits();
       flush_wake();
     });
   };
@@ -168,20 +159,17 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   mut(MsgType::kRegisterScheduler, &PbsServer::on_register_scheduler);
   mut(MsgType::kRunJob, &PbsServer::on_run_job);
   mut(MsgType::kElastRegister, &PbsServer::on_elast_register);
-  mut(MsgType::kElastAck, &PbsServer::on_elast_ack);
-
-  note(MsgType::kJobStarted, &PbsServer::on_job_started);
-  note(MsgType::kJobComplete, &PbsServer::on_job_complete);
-  note(MsgType::kMsReleaseDone, &PbsServer::on_ms_release_done);
+  // The one notification that moves a job: the mom expects no reply.
+  loop.on(MsgType::kJobComplete, [this](const Request& req, Responder&) {
+    ScopedLock lock(state_mu_);
+    on_job_complete(req);
+    settle_job_waits();
+    flush_wake();
+  });
 
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
   read(MsgType::kStatJob, &PbsServer::on_stat_job);
-  // Takes the loop to arm its budget timer.
-  loop.on(MsgType::kWaitJob,
-          [this, &loop](const Request& req, Responder& resp) {
-            ScopedLock lock(state_mu_);
-            on_wait_job(req, resp, loop);
-          });
+  read(MsgType::kWaitJob, &PbsServer::on_wait_job);
   read(MsgType::kGetSched, &PbsServer::on_get_sched);
   mut(MsgType::kDynDecide, &PbsServer::on_dyn_decide);
   read(MsgType::kStatNodes, &PbsServer::on_stat_nodes);
@@ -246,6 +234,19 @@ void PbsServer::flush_wake() {
   put_delta(w);
   rpc::notify(*endpoint_, scheduler_, MsgType::kSchedWake,
               std::move(w).take());
+}
+
+void PbsServer::call(const vnet::Address& to, MsgType type,
+                     const util::Bytes& body,
+                     std::chrono::milliseconds deadline, Answer then,
+                     JobId job, std::uint64_t key) {
+  loop_->call_all({to}, type, body, deadline,
+                  [this, then, job, key](std::vector<svc::Outcome> out) {
+                    ScopedLock lock(state_mu_);
+                    (this->*then)(job, key, out.front());
+                    settle_job_waits();
+                    flush_wake();
+                  });
 }
 
 std::vector<HostRef> PbsServer::host_refs(
@@ -322,8 +323,7 @@ void PbsServer::on_stat_job(const rpc::Request& req, svc::Responder& resp) {
   resp.ok(std::move(w).take());
 }
 
-void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp,
-                            svc::ServiceLoop& loop) {
+void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp) {
   util::ByteReader r(req.body);
   const auto id = r.get<std::uint64_t>();
   const auto state = r.get_enum<JobState>();
@@ -342,7 +342,7 @@ void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp,
   // while the client still listens: its own deadline is longer.
   const auto wait_id = next_wait_id_++;
   const auto timer =
-      loop.add_timer(simtime::now() + budget, [this, wait_id] {
+      loop_->add_timer(simtime::now() + budget, [this, wait_id] {
         ScopedLock lock(state_mu_);
         if (auto w = job_waits_.find(wait_id); w != job_waits_.end()) {
           w->second.responder.ok(wait_reply(nullptr));
@@ -352,7 +352,7 @@ void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp,
   job_waits_.emplace(wait_id, JobWait{id, state, resp, timer});
 }
 
-void PbsServer::settle_job_waits(svc::ServiceLoop& loop) {
+void PbsServer::settle_job_waits() {
   for (auto w = job_waits_.begin(); w != job_waits_.end();) {
     const auto& info = jobs_.at(w->second.job).info;
     if (!wait_reached(info, w->second.state)) {
@@ -360,7 +360,7 @@ void PbsServer::settle_job_waits(svc::ServiceLoop& loop) {
       continue;
     }
     w->second.responder.ok(wait_reply(&info));
-    loop.cancel_timer(w->second.timer);
+    loop_->cancel_timer(w->second.timer);
     w = job_waits_.erase(w);
   }
 }
@@ -446,7 +446,8 @@ void PbsServer::reclaim_accel_slots(const std::string& hostname) {
   // in any job host list (the loop above never sees them), so the revert
   // frees every reserved slot — including those on hosts that are still
   // alive. A release in flight stays: the mother superior still answers
-  // MS_RELEASE_DONE once the dead sister's DISJOIN_JOB times out.
+  // MOM_RELEASE once the dead sister's DISJOIN_JOB times out. A reverted
+  // offer's answer, when it comes, finds no offer and moves nothing.
   for (auto op = ops_.begin(); op != ops_.end();) {
     if (op->stage != SetOp::Stage::kOffered ||
         std::find(op->hosts.begin(), op->hosts.end(), hostname) ==
@@ -601,12 +602,13 @@ bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
     touch_job(job_id);
   }
   if (rec.ms_valid && !live.empty()) {
-    set->second = live;  // ms_release_done frees exactly what was forwarded
+    set->second = live;  // on_released frees exactly what was forwarded
     util::ByteWriter w;
     w.put<std::uint64_t>(job_id);
     w.put<std::uint64_t>(client_id);
     put_host_refs(w, host_refs(live));
-    rpc::notify(*endpoint_, rec.ms, MsgType::kMomRelease, std::move(w).take());
+    call(rec.ms, MsgType::kMomRelease, w.bytes(), svc::deadlines::kDefault,
+         &PbsServer::on_released, job_id, client_id);
     return true;
   }
   // No mother superior (already exiting) or nothing left alive: free
@@ -621,16 +623,17 @@ bool PbsServer::release_dyn_set(JobId job_id, JobRecord& rec,
   return false;
 }
 
-void PbsServer::on_ms_release_done(const rpc::Request& req) {
-  util::ByteReader r(req.body);
-  const auto job_id = r.get<std::uint64_t>();
-  const auto client_id = r.get<std::uint64_t>();
-  auto it = jobs_.find(job_id);
-  if (it == jobs_.end()) return;
-  auto& rec = it->second;
+void PbsServer::on_released(JobId job_id, std::uint64_t client_id,
+                            const svc::Outcome& answer) {
+  if (!answer.ok()) {
+    kLog.warn("job {}: release of set {} unanswered ({})", job_id, client_id,
+              answer.error);
+    return;
+  }
+  auto& rec = jobs_.at(job_id);
   // The release is over, whether a dynfree or an accepted shrink started
   // it, so dyngets that waited for it may go to the scheduler. It sees the
-  // slots freed below: this handler runs first.
+  // slots freed below: this answer is settled first.
   for (auto op = ops_.begin(); op != ops_.end();) {
     if (op->job != job_id || op->stage != SetOp::Stage::kReleasing ||
         op->client_id != client_id) {
@@ -683,14 +686,15 @@ void PbsServer::on_register_scheduler(const rpc::Request& req,
   wake_scheduler();
 }
 
-void PbsServer::on_job_started(const rpc::Request& req) {
-  util::ByteReader r(req.body);
-  const auto id = r.get<std::uint64_t>();
-  if (auto it = jobs_.find(id); it != jobs_.end()) {
-    it->second.info.start_time = now_s();
-    touch_job(id);
-    kLog.info("job {} started", id);
+void PbsServer::on_started(JobId job, std::uint64_t /*key*/,
+                           const svc::Outcome& answer) {
+  if (!answer.ok()) {
+    kLog.warn("job {}: start not confirmed ({})", job, answer.error);
+    return;
   }
+  jobs_.at(job).info.start_time = now_s();
+  touch_job(job);
+  kLog.info("job {} started", job);
 }
 
 void PbsServer::on_job_complete(const rpc::Request& req) {
@@ -861,7 +865,8 @@ bool PbsServer::run_apply(const RunStart& start) {
   util::ByteWriter w;
   put_job_info(w, rec.info);
   put_host_refs(w, host_refs(all_hosts));
-  rpc::notify(*endpoint_, rec.ms, MsgType::kMomRunJob, std::move(w).take());
+  call(rec.ms, MsgType::kMomRunJob, w.bytes(), svc::deadlines::kDefault,
+       &PbsServer::on_started, id, 0);
   kLog.info("job {} sent to mother superior {}", id, ms_host);
   return true;
 }
@@ -1006,9 +1011,6 @@ bool PbsServer::apply_offer(const DynDecision& item) {
   op.grow = kind == elastic::OfferKind::kGrow;
   op.by_scheduler = true;
   op.stage = SetOp::Stage::kOffered;
-  op.deadline =
-      now_s() +
-      std::chrono::duration<double>(timing_.elastic_offer_timeout).count();
   if (op.grow) {
     if (!reg.can_grow) return refuse("job cannot grow");
     // Reserve the scheduler's hosts now, so no grant can take them during
@@ -1032,8 +1034,9 @@ bool PbsServer::apply_offer(const DynDecision& item) {
   util::ByteWriter w;
   elastic::put_offer(w, elastic::Offer{op.offer_id, job, kind, op.client_id,
                                        op.hosts, op.nodes});
-  rpc::notify(*endpoint_, reg.agent, MsgType::kElastOffer,
-              std::move(w).take());
+  call(reg.agent, MsgType::kElastOffer, w.bytes(),
+       timing_.elastic_offer_timeout, &PbsServer::on_offer_answer, job,
+       op.offer_id);
   kLog.info("elastic {} offer {} for job {}: {} host(s)",
             elastic::offer_kind_name(kind), op.offer_id, job,
             op.hosts.size());
@@ -1041,62 +1044,57 @@ bool PbsServer::apply_offer(const DynDecision& item) {
   return true;
 }
 
-void PbsServer::on_elast_ack(const rpc::Request& req, svc::Responder& resp) {
-  util::ByteReader r(req.body);
-  const auto ack = elastic::get_ack(r);
+void PbsServer::on_offer_answer(JobId job, std::uint64_t offer_id,
+                                const svc::Outcome& answer) {
   const auto op =
-      std::find_if(ops_.begin(), ops_.end(), [&ack](const SetOp& o) {
-        return o.stage == SetOp::Stage::kOffered &&
-               o.offer_id == ack.offer_id && o.job == ack.job;
+      std::find_if(ops_.begin(), ops_.end(), [offer_id](const SetOp& o) {
+        return o.stage == SetOp::Stage::kOffered && o.offer_id == offer_id;
       });
-  if (op == ops_.end()) {
-    // Late ack: the offer expired (or the job ended) and was reverted
-    // already; the agent just lost the race.
-    resp.error(ReplyCode::kBadRequest, "elast_ack: no such pending offer");
+  if (op == ops_.end()) return;  // the job ended, or a node went down
+  wake_scheduler();
+  // The reply is the agent's accept flag; no reply by the deadline is a
+  // nack too.
+  if (!answer.ok() || !util::ByteReader(*answer.reply).get_bool()) {
+    revert_offer(*op);
+    kLog.info("elastic offer {} for job {} {}; reverted", offer_id, job,
+              answer.ok() ? "declined" : answer.error);
+    erase_op(op);
     return;
   }
-  trace::note("job", std::to_string(ack.job));
-  auto& rec = jobs_.at(ack.job);
-  if (!ack.accept) {
-    revert_offer(*op);
-    kLog.info("elastic offer {} for job {} declined; reverted", ack.offer_id,
-              ack.job);
-    erase_op(op);
-  } else if (op->grow) {
+  auto& rec = jobs_.at(job);
+  if (op->grow) {
     // The reservation must still be intact: every reserved host shows the
     // job among its holders. Slot conservation is the invariant the
     // negotiation promises — no double grant, no leak.
     for (const auto& h : op->hosts) {
       const auto n = nodes_.lookup(h);
       DAC_CHECK(n.has_value() &&
-                    std::find(n->jobs.begin(), n->jobs.end(), ack.job) !=
+                    std::find(n->jobs.begin(), n->jobs.end(), job) !=
                         n->jobs.end(),
                 "elastic grow: reservation on '{}' lost before commit", h);
     }
-    const auto client_id = attach_set(ack.job, rec, op->hosts, /*dyn_id=*/0);
-    auto& appetite = agents_.at(ack.job).appetite;
+    const auto client_id = attach_set(job, rec, op->hosts, /*dyn_id=*/0);
+    auto& appetite = agents_.at(job).appetite;
     appetite =
         std::max(0, appetite - static_cast<std::int32_t>(op->hosts.size()));
     send_reconfig(*op, client_id);
     kLog.info("elastic grow committed for job {}: {} host(s), client id {}",
-              ack.job, op->hosts.size(), client_id);
+              job, op->hosts.size(), client_id);
     erase_op(op);
-  } else {
-    // Tell the agent the committed footprint first so the application
-    // detaches from the set, then run the regular release path. The set is
-    // already gone when the application freed it while the offer was
-    // pending.
-    send_reconfig(*op, op->client_id);
-    kLog.info("elastic shrink accepted by job {}: releasing set {}", ack.job,
-              op->client_id);
-    if (release_dyn_set(ack.job, rec, op->client_id)) {
-      op->stage = SetOp::Stage::kReleasing;
-    } else {
-      erase_op(op);
-    }
+    return;
   }
-  resp.ok();
-  wake_scheduler();
+  // Tell the agent the committed footprint first so the application
+  // detaches from the set, then run the regular release path. The set is
+  // already gone when the application freed it while the offer was
+  // pending.
+  send_reconfig(*op, op->client_id);
+  kLog.info("elastic shrink accepted by job {}: releasing set {}", job,
+            op->client_id);
+  if (release_dyn_set(job, rec, op->client_id)) {
+    op->stage = SetOp::Stage::kReleasing;
+  } else {
+    erase_op(op);
+  }
 }
 
 void PbsServer::send_reconfig(const SetOp& op, std::uint64_t client_id) {
@@ -1110,21 +1108,6 @@ void PbsServer::send_reconfig(const SetOp& op, std::uint64_t client_id) {
                            client_id, op.hosts, op.nodes});
   rpc::notify(*endpoint_, agent->second.agent, MsgType::kElastReconfig,
               std::move(w).take());
-}
-
-void PbsServer::sweep_elastic_offers() {
-  const double now = now_s();
-  for (auto op = ops_.begin(); op != ops_.end();) {
-    if (op->stage != SetOp::Stage::kOffered || op->deadline > now) {
-      ++op;
-      continue;
-    }
-    revert_offer(*op);
-    kLog.warn("elastic offer {} for job {} timed out; reverted", op->offer_id,
-              op->job);
-    wake_scheduler();
-    op = erase_op(op);
-  }
 }
 
 // ------------------------------------------------------------ SetOp table

@@ -19,6 +19,7 @@
 // under a single lock acquisition.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -100,15 +101,17 @@ class PbsServer {
   //
   //   dynget:  kWaiting -> kQueued --grant--> attached, or rejected
   //   offer:   kOffered --accept--> attached (grow) or kReleasing (shrink)
-  //                     --nack | timeout | node down--> reverted
-  //   release: kReleasing --MS_RELEASE_DONE--> done
+  //                     --nack | deadline | node down--> reverted
+  //   release: kReleasing --MOM_RELEASE answered--> done
   //
-  // An op leaves ops_ when it ends, and with its job.
+  // An offer is an ELAST_OFFER call and a release a MOM_RELEASE call; each
+  // answer (or its deadline) moves the op on. An op leaves ops_ when it
+  // ends, and with its job.
   struct SetOp {
     enum class Stage : std::uint8_t {
       kWaiting,    // dynget held behind the job's queued grow or a release
       kQueued,     // dynget visible to the scheduler
-      kOffered,    // offer waiting for the agent's ack until `deadline`
+      kOffered,    // offer waiting for the agent's answer
       kReleasing,  // set forwarded to the mother superior for release
     };
     JobId job = kInvalidJob;
@@ -119,13 +122,12 @@ class PbsServer {
     DynQueueEntry entry;
     svc::Responder responder;
     std::uint64_t arrival_ns = 0;  // steady clock, for the timing split
-    // Offer: what the agent was offered, until when. A shrink, offered or
-    // released, names its set by client id.
+    // Offer: what the agent was offered. A shrink, offered or released,
+    // names its set by client id.
     std::uint64_t offer_id = 0;
     std::uint64_t client_id = 0;
     std::vector<std::string> hosts;   // grow: reserved; shrink: set members
     std::vector<std::int32_t> nodes;  // vnet node ids, same order
-    double deadline = 0.0;            // server seconds
   };
   using OpIt = std::list<SetOp>::iterator;
 
@@ -159,12 +161,12 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   // WAIT_JOB: answers at once if the job is already there, else holds the
   // Responder until settle_job_waits or the budget timer answers it.
-  void on_wait_job(const rpc::Request& req, svc::Responder& resp,
-                   svc::ServiceLoop& loop) DAC_REQUIRES(state_mu_);
+  void on_wait_job(const rpc::Request& req, svc::Responder& resp)
+      DAC_REQUIRES(state_mu_);
   // Answers every held wait whose job is now where it was awaited. Runs
-  // after each mutating handler, notification and liveness tick, so no path
-  // that changes a job's state can skip it.
-  void settle_job_waits(svc::ServiceLoop& loop) DAC_REQUIRES(state_mu_);
+  // after each mutating handler, notification, call answer and liveness
+  // tick, so no path that changes a job's state can skip it.
+  void settle_job_waits() DAC_REQUIRES(state_mu_);
   void on_delete_job(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_alter_job(const rpc::Request& req, svc::Responder& resp)
@@ -177,9 +179,7 @@ class PbsServer {
       DAC_REQUIRES(state_mu_);
   void on_register_scheduler(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
-  void on_job_started(const rpc::Request& req) DAC_REQUIRES(state_mu_);
   void on_job_complete(const rpc::Request& req) DAC_REQUIRES(state_mu_);
-  void on_ms_release_done(const rpc::Request& req) DAC_REQUIRES(state_mu_);
   void on_heartbeat(const rpc::Request& req) DAC_REQUIRES(state_mu_);
 
   // Scheduler-facing handlers.
@@ -238,20 +238,41 @@ class PbsServer {
   // to catch exactly that.
   void touch_job(JobId id) DAC_REQUIRES(state_mu_) { sched_feed_.touch(id); }
 
-  // ---- elastic negotiation (src/elastic) -------------------------------
-  // kElastRegister/kElastAck handlers. Offers never block the serialized
-  // lane: an offer is a notification to the job's agent, the ack arrives as
-  // a separate request, and stale offers are swept on the liveness tick.
-  void on_elast_register(const rpc::Request& req, svc::Responder& resp)
+  // ---- calls: a start, a release, an offer ------------------------------
+  // The server forwards a start or a release to the mother superior and an
+  // offer to the job's agent, and acts on the answer (§III-D). A call leaves
+  // from the loop's endpoint without blocking the lane. Its answer, or a
+  // "deadline" outcome, runs an Answer under the state lock, which then ends
+  // like a mutating handler. `key` names what was asked: 0 for a start, the
+  // set's client id for a release, the offer id for an offer.
+  using Answer = void (PbsServer::*)(JobId job, std::uint64_t key,
+                                     const svc::Outcome& answer);
+  void call(const vnet::Address& to, MsgType type, const util::Bytes& body,
+            std::chrono::milliseconds deadline, Answer then, JobId job,
+            std::uint64_t key) DAC_REQUIRES(state_mu_);
+  // MOM_RUN_JOB answered: the job launched, or its failed join already
+  // completed it as killed. A lost answer is only logged.
+  void on_started(JobId job, std::uint64_t key, const svc::Outcome& answer)
       DAC_REQUIRES(state_mu_);
-  void on_elast_ack(const rpc::Request& req, svc::Responder& resp)
+  // MOM_RELEASE answered: frees set `client_id` and lets the job's waiting
+  // dyngets go. A lost answer leaves the release in kReleasing until the
+  // job ends.
+  void on_released(JobId job, std::uint64_t client_id,
+                   const svc::Outcome& answer) DAC_REQUIRES(state_mu_);
+  // ELAST_OFFER answered: commits offer `offer_id` when its agent accepted,
+  // reverts it when the agent declined or stayed silent past
+  // elastic_offer_timeout. An offer that already ended (its job did, or a
+  // node it names went down) takes no answer.
+  void on_offer_answer(JobId job, std::uint64_t offer_id,
+                       const svc::Outcome& answer) DAC_REQUIRES(state_mu_);
+
+  // ---- elastic negotiation (src/elastic) -------------------------------
+  void on_elast_register(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   // ELAST_RECONFIG: tells the job's agent the committed footprint of
   // accepted offer `op` (grow: the new set's client id).
   void send_reconfig(const SetOp& op, std::uint64_t client_id)
       DAC_REQUIRES(state_mu_);
-  // Reverts every offer whose ack deadline passed.
-  void sweep_elastic_offers() DAC_REQUIRES(state_mu_);
 
   // ---- the SetOp table ---------------------------------------------------
   // The queued dynget `dyn_id`, or ops_.end().
@@ -268,7 +289,7 @@ class PbsServer {
   // Shows dynget `op` to the scheduler, at the back of its FIFO.
   void queue_dynget(OpIt op, JobRecord& rec) DAC_REQUIRES(state_mu_);
   // Hands the scheduler the job's oldest waiting dynget, unless it is still
-  // blocked (on_ms_release_done retries then).
+  // blocked (on_released retries then).
   void queue_next_dynget(JobId job, JobRecord& rec) DAC_REQUIRES(state_mu_);
   // Answers dynget `op`, drops it and queues the job's next one.
   void finish_dynget(OpIt op, const DynGetReply& reply)
@@ -290,8 +311,8 @@ class PbsServer {
   void revert_offer(const SetOp& op) DAC_REQUIRES(state_mu_);
   // Releases dynamic set `client_id` of `rec` the way on_dynfree does: dead
   // hosts freed directly, the live remainder forwarded to the mother
-  // superior. Returns true when forwarded (MS_RELEASE_DONE completes it
-  // later), false when the set was freed and erased here.
+  // superior. Returns true when forwarded (on_released completes it later),
+  // false when the set was freed and erased here.
   bool release_dyn_set(JobId job_id, JobRecord& rec, std::uint64_t client_id)
       DAC_REQUIRES(state_mu_);
   // The one end of a job (complete, qdel, compute node down): frees its
@@ -332,11 +353,12 @@ class PbsServer {
   BatchTiming timing_;
   svc::ServiceTuning tuning_;
   std::unique_ptr<vnet::Endpoint> endpoint_;
+  svc::ServiceLoop* loop_ = nullptr;  // set in run(); loop thread only
   std::chrono::steady_clock::time_point start_;
   svc::MetricsRegistry metrics_;
 
   // Guards all server state below, the node database included. Every
-  // handler, tick and timer takes it on the loop thread.
+  // handler, tick, timer and call answer takes it on the loop thread.
   Mutex state_mu_{"server.state"};
 
   NodeDb nodes_ DAC_GUARDED_BY(state_mu_);

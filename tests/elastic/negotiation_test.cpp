@@ -53,18 +53,10 @@ class StubAgent {
       auto& loop = *loop_;
       using torque::MsgType;
       loop.on(MsgType::kElastOffer,
-              [this](const svc::Request& req, svc::Responder&) {
-                util::ByteReader r(req.body);
-                const Offer offer = get_offer(r);
-                Ack ack;
-                ack.offer_id = offer.offer_id;
-                ack.job = job_;
-                ack.accept = false;
+              [this](const svc::Request&, svc::Responder& resp) {
                 util::ByteWriter w;
-                put_ack(w, ack);
-                const svc::Caller caller(proc_, server_, {});
-                (void)caller.call(MsgType::kElastAck, std::move(w).take(),
-                                  {.deadline = svc::deadlines::kElasticAck});
+                w.put_bool(false);  // the answer is the nack
+                resp.ok(std::move(w).take());
                 ++nacks_;
               });
       loop.on(MsgType::kElastReconfig,
@@ -189,14 +181,13 @@ TEST(ElasticNegotiation, ShrinkRegrantsStarvedDynget) {
   EXPECT_EQ(view.named("alloc.assign").size(),
             view.named("alloc.release").size());
 
-  // The proposal rode in the decide pass's one DYN_DECIDE: the only elastic
-  // messages the server served came from the agent, and no cycle sent more
-  // than one batch.
+  // The proposal rode in the decide pass's one DYN_DECIDE and the ack in
+  // the offer's reply: the only elastic message the server served was the
+  // agent's registration, and no cycle sent more than one batch.
   const auto metrics = s.cluster().metrics_snapshot();
   for (const auto& rpc : metrics.rpcs) {
     if (!rpc.name.starts_with("ELAST_")) continue;
-    EXPECT_TRUE(rpc.name == "ELAST_REGISTER" || rpc.name == "ELAST_ACK")
-        << rpc.name << " served";
+    EXPECT_EQ(rpc.name, "ELAST_REGISTER") << rpc.name << " served";
   }
   const auto* decide =
       metrics.find(torque::as_u32(torque::MsgType::kDynDecide));
@@ -345,7 +336,7 @@ TEST(ElasticNegotiation, NackReleasesGrowReservation) {
 }
 
 // Timeout fallback: a registered job that never answers offers. The server
-// expires the offer on the liveness sweep, releases the reservation, and
+// expires the offer at its call deadline, releases the reservation, and
 // clears the capability so the deaf job is not offered again.
 TEST(ElasticNegotiation, OfferTimeoutReleasesGrowReservation) {
   std::atomic<bool> pool_intact{false};

@@ -15,6 +15,7 @@
 #include "elastic/agent.hpp"
 #include "elastic/policy.hpp"
 #include "harness/scenario.hpp"
+#include "trace/trace.hpp"
 
 namespace dac::testing {
 namespace {
@@ -26,6 +27,21 @@ void export_if_requested(Scenario& s, const char* filename) {
       dir != nullptr && *dir != '\0') {
     s.export_trace(filename);
   }
+}
+
+// Returns once the server took back every dynamic accelerator of the job.
+// Polled outside the job's trace. A job's end may otherwise overtake its
+// release at the mother superior: the teardown then disjoins the set with
+// the job and JOB_COMPLETE frees its slot. That tree is as correct as the
+// golden's, but a different one (MotherSuperiorTest pins that order).
+void await_released(core::JobContext& ctx) {
+  const trace::ScopedContext untraced(trace::Context{});
+  EXPECT_TRUE(await(
+      [&] {
+        const auto info = ctx.ifl().stat_job(ctx.job_id());
+        return info.has_value() && info->dyn_accel_hosts.empty();
+      },
+      std::chrono::milliseconds(30'000)));
 }
 
 // Static-allocation flow: acpn accelerators granted at submission, used via
@@ -63,6 +79,7 @@ std::string run_dyn_flow() {
     const auto p = ses.ac_mem_alloc(got.handles[0], 64);
     ses.ac_mem_free(got.handles[0], p);
     ses.ac_free(got.client_id);
+    await_released(ctx);
     ses.ac_finalize();
   });
   const auto id = s.submit_program("golden_dyn", /*nodes=*/1, /*acpn=*/0);
@@ -116,6 +133,7 @@ std::string run_elastic_shrink_flow() {
     const auto p = ses.ac_mem_alloc(got.handles[0], 64);
     ses.ac_mem_free(got.handles[0], p);
     ses.ac_free(got.client_id);
+    await_released(ctx);
     ses.ac_finalize();
   });
   const auto hog_id = s.submit_program("golden_hog", /*nodes=*/1, /*acpn=*/0);

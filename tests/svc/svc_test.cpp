@@ -157,7 +157,7 @@ TEST_F(SvcTest, DuplicateNotificationExecutesOnceAndIsNotAnswered) {
   auto ep = node_.open_endpoint();
   std::atomic<int> executions{0};
   ServiceLoop loop(*ep, ServiceConfig{.name = "notify"});
-  loop.on(MsgType::kJobStarted,
+  loop.on(MsgType::kJobComplete,
           [&](const Request&, Responder&) { executions.fetch_add(1); });
   loop.on(MsgType::kStatJobs,
           [](const Request&, Responder& resp) { resp.ok(); });
@@ -167,8 +167,8 @@ TEST_F(SvcTest, DuplicateNotificationExecutesOnceAndIsNotAnswered) {
   // request whose reply shows both copies were served.
   auto client = node_.open_endpoint();
   const auto env = envelope(next_request_id(), {});
-  client->send(ep->address(), as_u32(MsgType::kJobStarted), env);
-  client->send(ep->address(), as_u32(MsgType::kJobStarted), env);
+  client->send(ep->address(), as_u32(MsgType::kJobComplete), env);
+  client->send(ep->address(), as_u32(MsgType::kJobComplete), env);
   const auto probe = next_request_id();
   client->send(ep->address(), as_u32(MsgType::kStatJobs),
                envelope(probe, {}));

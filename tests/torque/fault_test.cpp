@@ -9,6 +9,7 @@
 
 #include "simtime/clock.hpp"
 #include "core/cluster.hpp"
+#include "harness/scenario.hpp"
 
 namespace dac::torque {
 namespace {
@@ -41,12 +42,7 @@ class FaultTest : public ::testing::Test {
   // Polls until `hostname` reaches the wanted liveness (or times out).
   bool await_liveness(const std::string& hostname, bool want,
                       std::chrono::milliseconds timeout = 3000ms) {
-    const auto deadline = dac::simtime::now() + timeout;
-    while (dac::simtime::now() < deadline) {
-      if (node_up(hostname) == want) return true;
-      dac::simtime::sleep_for(5ms);  // NOLINT-DACSCHED(sleep-poll)
-    }
-    return false;
+    return testing::await([&] { return node_up(hostname) == want; }, timeout);
   }
 
   core::DacCluster cluster_;
@@ -167,13 +163,13 @@ TEST_F(FaultTest, JobOnDeadComputeNodeIsFailedAndFreed) {
   ASSERT_TRUE(await_liveness(host, false));
 
   // The server notices on its next node refresh and fails the job.
-  const auto deadline = dac::simtime::now() + 5s;
   std::optional<torque::JobInfo> info;
-  while (dac::simtime::now() < deadline) {
-    info = cluster_.client().stat_job(id);
-    if (info && info->state == torque::JobState::kCancelled) break;
-    dac::simtime::sleep_for(10ms);  // NOLINT-DACSCHED(sleep-poll)
-  }
+  (void)testing::await(
+      [&] {
+        info = cluster_.client().stat_job(id);
+        return info && info->state == torque::JobState::kCancelled;
+      },
+      5s, 10ms);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->state, torque::JobState::kCancelled);
   EXPECT_EQ(info->exit_status, torque::kExitKilled);

@@ -1,14 +1,17 @@
 // A pbs_server driven by hand for protocol tests: the test plays scheduler
-// (RUN_JOB, DYN_DECIDE, GET_SCHED), mother superior (JOB_COMPLETE,
-// MS_RELEASE_DONE) and elastic agent (ELAST_REGISTER, ELAST_ACK). The "moms"
-// and the agent are plain endpoints that swallow what the server sends them,
-// so no message lands in a closed mailbox; the agent's ELAST_OFFERs can be
-// read back.
+// (RUN_JOB, DYN_DECIDE, GET_SCHED), mother superior (JOB_COMPLETE, the
+// answer to MOM_RELEASE) and elastic agent (ELAST_REGISTER, the answer to
+// ELAST_OFFER). The "moms" and the agent are plain endpoints that swallow
+// what the server sends them, so no message lands in a closed mailbox; the
+// requests a test answers are read back from them. A start the mom never
+// answers is only logged by the server, at the call's deadline.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -146,19 +149,23 @@ class HandServer {
     return get_sched_delta(r);
   }
 
-  // Mother-superior-style notifications.
+  // Mother-superior-style JOB_COMPLETE notification.
   void complete_job(JobId id) {
     util::ByteWriter w;
     w.put<std::uint64_t>(id);
     w.put<std::int32_t>(kExitOk);
     rpc::notify(*mom_, server(), MsgType::kJobComplete, std::move(w).take());
   }
+  // Mother-superior-style answer to the MOM_RELEASE of set `client_id`;
+  // fails the test when no such release reached the mom.
   void release_done(JobId id, std::uint64_t client_id) {
-    util::ByteWriter w;
-    w.put<std::uint64_t>(id);
-    w.put<std::uint64_t>(client_id);
-    rpc::notify(*mom_, server(), MsgType::kMsReleaseDone,
-                std::move(w).take());
+    const auto req = take(*mom_, [&](const rpc::Request& r) {
+      util::ByteReader body(r.body);
+      return r.type == MsgType::kMomRelease &&
+             body.get<std::uint64_t>() == id &&
+             body.get<std::uint64_t>() == client_id;
+    });
+    if (req) rpc::reply_ok(*mom_, *req);
   }
 
   // Agent-style ELAST_REGISTER for job `id`, offers to the agent endpoint.
@@ -189,28 +196,28 @@ class HandServer {
     return next_offer().offer_id;
   }
 
-  // The next ELAST_OFFER the agent endpoint received, skipping the other
-  // notifications; fails the test when none arrives.
+  // The next ELAST_OFFER the agent endpoint received; fails the test when
+  // none arrives. The offer stays open until ack() answers it.
   elastic::Offer next_offer() {
-    while (auto msg = agent_->recv_for(std::chrono::seconds(5))) {
-      if (msg->type != as_u32(MsgType::kElastOffer)) continue;
-      const auto req = rpc::parse_request(*msg);
-      util::ByteReader r(req.body);
-      return elastic::get_offer(r);
-    }
-    ADD_FAILURE() << "no ELAST_OFFER reached the agent";
-    return {};
+    const auto req = take(*agent_, [](const rpc::Request& r) {
+      return r.type == MsgType::kElastOffer;
+    });
+    if (!req) return {};
+    util::ByteReader r(req->body);
+    auto offer = elastic::get_offer(r);
+    offers_[offer.offer_id] = *req;
+    return offer;
   }
 
-  // Agent-style ELAST_ACK. Throws rpc::CallError when the offer is no
-  // longer pending.
-  void ack(std::uint64_t offer_id, JobId id, bool accept) {
+  // Agent-style answer to offer `offer_id`, read by next_offer(). The
+  // server settles nothing with an answer that comes after its deadline.
+  void ack(std::uint64_t offer_id, bool accept) {
+    const auto it = offers_.find(offer_id);
+    ASSERT_NE(it, offers_.end()) << "offer " << offer_id << " never read";
     util::ByteWriter w;
-    elastic::put_ack(w, elastic::Ack{.offer_id = offer_id,
-                                     .job = id,
-                                     .accept = accept});
-    (void)rpc::call(cluster_.node(1), server(), MsgType::kElastAck,
-                    std::move(w).take());
+    w.put_bool(accept);
+    rpc::reply_ok(*agent_, it->second, std::move(w).take());
+    offers_.erase(it);
   }
 
   // The job's elasticity view in a forced-full GET_SCHED; fails the test
@@ -259,12 +266,35 @@ class HandServer {
   }
 
  private:
+  // The first request at `ep` that `match`es, from those read earlier and
+  // then the mailbox; the others read on the way are kept for later.
+  std::optional<rpc::Request> take(
+      vnet::Endpoint& ep,
+      const std::function<bool(const rpc::Request&)>& match) {
+    auto& seen = unanswered_[&ep];
+    if (const auto it = std::find_if(seen.begin(), seen.end(), match);
+        it != seen.end()) {
+      auto req = *it;
+      seen.erase(it);
+      return req;
+    }
+    while (auto msg = ep.recv_for(std::chrono::seconds(5))) {
+      auto req = rpc::parse_request(*msg);
+      if (match(req)) return req;
+      seen.push_back(std::move(req));
+    }
+    ADD_FAILURE() << "no matching request reached " << ep.address().str();
+    return std::nullopt;
+  }
+
   dac::testing::ClockModeGuard mode_;  // first: everything runs on it
   vnet::Cluster cluster_;
   std::unique_ptr<vnet::Endpoint> mom_;
   std::unique_ptr<vnet::Endpoint> agent_;
   std::unique_ptr<PbsServer> server_;
   vnet::ProcessPtr server_proc_;
+  std::map<vnet::Endpoint*, std::vector<rpc::Request>> unanswered_;
+  std::map<std::uint64_t, rpc::Request> offers_;  // read, not yet answered
 };
 
 }  // namespace dac::torque::testing

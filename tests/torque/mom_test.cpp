@@ -186,8 +186,9 @@ TEST_F(MomTest, UnknownRequestTypeErrors) {
 }
 
 // The mother superior's side: a compute mom on node 1 fans JOIN_JOB and
-// DISJOIN_JOB out to its sisters. Node 0 hosts a stub server that records
-// JOB_STARTED, JOB_COMPLETE and MS_RELEASE_DONE; node 2 hosts a stub sister
+// DISJOIN_JOB out to its sisters. Node 0 hosts a stub server that sends the
+// mom its requests and records JOB_COMPLETE and the answers to MOM_RUN_JOB
+// and MOM_RELEASE; node 2 hosts a stub sister
 // that acks every request and counts the DISJOINs it gets. Addresses
 // allocated on node 2 but never bound stand in for dead sisters. Job scripts
 // are no-ops. Runs on the DiscreteEvent clock, so the bounds are exact
@@ -210,21 +211,32 @@ class MotherSuperiorTest : public ::testing::Test {
         {.name = "stub_server"}, [this](vnet::Process& proc) {
           proc.adopt_mailbox(server_ep_->mailbox_weak());
           while (auto msg = server_ep_->recv()) {
+            dac::ScopedLock lock(mu_);
+            if (msg->type == as_u32(MsgType::kReply)) {
+              // The mom's answer to a request send() made.
+              util::ByteReader r(msg->payload);
+              const auto asked = asked_.find(r.get<std::uint64_t>());
+              const bool ok = r.get_enum<ReplyCode>() == ReplyCode::kOk;
+              if (asked != asked_.end() && ok) {
+                if (asked->second.type == MsgType::kMomRunJob) {
+                  started_at_[asked->second.job] = simtime::now();
+                } else if (asked->second.type == MsgType::kMomRelease) {
+                  release_done_at_ = simtime::now();
+                }
+              }
+              cv_.notify_all();
+              continue;
+            }
             auto req = rpc::parse_request(*msg);
             util::ByteReader r(req.body);
-            dac::ScopedLock lock(mu_);
             if (req.type == MsgType::kRegisterNode) {
               const auto st = get_node_status(r);
               mom_addrs_[st.node_id] = st.mom_addr;
               rpc::reply_ok(*server_ep_, req);
-            } else if (req.type == MsgType::kJobStarted) {
-              started_at_[r.get<std::uint64_t>()] = simtime::now();
             } else if (req.type == MsgType::kJobComplete) {
               (void)r.get<std::uint64_t>();
               exit_status_ = r.get<std::int32_t>();
               complete_at_ = simtime::now();
-            } else if (req.type == MsgType::kMsReleaseDone) {
-              release_done_at_ = simtime::now();
             }
             cv_.notify_all();
           }
@@ -319,9 +331,10 @@ class MotherSuperiorTest : public ::testing::Test {
     util::Bytes body;
   };
 
-  // Sends every message from a driver process (an actor, so no virtual
-  // time passes between the timestamp and the sends), after an optional
-  // JOIN_JOB that makes the first addressee a member of the job.
+  // Sends every message from the stub server's endpoint, so answers come
+  // back to it, on a driver process (an actor, so no virtual time passes
+  // between the timestamp and the sends), after an optional JOIN_JOB that
+  // makes the first addressee a member of the job.
   simtime::TimePoint send(const std::vector<Send>& msgs,
                           std::optional<util::Bytes> join = {}) {
     simtime::TimePoint sent;
@@ -331,9 +344,18 @@ class MotherSuperiorTest : public ::testing::Test {
             (void)svc::Caller(proc, msgs.front().to, svc::RetryPolicy::none())
                 .call(MsgType::kJoinJob, *join, {.deadline = 5s});
           }
-          auto ep = proc.open_endpoint();
           sent = simtime::now();
-          for (const auto& m : msgs) rpc::notify(*ep, m.to, m.type, m.body);
+          for (const auto& m : msgs) {
+            const auto id = svc::next_request_id();
+            util::ByteReader r(m.body);
+            {
+              dac::ScopedLock lock(mu_);
+              asked_[id] = {m.type, m.type == MsgType::kMomRunJob
+                                        ? get_job_info(r).id
+                                        : r.get<std::uint64_t>()};
+            }
+            server_ep_->send(m.to, as_u32(m.type), svc::envelope(id, m.body));
+          }
         });
     driver->join();
     return sent;
@@ -380,8 +402,14 @@ class MotherSuperiorTest : public ::testing::Test {
   std::vector<std::unique_ptr<PbsMom>> moms_;
   std::vector<vnet::ProcessPtr> mom_procs_;
 
+  struct Asked {
+    MsgType type{};
+    JobId job = 0;
+  };
+
   dac::Mutex mu_{"test.ms_events"};
   dac::CondVar cv_;
+  std::map<std::uint64_t, Asked> asked_;  // by request id
   std::map<vnet::NodeId, vnet::Address> mom_addrs_;
   std::map<JobId, simtime::TimePoint> started_at_;
   std::optional<std::int32_t> exit_status_;
@@ -456,6 +484,35 @@ TEST_F(MotherSuperiorTest, TwoMotherSuperiorsJoiningEachOtherBothStart) {
   for (const JobId id : {11u, 12u}) {
     EXPECT_LT(started_at_.at(id) - sent, bound) << "job " << id;
   }
+}
+
+TEST_F(MotherSuperiorTest, ReleaseAfterTheJobEndedStillDisjoinsAndAnswers) {
+  // A job with one dynamic set on the sister ends (its TASK_DONE) before
+  // the server's MOM_RELEASE of that set arrives: the TASK_DONE overtook
+  // it. The teardown disjoins the whole job from the sister; the release
+  // must still disjoin its set there and answer the server.
+  const auto ms = ms_host();
+  util::ByteWriter add;
+  add.put<std::uint64_t>(14);
+  add.put<std::uint64_t>(1);  // dyn id
+  add.put<std::uint64_t>(3);  // client id of the set
+  put_host_refs(add, {live_sister()});
+  util::ByteWriter done;
+  done.put<std::uint64_t>(14);
+  done.put<std::int32_t>(0);  // rank
+  util::ByteWriter release;
+  release.put<std::uint64_t>(14);
+  release.put<std::uint64_t>(3);
+  put_host_refs(release, {live_sister()});
+  (void)send({{ms.mom, MsgType::kMomRunJob, run_body(14, 1, {ms})},
+              {ms.mom, MsgType::kMomDynAdd, std::move(add).take()},
+              {ms.mom, MsgType::kTaskDone, std::move(done).take()},
+              {ms.mom, MsgType::kMomRelease, std::move(release).take()}});
+
+  ASSERT_TRUE(await([this] { return release_done_at_.has_value(); }));
+  dac::ScopedLock lock(mu_);
+  EXPECT_EQ(exit_status_, kExitOk);
+  EXPECT_EQ(disjoins_, 2);  // the teardown's, then the release's
 }
 
 TEST_F(MotherSuperiorTest, KillRunsAfterTheStartItFollows) {

@@ -135,12 +135,12 @@ TEST_F(RpcTest, ParseRequestExtractsFields) {
   // Round-trip through notify into a raw endpoint.
   auto ep = cluster_.node(0).open_endpoint();
   auto sink = cluster_.node(0).open_endpoint();
-  notify(*ep, sink->address(), MsgType::kJobStarted,
+  notify(*ep, sink->address(), MsgType::kJobComplete,
          util::Bytes{std::byte{9}});
   auto msg = sink->recv_for(1000ms);
   ASSERT_TRUE(msg.has_value());
   auto req = parse_request(*msg);
-  EXPECT_EQ(req.type, MsgType::kJobStarted);
+  EXPECT_EQ(req.type, MsgType::kJobComplete);
   EXPECT_EQ(req.from, ep->address());
   EXPECT_EQ(req.body, util::Bytes{std::byte{9}});
   EXPECT_GT(req.id, 0u);

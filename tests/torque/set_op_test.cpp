@@ -3,10 +3,11 @@
 // pbs_server keeps both in one table, so these cases pin how the two meet:
 // a shrink the agent accepted holds the job's next dynget like a dynfree's
 // release does, only scheduler-started changes count as a negotiation in
-// flight, and an offer that ended (timed out, or its job did) moves no slot
-// when its ack arrives late. The test plays Maui, whose proposals ride in
-// DYN_DECIDE next to its dynget decisions, and the agent. Virtual clock: the
-// test acts at exact instants.
+// flight, an offer ends at exactly its deadline, and an offer that ended
+// (timed out, or its job did) moves no slot when its answer arrives late.
+// The test plays Maui, whose proposals ride in DYN_DECIDE next to its dynget
+// decisions, the mother superior and the agent. Virtual clock: the test
+// acts at exact instants.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -43,7 +44,7 @@ TEST(SetOp, AcceptedShrinkHoldsTheNextDyngetUntilReleaseDone) {
   s.register_agent(id, /*can_grow=*/false, /*can_shrink=*/true);
 
   const auto offer = s.propose(id, OfferKind::kShrink);
-  s.ack(offer, id, /*accept=*/true);
+  s.ack(offer, /*accept=*/true);
 
   // ac0 is on its way back, but the mother superior has not released it.
   std::optional<DynGetReply> next;
@@ -82,7 +83,7 @@ TEST(SetOp, OfferPendingCountsOnlySchedulerStartedChanges) {
   // The shrink offers the newest set and stays in flight once accepted...
   const auto offer = s.propose(id, OfferKind::kShrink);
   EXPECT_TRUE(s.view(id).offer_pending);
-  s.ack(offer, id, /*accept=*/true);
+  s.ack(offer, /*accept=*/true);
   EXPECT_TRUE(s.view(id).offer_pending);
   // ...past the end of the other release...
   s.release_done(id, freed);
@@ -96,9 +97,13 @@ TEST(SetOp, OfferPendingCountsOnlySchedulerStartedChanges) {
   EXPECT_EQ(s.used("ac1"), 0);
 }
 
-TEST(SetOp, AckAfterTheOfferTimedOutErrorsAndMovesNoSlot) {
+// A silent agent: its grow reservation is freed at the offer's deadline,
+// elastic_offer_timeout after the offer left, not at a later liveness tick
+// (the tick here is far slower than the timeout).
+TEST(SetOp, SilentAgentsOfferEndsAtExactlyItsDeadline) {
   auto timing = BatchTiming::fast();
   timing.elastic_offer_timeout = 30ms;
+  timing.mom_heartbeat_interval = 200ms;
   HandServer s(simtime::Mode::kDiscreteEvent, timing);
   s.register_node("ac0", NodeKind::kAccelerator, 1);
   const auto id = s.submit();
@@ -106,17 +111,44 @@ TEST(SetOp, AckAfterTheOfferTimedOutErrorsAndMovesNoSlot) {
   s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
                    /*appetite=*/1);
 
-  const auto offer = s.propose(id, OfferKind::kGrow, {"ac0"});
-  EXPECT_EQ(s.used("ac0"), 1);  // reserved for the offer
-  // The liveness tick sweeps the expired offer and frees the reservation.
-  simtime::sleep_until(simtime::now() + timing.elastic_offer_timeout +
-                       2 * timing.mom_heartbeat_interval);
+  const auto offered = simtime::now();
+  (void)s.propose(id, OfferKind::kGrow, {"ac0"});
+  simtime::sleep_until(offered + timing.elastic_offer_timeout - 1ms);
+  EXPECT_EQ(s.used("ac0"), 1);  // still reserved for the offer
+  EXPECT_TRUE(s.view(id).offer_pending);
+  simtime::sleep_until(offered + timing.elastic_offer_timeout + 1ms);
   EXPECT_EQ(s.used("ac0"), 0);
   EXPECT_FALSE(s.view(id).offer_pending);
   EXPECT_FALSE(s.view(id).can_grow);  // the timeout cleared it
+}
 
-  EXPECT_THROW(s.ack(offer, id, /*accept=*/true), rpc::CallError);
+TEST(SetOp, ReplyAfterTheDeadlineSettlesNothingAndMovesNoSlot) {
+  auto timing = BatchTiming::fast();
+  timing.elastic_offer_timeout = 30ms;
+  HandServer s(simtime::Mode::kDiscreteEvent, timing);
+  s.register_node("ac0", NodeKind::kAccelerator, 1);
+  s.register_node("ac1", NodeKind::kAccelerator, 1);
+  const auto id = s.submit();
+  s.run_job(id);
+  s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
+                   /*appetite=*/1);
+
+  const auto offer = s.propose(id, OfferKind::kGrow, {"ac0"});
+  EXPECT_EQ(s.used("ac0"), 1);  // reserved for the offer
+  simtime::sleep_until(simtime::now() + timing.elastic_offer_timeout + 1ms);
   EXPECT_EQ(s.used("ac0"), 0);
+  EXPECT_FALSE(s.view(id).offer_pending);
+
+  // The agent re-registers and takes a new offer; the first offer's late
+  // accept must commit neither offer.
+  s.register_agent(id, /*can_grow=*/true, /*can_shrink=*/false,
+                   /*appetite=*/1);
+  (void)s.propose(id, OfferKind::kGrow, {"ac1"});
+  s.ack(offer, /*accept=*/true);
+  s.settle();
+  EXPECT_EQ(s.used("ac0"), 0);
+  EXPECT_EQ(s.used("ac1"), 1);  // still only reserved
+  EXPECT_TRUE(s.view(id).offer_pending);
   EXPECT_TRUE(s.client().stat_job(id)->dyn_accel_hosts.empty());
 }
 
@@ -144,7 +176,8 @@ TEST(SetOp, CompletionDuringAGrowOfferFreesTheReservationOnce) {
   s.run_job(next);
   (void)grant_one(s, next, "ac0");
   (void)grant_one(s, next, "ac1");
-  EXPECT_THROW(s.ack(offer, id, /*accept=*/true), rpc::CallError);
+  s.ack(offer, /*accept=*/true);
+  s.settle();
   EXPECT_EQ(s.used("ac0"), 1);
   EXPECT_EQ(s.used("ac1"), 1);
   EXPECT_TRUE(s.client().stat_job(id)->dyn_accel_hosts.empty());
