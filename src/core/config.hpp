@@ -52,7 +52,8 @@ struct DacClusterConfig {
   // Cycles between forced full kGetSched fetches; the ones between fetch
   // deltas (drift backstop). 1 = every cycle fetches in full (ablation).
   int sched_full_rescan_every = 16;
-  // One kDynDecide batch per cycle; off = one kDynDecide per item.
+  // One kDynDecide batch per cycle, shipped without waiting for the reply;
+  // off = one kDynDecide per item, each awaited (the paper's serial shape).
   bool sched_batched_dyn = true;
 
   // Deterministic failure injection (docs/FAULTS.md): when set, the plan is

@@ -3,11 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 
-#include "svc/caller.hpp"
 #include "svc/deadlines.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
@@ -50,16 +49,13 @@ SchedulerStatsSnapshot MauiScheduler::stats() const {
 
 void MauiScheduler::run(vnet::Process& proc) {
   trace::set_thread_actor("maui");
-  wake_ep_ = proc.open_endpoint();
+  ep_ = proc.open_endpoint();
 
-  const svc::Caller caller(proc, config_.server, config_.retry);
   util::ByteWriter reg;
-  reg.put<std::int32_t>(wake_ep_->address().node);
-  reg.put<std::int32_t>(wake_ep_->address().port);
+  reg.put<std::int32_t>(ep_->address().node);
+  reg.put<std::int32_t>(ep_->address().port);
   try {
-    (void)caller.call(torque::MsgType::kRegisterScheduler,
-                      std::move(reg).take(),
-                      {.deadline = svc::deadlines::kDefault});
+    (void)call(torque::MsgType::kRegisterScheduler, reg.bytes());
   } catch (const util::StoppedError&) {
     return;
   }
@@ -69,81 +65,254 @@ void MauiScheduler::run(vnet::Process& proc) {
   while (!proc.stop_requested()) {
     try {
       cycle(proc);
+      // A wake that arrived during the cycle asks for the next one at once.
+      // Otherwise sleep until a wake or the poll interval, folding replies.
+      const auto poll_at =
+          simtime::now() + config_.timing.sched_cycle_interval;
+      drain();
+      while (!woken_ && simtime::now() < poll_at) pump(poll_at);
     } catch (const util::StoppedError&) {
       break;
     } catch (const std::exception& e) {
       kLog.error("scheduling cycle failed: {}", e.what());
     }
-    // A wake that arrived during the cycle asks for the next one at once.
-    // Otherwise sleep until a wake or the poll interval.
-    drain_wakes();
-    if (!woken_) {
-      auto msg = wake_ep_->recv_for(config_.timing.sched_cycle_interval);
-      if (!msg && wake_ep_->closed()) break;
-      if (msg) fold_wake(*msg);
-    }
   }
   kLog.info("maui shutting down");
 }
 
-void MauiScheduler::fold_wake(const vnet::Message& msg) {
+std::uint64_t MauiScheduler::send(torque::MsgType type,
+                                  const util::Bytes& body, Done done,
+                                  Assumed assumed) {
+  const auto id = svc::next_request_id();
+  // Client-side span for the whole exchange, resends included; the
+  // server's handler span becomes its child.
+  auto span = std::make_unique<trace::DetachedSpan>(
+      "rpc." + svc::msg_type_name(torque::as_u32(type)), trace::current());
+  auto payload = svc::envelope(id, span->context(), body);
+  auto backoff = config_.retry.backoff(id);
+  const auto now = simtime::now();
+  const auto deadline = now + svc::deadlines::kDefault;
+  const auto resend_at = config_.retry.max_attempts > 1
+                             ? std::min(deadline, now + backoff.next())
+                             : deadline;
+  ep_->send(config_.server, torque::as_u32(type), payload);
+  in_flight_.emplace(id, InFlight{.type = type,
+                                  .payload = std::move(payload),
+                                  .span = std::move(span),
+                                  .backoff = backoff,
+                                  .resend_at = resend_at,
+                                  .deadline = deadline,
+                                  .assumed = std::move(assumed),
+                                  .done = std::move(done)});
+  return id;
+}
+
+util::Bytes MauiScheduler::call(torque::MsgType type, const util::Bytes& body) {
+  std::optional<svc::Outcome> answer;
+  const auto id =
+      send(type, body, [&answer](const Assumed&, svc::Outcome o) {
+        answer = std::move(o);
+      });
+  try {
+    while (!answer) pump(simtime::TimePoint::max());
+  } catch (...) {
+    in_flight_.erase(id);  // its continuation refers to this frame
+    throw;
+  }
+  if (!answer->ok()) {
+    throw util::ProtocolError(svc::msg_type_name(torque::as_u32(type)) +
+                              ": " + answer->error);
+  }
+  return std::move(*answer->reply);
+}
+
+void MauiScheduler::ship(torque::MsgType type, const util::Bytes& body,
+                         Done done, Assumed assumed) {
+  const auto id = send(type, body, std::move(done), std::move(assumed));
+  if (config_.batched_dyn) return;
+  while (in_flight_.contains(id)) pump(simtime::TimePoint::max());
+}
+
+void MauiScheduler::drain() {
+  while (auto msg = ep_->try_recv()) handle(*msg);
+}
+
+void MauiScheduler::pump(simtime::TimePoint until) {
+  auto wake_at = until;
+  for (const auto& [id, req] : in_flight_) {
+    wake_at = std::min(wake_at, req.resend_at);  // never past its deadline
+  }
+  auto msg = ep_->try_recv();
+  if (const auto now = simtime::now(); !msg && wake_at > now) {
+    msg = wake_at == simtime::TimePoint::max()
+              ? ep_->recv()
+              : ep_->recv_for(std::max(
+                    std::chrono::ceil<std::chrono::milliseconds>(wake_at - now),
+                    std::chrono::milliseconds(1)));
+    if (!msg && ep_->closed()) throw util::StoppedError();
+  }
+  if (msg) {
+    handle(*msg);
+    drain();
+  }
+  resend_due();
+}
+
+void MauiScheduler::handle(const vnet::Message& msg) {
+  if (msg.type == torque::as_u32(torque::MsgType::kReply)) {
+    settle(msg);
+    return;
+  }
+  if (msg.type != torque::as_u32(torque::MsgType::kSchedWake)) return;
   woken_ = true;
   const auto req = svc::parse_request(msg);
   util::ByteReader r(req.body);
   (void)mirror_.apply(torque::get_sched_delta(r));
 }
 
-void MauiScheduler::drain_wakes() {
-  while (auto msg = wake_ep_->try_recv()) fold_wake(*msg);
+void MauiScheduler::settle(const vnet::Message& msg) {
+  svc::Outcome outcome;
+  decltype(in_flight_)::iterator it;
+  try {
+    const auto id = util::ByteReader(msg.payload).get<std::uint64_t>();
+    it = in_flight_.find(id);
+    if (it == in_flight_.end()) return;
+    outcome.reply = svc::parse_reply(msg, id);
+  } catch (const svc::CallError& e) {
+    outcome.error = e.what();
+  } catch (const util::DecodeError& e) {
+    kLog.warn("malformed reply from {}: {}", msg.from.str(), e.what());
+    return;
+  }
+  auto req = std::move(in_flight_.extract(it).mapped());
+  if (!outcome.ok()) req.span->note("error", "call");
+  req.span->end();
+  req.done(req.assumed, std::move(outcome));
 }
 
-void MauiScheduler::fold_reply(util::ByteReader& r) {
-  // Wakes the server sent before this reply carry older epochs: fold them
-  // first, or the reply's delta would look like a gap.
-  drain_wakes();
-  (void)mirror_.apply(torque::get_sched_delta(r));
+void MauiScheduler::resend_due() {
+  const auto now = simtime::now();
+  const int attempts = std::max(1, config_.retry.max_attempts);
+  std::vector<InFlight> expired;
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    auto& req = it->second;
+    if (now >= req.deadline) {
+      kLog.warn("{} req {} unanswered after {} attempt(s)",
+                svc::msg_type_name(torque::as_u32(req.type)), it->first,
+                req.sent);
+      req.span->note("error", "deadline");
+      req.span->end();
+      expired.push_back(std::move(req));
+      it = in_flight_.erase(it);
+      continue;
+    }
+    if (now >= req.resend_at) {
+      ep_->send(config_.server, torque::as_u32(req.type), req.payload);
+      ++req.sent;
+      req.resend_at = req.sent < attempts
+                          ? std::min(req.deadline, now + req.backoff.next())
+                          : req.deadline;
+    }
+    ++it;
+  }
+  // The server may have applied an expired batch or not: drop what it
+  // assumed, and let a full fetch say.
+  if (!expired.empty()) refetch_ = true;
+  for (auto& req : expired) req.done(req.assumed, {.error = "deadline"});
 }
 
 void MauiScheduler::cycle(vnet::Process& proc) {
   const auto cycle_no = cycles_.fetch_add(1, std::memory_order_relaxed);
-  drain_wakes();
+  drain();
   // A cycle started by a wake decides on the deltas folded so far. Any
   // other (first contact, the idle poll) fetches first.
   const bool poll = !std::exchange(woken_, false);
 
-  // A full rescan on first contact, after a lost delta and every
-  // full_rescan_every cycles; a delta fetch at the idle poll. The
+  // A full rescan on first contact, after a lost delta or an expired batch
+  // and every full_rescan_every cycles; a delta fetch at the idle poll. The
   // reconstruction is byte-identical either way (queue_mirror.hpp).
   const bool force_full =
-      mirror_.needs_full() ||
+      std::exchange(refetch_, false) || mirror_.needs_full() ||
       (config_.full_rescan_every > 0 &&
        cycle_no % static_cast<std::uint64_t>(config_.full_rescan_every) == 0);
   if (poll || force_full) {
+    // The fetch must not see a batch the overlay still assumes: wait for
+    // every reply first.
+    while (!in_flight_.empty()) pump(simtime::TimePoint::max());
     util::ByteWriter w;
     w.put<std::uint64_t>(mirror_.epoch());
     w.put_bool(force_full);
-    const svc::Caller caller(proc, config_.server, config_.retry);
-    auto reply = caller.call(torque::MsgType::kGetSched, std::move(w).take(),
-                             {.deadline = svc::deadlines::kDefault});
+    const auto reply = call(torque::MsgType::kGetSched, w.bytes());
     util::ByteReader r(reply);
-    fold_reply(r);
+    (void)mirror_.apply(torque::get_sched_delta(r));
   }
   const auto changed = mirror_.take_changed().size();
-  const auto snap = mirror_.queue();
+  auto snap = mirror_.queue();
   auto view = mirror_.node_views();
+  assume(snap, view);
 
   decay_fairshare(snap.now);
 
-  if (config_.dynamic_first) decide_dynamic(proc, snap, view);
+  if (config_.dynamic_first) decide_dynamic(snap, view);
   schedule_static(proc, snap, view, changed);
-  if (!config_.dynamic_first) decide_dynamic(proc, snap, view);
+  if (!config_.dynamic_first) decide_dynamic(snap, view);
 }
 
-void MauiScheduler::decide_dynamic(vnet::Process& proc,
-                                   const torque::QueueSnapshot& snap,
+void MauiScheduler::assume(torque::QueueSnapshot& snap,
+                           std::vector<NodeView>& nodes) const {
+  using Kind = torque::DynDecision::Kind;
+  // Jobs come ascending by id and nodes by hostname (queue_mirror.hpp).
+  const auto job = [&](torque::JobId id) -> torque::JobInfo* {
+    const auto it = std::lower_bound(
+        snap.jobs.begin(), snap.jobs.end(), id,
+        [](const torque::JobInfo& j, torque::JobId v) { return j.id < v; });
+    return it != snap.jobs.end() && it->id == id ? &*it : nullptr;
+  };
+  const auto take = [&](const std::vector<std::string>& hosts, int slots) {
+    for (const auto& host : hosts) {
+      const auto n = std::lower_bound(
+          nodes.begin(), nodes.end(), host,
+          [](const NodeView& v, const std::string& h) { return v.hostname < h; });
+      if (n != nodes.end() && n->hostname == host) n->free -= slots;
+    }
+  };
+  for (const auto& [id, req] : in_flight_) {
+    for (const auto& start : req.assumed.starts) {
+      auto* j = job(start.job);
+      if (j == nullptr || j->state != torque::JobState::kQueued) continue;
+      j->state = torque::JobState::kRunning;
+      j->compute_hosts = start.compute;
+      j->accel_hosts = start.accel;
+      take(start.compute, j->spec.resources.ppn);
+      take(start.accel, 1);
+    }
+    for (const auto& item : req.assumed.items) {
+      if (item.kind == Kind::kGrow || item.kind == Kind::kShrink) {
+        const auto v = std::find_if(
+            snap.elastic.begin(), snap.elastic.end(),
+            [&](const elastic::JobView& e) { return e.job == item.id; });
+        if (v == snap.elastic.end()) continue;
+        v->offer_pending = true;
+        take(item.hosts, 1);
+        continue;
+      }
+      const auto d = std::find_if(
+          snap.dyn.begin(), snap.dyn.end(),
+          [&](const torque::DynQueueEntry& e) { return e.dyn_id == item.id; });
+      if (d == snap.dyn.end()) continue;
+      if (auto* j = job(d->job); j != nullptr && item.kind == Kind::kGrant) {
+        j->dyn_accel_hosts.insert(j->dyn_accel_hosts.end(),
+                                  item.hosts.begin(), item.hosts.end());
+      }
+      if (item.kind == Kind::kGrant) take(item.hosts, 1);
+      snap.dyn.erase(d);
+    }
+  }
+}
+
+void MauiScheduler::decide_dynamic(const torque::QueueSnapshot& snap,
                                    std::vector<NodeView>& nodes) {
   using Kind = torque::DynDecision::Kind;
-  const svc::Caller caller(proc, config_.server, config_.retry);
 
   // Every item the pass decides, an elastic proposal or a dynget grant or
   // reject, is staged inside its decision span. Batched, the items ship as
@@ -157,25 +326,24 @@ void MauiScheduler::decide_dynamic(vnet::Process& proc,
   };
   std::vector<torque::DynDecision> batch;
   std::vector<Staged> staged;
-  const auto ship = [&] {
-    if (batch.empty()) return;
-    std::vector<bool> applied(batch.size(), false);
-    util::ByteWriter w;
-    torque::put_dyn_decisions(w, batch);
-    try {
-      const auto reply =
-          caller.call(torque::MsgType::kDynDecide, std::move(w).take(),
-                      {.deadline = svc::deadlines::kDefault});
-      util::ByteReader r(reply);
+  // The reply's outcomes count, and a refused proposal's deferral drops,
+  // when the reply is folded.
+  const auto settle_batch = [this](const std::vector<Staged>& staged,
+                                   const Assumed& assumed,
+                                   svc::Outcome answer) {
+    const auto& items = assumed.items;
+    std::vector<bool> applied(items.size(), false);
+    if (!answer.ok()) {
+      kLog.warn("dyn decision batch ({} item(s)) not applied: {}",
+                items.size(), answer.error);
+    } else {
+      util::ByteReader r(*answer.reply);
       const auto n = r.get<std::uint32_t>();
       for (std::size_t i = 0; i < n; ++i) applied.at(i) = r.get_bool();
-      fold_reply(r);
-    } catch (const util::ProtocolError& e) {
-      kLog.warn("dyn decision batch ({} item(s)) not applied: {}",
-                batch.size(), e.what());
+      (void)mirror_.apply(torque::get_sched_delta(r));
     }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto kind = batch[i].kind;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const auto kind = items[i].kind;
       const bool proposal = kind == Kind::kGrow || kind == Kind::kShrink;
       if (applied[i]) {
         auto& counter = proposal             ? elast_proposed_
@@ -191,13 +359,22 @@ void MauiScheduler::decide_dynamic(vnet::Process& proc,
       if (proposal) {
         // The request it deferred is decided in the next cycle, at once.
         kLog.warn("elastic proposal for job {} refused by the server",
-                  batch[i].id);
+                  items[i].id);
         if (staged[i].deferred != 0) deferred_.erase(staged[i].deferred);
         woken_ = true;
       }
     }
-    batch.clear();
-    staged.clear();
+  };
+  const auto ship_batch = [&] {
+    if (batch.empty()) return;
+    util::ByteWriter w;
+    torque::put_dyn_decisions(w, batch);
+    ship(torque::MsgType::kDynDecide, w.bytes(),
+         [settle_batch, staged = std::exchange(staged, {})](
+             const Assumed& assumed, svc::Outcome answer) {
+           settle_batch(staged, assumed, std::move(answer));
+         },
+         {.items = std::exchange(batch, {})});
   };
   const auto stage = [&](torque::DynDecision item, Staged info,
                          const trace::SpanScope& span) {
@@ -208,7 +385,7 @@ void MauiScheduler::decide_dynamic(vnet::Process& proc,
     item.span = ctx.span;
     batch.push_back(std::move(item));
     staged.push_back(info);
-    if (!config_.batched_dyn) ship();
+    if (!config_.batched_dyn) ship_batch();
   };
 
   if (config_.elastic_policy) {
@@ -389,7 +566,7 @@ void MauiScheduler::decide_dynamic(vnet::Process& proc,
     if (grant) dec.hosts = std::move(hosts);
     stage(std::move(dec), {.capped = capped}, span);
   }
-  ship();
+  ship_batch();
 }
 
 double MauiScheduler::priority_of(const torque::JobInfo& job,
@@ -536,7 +713,7 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
   }
 
   // Starts are staged as they are decided and ship as one kRunJob after the
-  // pass, so a pass pays one round trip however many jobs it starts. Each
+  // pass, so a pass sends one message however many jobs it starts. Each
   // start's decision span joins the trace recorded at submission: the
   // decision is part of the job's causal story, not of the GetSched poll
   // that revealed it. Its context rides in the RunStart, so the server-side
@@ -621,36 +798,47 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
   if (batch.empty()) return;
 
   // Ship. The server applies the starts in order and answers one outcome
-  // per start; only accepted starts count. A retransmit is safe: the server
-  // de-duplicates request ids.
-  std::vector<bool> accepted(batch.size(), false);
+  // per start; only accepted starts count, when the reply is folded. A
+  // resend is safe: the server de-duplicates request ids.
+  struct Started {
+    std::string owner;
+    double usage = 0.0;  // node-seconds, fairshare
+    bool backfill = false;
+  };
+  std::vector<Started> started;
+  for (const auto& [job, backfill] : staged) {
+    started.push_back({.owner = job->spec.owner,
+                       .usage = job->spec.resources.nodes * walltime_s(*job),
+                       .backfill = backfill});
+  }
   util::ByteWriter w;
   torque::put_run_starts(w, batch);
-  try {
-    const svc::Caller caller(proc, config_.server, config_.retry);
-    const auto reply =
-        caller.call(torque::MsgType::kRunJob, std::move(w).take(),
-                    {.deadline = svc::deadlines::kDefault});
-    util::ByteReader r(reply);
+  const auto settle_batch = [this, started = std::move(started)](
+                                const Assumed& assumed, svc::Outcome answer) {
+    if (!answer.ok()) {
+      kLog.warn("run_job batch ({} start(s)) not applied: {}", started.size(),
+                answer.error);
+      return;
+    }
+    util::ByteReader r(*answer.reply);
+    std::vector<bool> accepted(started.size(), false);
     const auto n = r.get<std::uint32_t>();
     for (std::size_t i = 0; i < n; ++i) accepted.at(i) = r.get_bool();
-    fold_reply(r);
-  } catch (const util::ProtocolError& e) {
-    kLog.warn("run_job batch ({} start(s)) not applied: {}", batch.size(),
-              e.what());
-    return;
-  }
-  for (std::size_t i = 0; i < staged.size(); ++i) {
-    const auto& [job, backfill] = staged[i];
-    if (!accepted[i]) {
-      kLog.warn("run_job {} refused by the server", job->id);
-      refused_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+    (void)mirror_.apply(torque::get_sched_delta(r));
+    for (std::size_t i = 0; i < started.size(); ++i) {
+      const auto& st = started[i];
+      if (!accepted[i]) {
+        kLog.warn("run_job {} refused by the server", assumed.starts[i].job);
+        refused_.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      jobs_started_.fetch_add(1, std::memory_order_relaxed);
+      usage_[st.owner] += st.usage;
+      if (st.backfill) backfilled_.fetch_add(1, std::memory_order_relaxed);
     }
-    jobs_started_.fetch_add(1, std::memory_order_relaxed);
-    usage_[job->spec.owner] += job->spec.resources.nodes * walltime_s(*job);
-    if (backfill) backfilled_.fetch_add(1, std::memory_order_relaxed);
-  }
+  };
+  ship(torque::MsgType::kRunJob, w.bytes(), settle_batch,
+       {.starts = std::move(batch)});
 }
 
 }  // namespace dac::maui

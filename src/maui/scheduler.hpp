@@ -12,11 +12,21 @@
 // request arriving while the scheduler is mid-cycle waits for the cycle to
 // finish, and concurrent dynamic requests are serviced strictly one at a
 // time.
+//
+// Batched (the default), a cycle does not wait for the server: it sends its
+// kDynDecide and kRunJob and ends. Until a batch's reply arrives, every
+// later cycle decides as if the batch took effect (its jobs started, its
+// dynamic requests decided, its proposals pending, its hosts' slots taken).
+// Wakes and replies share one mailbox and fold in arrival order; the reply
+// counts the outcomes, folds its delta and retires the assumptions in one
+// step. Serial (the paper's shape), a cycle waits for each reply before it
+// decides the next item.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,7 +34,9 @@
 
 #include "elastic/policy.hpp"
 #include "maui/queue_mirror.hpp"
+#include "simtime/clock.hpp"
 #include "svc/caller.hpp"
+#include "svc/service_loop.hpp"
 #include "torque/batch_config.hpp"
 #include "torque/node_db.hpp"
 #include "torque/server.hpp"
@@ -55,9 +67,10 @@ struct SchedulerConfig {
   // at most this fraction of the accelerator pool after a grant. 1.0
   // disables the cap (the paper's behaviour).
   double dyn_owner_pool_cap = 1.0;
-  // Retry policy for the scheduler's calls to the server. The server
-  // deduplicates retransmitted request-ids, so run/reject decisions are
-  // retry-safe.
+  // Resend schedule for the scheduler's requests to the server: an
+  // unanswered request goes out again with the same request id, as
+  // svc::Caller retransmits. The server deduplicates request ids, so
+  // run/reject decisions are retry-safe.
   svc::RetryPolicy retry;
   // Elastic negotiation policy (src/elastic). Null disables elasticity
   // entirely — no proposals, no deferrals, cycle behaviour identical to the
@@ -75,9 +88,10 @@ struct SchedulerConfig {
   int full_rescan_every = 16;
   // Ship all of a cycle's dynamic items (elastic proposals, then grant and
   // reject decisions) in one kDynDecide batch instead of one kDynDecide per
-  // item. Decision logic is unchanged; the per-request scheduling cost
-  // drops from (base + count*per_node) to per-node only, with the base
-  // charged once per batch.
+  // item, and do not wait for the server's replies. Decision logic is
+  // unchanged; the per-request scheduling cost drops from
+  // (base + count*per_node) to per-node only, with the base charged once
+  // per batch. Off, the serial ablation, a cycle waits for each reply.
   bool batched_dyn = true;
 };
 
@@ -106,14 +120,63 @@ class MauiScheduler {
   [[nodiscard]] SchedulerStatsSnapshot stats() const;
 
  private:
+  // What a kRunJob or kDynDecide batch assumed took effect: the jobs it
+  // started on their hosts, the dynamic requests it decided and the
+  // proposals it made. Every cycle decides with the batches in flight
+  // applied (assume()).
+  struct Assumed {
+    std::vector<torque::RunStart> starts;
+    std::vector<torque::DynDecision> items;
+  };
+  // Runs once per request, with what it assumed and the reply or the error
+  // ("deadline" when none came).
+  using Done = std::function<void(const Assumed&, svc::Outcome)>;
+  // One request sent to the server and not yet answered.
+  struct InFlight {
+    torque::MsgType type{};
+    util::Bytes payload;  // the envelope, resent unchanged
+    std::unique_ptr<trace::DetachedSpan> span;  // rpc.<TYPE>, ends at reply
+    svc::Backoff backoff;
+    int sent = 1;
+    simtime::TimePoint resend_at;
+    simtime::TimePoint deadline;
+    Assumed assumed;
+    Done done;
+  };
+
   // One scheduling pass. A cycle started by a wake decides on the deltas
   // folded so far; any other (first contact, the idle poll) fetches first.
   void cycle(vnet::Process& proc);
-  // Fold a pushed kSchedWake delta (a wake asks for a cycle), every wake
-  // already waiting, and the delta that ends a reply from the server.
-  void fold_wake(const vnet::Message& msg);
-  void drain_wakes();
-  void fold_reply(util::ByteReader& r);
+  // Sends a request from the mailbox endpoint and returns its id at once.
+  std::uint64_t send(torque::MsgType type, const util::Bytes& body, Done done,
+                     Assumed assumed = {});
+  // send(), then handles the mailbox until the reply arrives. Throws when
+  // the server answered with an error or never did.
+  util::Bytes call(torque::MsgType type, const util::Bytes& body);
+  // Ships a cycle's batch. Batched, it returns at once; serial, it returns
+  // once the reply is folded.
+  void ship(torque::MsgType type, const util::Bytes& body, Done done,
+            Assumed assumed);
+  // Handles every message already in the mailbox.
+  void drain();
+  // drain(); when nothing was queued, waits until `until` (or the next
+  // resend) for a message first. Then resends and expires what fell due.
+  void pump(simtime::TimePoint until);
+  // A pushed kSchedWake delta (a wake asks for a cycle), or a reply.
+  void handle(const vnet::Message& msg);
+  // Retires the batch a reply answers and runs its continuation; a reply to
+  // no request in flight (a duplicate, or one past its deadline) is ignored.
+  void settle(const vnet::Message& msg);
+  // Resends each request whose backoff slot has come, on the schedule
+  // svc::Caller uses, and gives up the ones past their deadline.
+  void resend_due();
+  // The cycle's inputs: the mirror with every batch in flight applied. An
+  // assumed start is running on its hosts, an assumed decision has left the
+  // dyn queue (a grant's hosts join its job), a proposal's job has an offer
+  // pending, and each of their hosts' slots is taken. An item whose job or
+  // request the mirror no longer holds left before the server saw it: the
+  // server will refuse it, and it takes nothing.
+  void assume(torque::QueueSnapshot& snap, std::vector<NodeView>& nodes) const;
   // The one dynamic decide pass. Feeds pool pressure and elasticity views
   // to the configured policy and stages its proposals (a grow's hosts are
   // debited from `nodes`; a shrink defers the starved dynamic request it
@@ -121,7 +184,7 @@ class MauiScheduler {
   // FIFO order against the same view. Ships every item in kDynDecide. A
   // refused proposal drops the deferral it made and asks for the next cycle
   // at once.
-  void decide_dynamic(vnet::Process& proc, const torque::QueueSnapshot& snap,
+  void decide_dynamic(const torque::QueueSnapshot& snap,
                       std::vector<NodeView>& nodes);
   // `changed`: distinct jobs changed since the last cycle, the
   // prioritization bill.
@@ -151,10 +214,15 @@ class MauiScheduler {
 
   // Local fold of the server's deltas, pushed and fetched.
   QueueMirror mirror_;
-  // Where the server pushes kSchedWake; opened by run().
-  std::unique_ptr<vnet::Endpoint> wake_ep_;
+  // The one mailbox, opened by run(): every request leaves from it, and the
+  // server's wakes and replies arrive in it, in the order it sent them.
+  std::unique_ptr<vnet::Endpoint> ep_;
   // A wake arrived that no cycle has started on yet.
   bool woken_ = false;
+  // A batch passed its deadline unanswered: the next cycle fetches in full.
+  bool refetch_ = false;
+  // By request id.
+  std::map<std::uint64_t, InFlight> in_flight_;
 
   std::map<std::string, double> usage_;  // owner -> node-seconds (decayed)
   double last_decay_s_ = -1.0;

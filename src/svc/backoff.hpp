@@ -1,5 +1,5 @@
-// Exponential backoff with optional jitter, behind svc::Caller's
-// retransmissions. Waits for an event do not poll: port waits block on the
+// Exponential backoff with optional jitter, behind the retransmissions of
+// svc::Caller and the Maui scheduler (RetryPolicy::backoff). Waits for an event do not poll: port waits block on the
 // port registry (minimpi::Runtime::await_port) and job waits are one held
 // WAIT_JOB request.
 #pragma once

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "svc/backoff.hpp"
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
 
@@ -47,14 +46,7 @@ util::Bytes Caller::call(MsgType type, util::Bytes body,
   const auto start = simtime::now();
   const auto deadline = start + opts.deadline;
   const int attempts = opts.idempotent ? std::max(1, policy_.max_attempts) : 1;
-  Backoff backoff(
-      {.initial = std::chrono::duration_cast<std::chrono::microseconds>(
-           policy_.initial_backoff),
-       .multiplier = policy_.multiplier,
-       .cap = std::chrono::duration_cast<std::chrono::microseconds>(
-           policy_.max_backoff),
-       .jitter = policy_.jitter},
-      id);
+  auto backoff = policy_.backoff(id);
 
   int sent = 0;
   while (true) {

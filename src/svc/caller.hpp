@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "svc/backoff.hpp"
 #include "svc/deadlines.hpp"
 #include "svc/metrics.hpp"
 #include "svc/wire.hpp"
@@ -27,6 +28,17 @@ struct RetryPolicy {
     RetryPolicy p;
     p.max_attempts = 1;
     return p;
+  }
+
+  // The retransmission schedule of one request, seeded by its id.
+  [[nodiscard]] Backoff backoff(std::uint64_t seed) const {
+    using std::chrono::microseconds;
+    return Backoff(
+        {.initial = std::chrono::duration_cast<microseconds>(initial_backoff),
+         .multiplier = multiplier,
+         .cap = std::chrono::duration_cast<microseconds>(max_backoff),
+         .jitter = jitter},
+        seed);
   }
 };
 

@@ -112,7 +112,7 @@ TEST(DeviceMemory, OutOfBoundsAccessThrows) {
   Device dev(small_config());
   std::byte buf[16];
   EXPECT_THROW(dev.memcpy_d2h(buf, (1 << 20) - 8, 16), DeviceError);
-  EXPECT_THROW(dev.at(kNullPtr, 1), DeviceError);
+  EXPECT_THROW((void)dev.at(kNullPtr, 1), DeviceError);
 }
 
 TEST(DeviceMemory, StatsTrackUsage) {

@@ -82,7 +82,7 @@ TEST_F(TaskRegistryTest, JoinJobWaitsWithoutKilling) {
     ++done;
   });
   registry_.add(3, 0, p);
-  go.push(1);
+  (void)go.push(1);
   registry_.join_job(3);
   EXPECT_EQ(done, 1);
   EXPECT_EQ(registry_.task_count(3), 0u);

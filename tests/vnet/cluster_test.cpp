@@ -42,7 +42,7 @@ TEST(Cluster, FindNodeByName) {
 
 TEST(Cluster, NodeIndexOutOfRangeThrows) {
   Cluster c(small_topo());
-  EXPECT_THROW(c.node(4), std::out_of_range);
+  EXPECT_THROW((void)c.node(4), std::out_of_range);
 }
 
 TEST(Cluster, CrossNodeMessaging) {
