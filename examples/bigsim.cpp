@@ -2,7 +2,7 @@
 // virtual cluster (1 head + compute front-ends + network-attached
 // accelerators), pushes 10,000 jobs — static allocations plus dynget
 // growers — through the full TORQUE/Maui pipeline in virtual time, and
-// reports virtual-vs-wall speedup to BENCH_sim_scale.json.
+// reports virtual-vs-wall speedup and peak memory to BENCH_sim_scale.json.
 //
 //   ./bigsim [nodes] [jobs]      (defaults: 1000 10000; --help for usage)
 //
@@ -10,6 +10,8 @@
 // wall time: the clock only moves when every daemon thread is parked, so a
 // 250 ms heartbeat interval across 1,000 moms costs exactly as many wall
 // microseconds as the wakeups themselves need.
+#include <sys/resource.h>
+
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -58,6 +60,13 @@ util::Bytes sleep_args(std::uint64_t ms) {
   util::ByteWriter w;
   w.put<std::uint64_t>(ms);
   return std::move(w).take();
+}
+
+// The process's peak resident set so far, in MB.
+double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
 // Boots the cluster, runs the jobs, writes BENCH_sim_scale.json; the exit
@@ -134,6 +143,7 @@ int run(std::size_t nodes, std::size_t jobs) {
   const double wall_seconds = util::to_seconds(wall1 - wall0);
   const auto events = stats1.waiters_fired - stats0.waiters_fired;
   const auto advances = stats1.advances - stats0.advances;
+  const double rss_mb = peak_rss_mb();
 
   // A partial run must not leave a fresh-looking benchmark artifact behind:
   // fail before touching BENCH_sim_scale.json, not after.
@@ -156,23 +166,24 @@ int run(std::size_t nodes, std::size_t jobs) {
                  "  \"speedup\": %.2f,\n"
                  "  \"advances\": %llu,\n"
                  "  \"events\": %llu,\n"
-                 "  \"events_per_sec\": %.0f\n"
+                 "  \"events_per_sec\": %.0f,\n"
+                 "  \"peak_rss_mb\": %.1f\n"
                  "}\n",
                  nodes, jobs, completed, growers, virtual_seconds,
                  wall_seconds, virtual_seconds / wall_seconds,
                  static_cast<unsigned long long>(advances),
                  static_cast<unsigned long long>(events),
-                 static_cast<double>(events) / wall_seconds);
+                 static_cast<double>(events) / wall_seconds, rss_mb);
     std::fclose(out);
   }
 
   std::printf(
       "bigsim: %zu/%zu jobs (%zu dynget) | virtual %.2f s, wall %.2f s "
-      "(%.1fx) | %llu events (%.0f/s)\n",
+      "(%.1fx) | %llu events (%.0f/s) | peak RSS %.1f MB\n",
       completed, jobs, growers, virtual_seconds, wall_seconds,
       virtual_seconds / wall_seconds,
       static_cast<unsigned long long>(events),
-      static_cast<double>(events) / wall_seconds);
+      static_cast<double>(events) / wall_seconds, rss_mb);
   return 0;
 }
 

@@ -1,7 +1,11 @@
 #include "gpusim/device.hpp"
 #include "simtime/clock.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <thread>
 
 #include "util/logging.hpp"
@@ -10,6 +14,32 @@ namespace dac::gpusim {
 
 namespace {
 const util::Logger kLog("gpusim");
+}
+
+Device::Arena::Arena(std::size_t bytes) : size_(bytes) {
+  if (bytes == 0) return;  // mmap rejects empty mappings
+  // MAP_NORESERVE: the arena is address space, not a commitment; a page is
+  // backed on its first write, and one never written reads as zero.
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    throw DeviceError("cannot map " + std::to_string(bytes) +
+                      " bytes of device memory: " + std::strerror(errno));
+  }
+  data_ = static_cast<std::byte*>(p);
+  // Small pages even where transparent huge pages are always on: a 2 MiB
+  // page behind every first write would undo the point of reserving.
+  // Best effort: kernels without THP reject the advice, harmlessly.
+  (void)::madvise(data_, size_, MADV_NOHUGEPAGE);
+}
+
+Device::Arena::~Arena() {
+  if (data_ != nullptr) ::munmap(data_, size_);
+}
+
+void Device::Arena::discard() {
+  // Private anonymous pages dropped with MADV_DONTNEED read back as zeros.
+  if (data_ != nullptr) (void)::madvise(data_, size_, MADV_DONTNEED);
 }
 
 Device::Device(DeviceConfig config)
@@ -79,6 +109,9 @@ void Device::mem_free(DevicePtr ptr) {
 
 void Device::mem_reset() {
   ScopedLock lock(mu_);
+  // Under the lock: a page discarded after the allocator reopened could wipe
+  // a new holder's first write.
+  arena_.discard();
   stats_.frees += allocated_.size();
   stats_.bytes_in_use = 0;
   allocated_.clear();
@@ -93,7 +126,9 @@ std::size_t Device::bytes_free() const {
 }
 
 std::byte* Device::at(DevicePtr ptr, std::size_t bytes) {
-  if (ptr == kNullPtr || ptr + bytes > arena_.size()) {
+  // Two comparisons, not `ptr + bytes > size`: that sum wraps for a pointer
+  // near the top of the range and would pass.
+  if (ptr > arena_.size() || bytes > arena_.size() - ptr) {
     throw DeviceError("device access out of bounds: ptr=" +
                       std::to_string(ptr) + " len=" + std::to_string(bytes));
   }
@@ -116,7 +151,9 @@ void Device::memcpy_d2h(void* dst, DevicePtr src, std::size_t bytes) {
 }
 
 void Device::memcpy_d2d(DevicePtr dst, DevicePtr src, std::size_t bytes) {
-  std::memmove(at(dst, bytes), at(src, bytes), bytes);
+  auto* const to = at(dst, bytes);
+  const auto* const from = at(src, bytes);
+  if (bytes > 0) std::memmove(to, from, bytes);
 }
 
 void Device::memset_d(DevicePtr dst, std::byte value, std::size_t bytes) {

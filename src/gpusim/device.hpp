@@ -1,8 +1,11 @@
 // Simulated accelerator device: a device-memory arena with a first-fit
 // free-list allocator, a kernel registry, and synchronous execute/copy
-// operations. Kernels are real C++ callables operating on device memory, so
-// offloaded computations produce real results; an optional cost model makes
-// kernel execution consume simulated time (for latency-hiding experiments).
+// operations. The arena is reserved address space, not committed memory: a
+// page costs host RAM only once a copy, memset or kernel first writes it, so
+// an idle simulated accelerator is nearly free. Kernels are real C++
+// callables operating on device memory, so offloaded computations produce
+// real results; an optional cost model makes kernel execution consume
+// simulated time (for latency-hiding experiments).
 //
 // This plays the role of the CUDA-enabled GPU in the paper's accelerator
 // (Figure 1(b)); the back-end daemon drives it through the thin driver API
@@ -85,6 +88,8 @@ class DeviceError : public std::runtime_error {
 };
 
 struct DeviceConfig {
+  // Device memory size. Reserved, not committed: host RAM follows the pages
+  // the device's users have written since the last mem_reset().
   std::size_t memory_bytes = 64u << 20;  // 64 MiB default arena
   std::string name = "SimGPU";
   // Scales every kernel cost model; 0 disables simulated compute time.
@@ -103,6 +108,7 @@ struct DeviceStats {
 
 class Device {
  public:
+  // Reserves the arena; throws DeviceError when the host cannot map it.
   explicit Device(DeviceConfig config = {});
 
   Device(const Device&) = delete;
@@ -115,8 +121,10 @@ class Device {
   DevicePtr mem_alloc(std::size_t bytes);
   void mem_free(DevicePtr ptr);
   // Frees every outstanding allocation at once, returning the whole arena to
-  // the free list (cudaDeviceReset analogue). Used when a daemon's set is
-  // released or reclaimed so the next holder starts from a clean device.
+  // the free list, and hands the arena's pages back to the host, so it reads
+  // as zeros again (cudaDeviceReset analogue). Used when a daemon's set is
+  // released or reclaimed: a released accelerator holds no host memory, and
+  // the next holder starts from a clean device.
   void mem_reset();
   [[nodiscard]] std::size_t bytes_free() const;
 
@@ -125,7 +133,8 @@ class Device {
   void memcpy_d2d(DevicePtr dst, DevicePtr src, std::size_t bytes);
   void memset_d(DevicePtr dst, std::byte value, std::size_t bytes);
 
-  // Raw pointer into the arena with bounds check (used by KernelContext).
+  // Raw pointer to [ptr, ptr + bytes) of the arena; throws DeviceError unless
+  // the whole range lies inside it (used by KernelContext).
   [[nodiscard]] std::byte* at(DevicePtr ptr, std::size_t bytes);
 
   // ---- kernels ----------------------------------------------------------
@@ -144,8 +153,26 @@ class Device {
     std::size_t size;
   };
 
+  // Device memory: one anonymous private mapping. Untouched pages read as
+  // zero and occupy no host RAM; discard() returns every page to that state.
+  class Arena {
+   public:
+    explicit Arena(std::size_t bytes);
+    ~Arena();
+    Arena(const Arena&) = delete;
+    Arena& operator=(const Arena&) = delete;
+
+    [[nodiscard]] std::byte* data() const { return data_; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    void discard();
+
+   private:
+    std::byte* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
   DeviceConfig config_;
-  std::vector<std::byte> arena_;
+  Arena arena_;
 
   mutable Mutex mu_{"device"};
   std::vector<Block> free_list_ DAC_GUARDED_BY(mu_);  // sorted by offset

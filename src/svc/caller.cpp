@@ -55,6 +55,9 @@ util::Bytes Caller::call(MsgType type, util::Bytes body,
     if (sent > 1) {
       kLog.debug("retransmit #{} of {} req {} to {}", sent - 1,
                  msg_type_name(as_u32(type)), id, to_.str());
+      // Every copy may be answered, some after this call has its reply and
+      // closed the endpoint: those answers are expected, not lost.
+      ep->linger_until(deadline);
     }
     // Wait for the reply until either the overall deadline or the next
     // retransmission slot, whichever comes first.

@@ -47,8 +47,11 @@ Node* Cluster::find_node(const std::string& hostname) {
 
 void Cluster::shutdown() {
   if (!fabric_) return;
-  for (auto& n : nodes_) n->stop_all_processes();
+  // The network goes first: what is still in flight is torn down with the
+  // cluster, not delivered to daemons that are stopping, where it would
+  // count as dropped.
   fabric_->shutdown();
+  for (auto& n : nodes_) n->stop_all_processes();
 }
 
 }  // namespace dac::vnet

@@ -40,7 +40,7 @@ class Cluster {
   [[nodiscard]] Fabric& fabric() { return *fabric_; }
   [[nodiscard]] const ClusterTopology& topology() const { return topo_; }
 
-  // Stops every process on every node, then the fabric.
+  // Stops the fabric, then every process on every node.
   void shutdown();
 
  private:

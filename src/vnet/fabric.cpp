@@ -4,11 +4,22 @@
 #include "trace/trace.hpp"
 #include "util/logging.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+
 namespace dac::vnet {
 
 namespace {
 const util::Logger kLog("fabric");
+
+// Message types print in hex, as protocol.hpp spells them.
+std::string type_hex(std::uint32_t type) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "0x%08x", type);
+  return buf;
 }
+}  // namespace
 
 Fabric::Fabric(NetworkModel model)
     : model_(model), jitter_rng_(model.jitter_seed) {
@@ -28,9 +39,18 @@ void Fabric::register_mailbox(const Address& addr, MailboxPtr box) {
   boxes_[addr] = std::move(box);
 }
 
-void Fabric::unregister_mailbox(const Address& addr) {
+void Fabric::unregister_mailbox(
+    const Address& addr, std::chrono::steady_clock::time_point linger_until) {
+  const auto now = simtime::now();
   ScopedLock lock(boxes_mu_);
   boxes_.erase(addr);
+  if (linger_until <= now) return;
+  if (lingering_.size() >= prune_at_) {
+    std::erase_if(lingering_,
+                  [now](const auto& entry) { return entry.second <= now; });
+    prune_at_ = std::max<std::size_t>(64, 2 * lingering_.size());
+  }
+  lingering_[addr] = linger_until;
 }
 
 void Fabric::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
@@ -57,7 +77,7 @@ void Fabric::send(Message msg) {
   if (fault.drop) {
     dropped_injected_.fetch_add(1, std::memory_order_relaxed);
     kLog.debug("fault injection: dropped message {} -> {} (type {})",
-               msg.from.str(), msg.to.str(), msg.type);
+               msg.from.str(), msg.to.str(), type_hex(msg.type));
     return;
   }
 
@@ -171,9 +191,21 @@ void Fabric::deliver(Message msg) {
   const Address to = msg.to;
   const auto type = msg.type;
   MailboxPtr box;
+  bool lingering = false;
   {
     ScopedLock lock(boxes_mu_);
-    if (auto it = boxes_.find(to); it != boxes_.end()) box = it->second;
+    if (auto it = boxes_.find(to); it != boxes_.end()) {
+      box = it->second;
+    } else if (auto l = lingering_.find(to); l != lingering_.end()) {
+      lingering = simtime::now() < l->second;
+      if (!lingering) lingering_.erase(l);
+    }
+  }
+  if (lingering) {
+    absorbed_.fetch_add(1, std::memory_order_relaxed);
+    kLog.debug("absorbed message to lingering {} (type {})", to.str(),
+               type_hex(type));
+    return;
   }
   bool pushed = false;
   if (box) {
@@ -193,12 +225,11 @@ void Fabric::deliver(Message msg) {
       first_for_node = warned_nodes_.insert(to.node).second;
     }
     if (first_for_node) {
-      // One warning per destination node; subsequent drops only count.
-      // Per-port dedup would spam: every retransmitted call leaves a
-      // duplicate reply addressed to a caller's already-closed ephemeral
-      // port. A steady stream to one address still shows in drops_to().
+      // One warning per destination node; subsequent drops only count
+      // (a dead daemon draws a stream from many ports). A steady stream to
+      // one address still shows in drops_to().
       kLog.warn("dropping message(s) to {} ({}; first type {})", to.str(),
-                reason, type);
+                reason, type_hex(type));
     } else {
       kLog.debug("dropped message to {} ({})", to.str(), reason);
     }

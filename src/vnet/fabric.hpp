@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -36,7 +37,14 @@ class Fabric {
 
   // Registers `box` under `addr`; replaces any previous registration.
   void register_mailbox(const Address& addr, MailboxPtr box);
-  void unregister_mailbox(const Address& addr);
+  // With `linger_until` in the future, `addr` stays reserved until then, as
+  // TCP's TIME_WAIT keeps a closed port: messages that still arrive for it
+  // are absorbed, not dropped. A caller that retransmitted lingers so the
+  // answers to its duplicates, which may come after it has its reply, are
+  // not reported as lost.
+  void unregister_mailbox(
+      const Address& addr,
+      std::chrono::steady_clock::time_point linger_until = {});
 
   // Queues `msg` for delivery after the modeled network delay.
   void send(Message msg);
@@ -63,6 +71,10 @@ class Fabric {
   }
   [[nodiscard]] std::uint64_t messages_dropped_closed() const {
     return dropped_closed_.load(std::memory_order_relaxed);
+  }
+  // Messages that arrived for a lingering address (unregister_mailbox).
+  [[nodiscard]] std::uint64_t messages_absorbed() const {
+    return absorbed_.load(std::memory_order_relaxed);
   }
   // Messages discarded at send() by the fault injector.
   [[nodiscard]] std::uint64_t messages_dropped_injected() const {
@@ -125,6 +137,11 @@ class Fabric {
 
   Mutex boxes_mu_{"fabric.boxes"};
   std::map<Address, MailboxPtr> boxes_ DAC_GUARDED_BY(boxes_mu_);
+  // Unregistered addresses still reserved, and until when. Expired entries
+  // go when a lookup finds them or when the table doubles.
+  std::map<Address, std::chrono::steady_clock::time_point> lingering_
+      DAC_GUARDED_BY(boxes_mu_);
+  std::size_t prune_at_ DAC_GUARDED_BY(boxes_mu_) = 64;
 
   // Drop accounting per destination; the first drop to a node warns, the
   // rest only count (drop storms would otherwise flood the log).
@@ -134,6 +151,7 @@ class Fabric {
 
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_closed_{0};
+  std::atomic<std::uint64_t> absorbed_{0};
   std::atomic<std::uint64_t> dropped_injected_{0};
   std::atomic<std::uint64_t> duplicated_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};

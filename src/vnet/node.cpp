@@ -18,7 +18,7 @@ Endpoint::Endpoint(Fabric& fabric, Address addr)
 }
 
 Endpoint::~Endpoint() {
-  fabric_.unregister_mailbox(addr_);
+  fabric_.unregister_mailbox(addr_, linger_until_);
   box_->close();
 }
 

@@ -48,6 +48,12 @@ class Endpoint {
   // Closes the mailbox: pending messages remain poppable, new sends drop.
   void close();
   [[nodiscard]] bool closed() const;
+  // Keeps the address reserved until `until` once this endpoint is gone:
+  // messages that arrive for it meanwhile are absorbed, not dropped
+  // (Fabric::unregister_mailbox).
+  void linger_until(std::chrono::steady_clock::time_point until) {
+    linger_until_ = until;
+  }
 
   // Weak handle used by the owning Process to close this endpoint on kill.
   [[nodiscard]] std::weak_ptr<Mailbox> mailbox_weak() const { return box_; }
@@ -56,6 +62,7 @@ class Endpoint {
   Fabric& fabric_;
   Address addr_;
   MailboxPtr box_;
+  std::chrono::steady_clock::time_point linger_until_{};
 };
 
 struct SpawnOptions {

@@ -214,6 +214,26 @@ TEST_F(OffloadTest, DoubleFreeReported) {
   });
 }
 
+// A device pointer near the top of the 64-bit range must not wrap the
+// daemon's bounds check: the copy fails and writes no device memory.
+TEST_F(OffloadTest, WrappedDevicePointerIsRejected) {
+  with_daemons(1, [](Proc& p, Comm& c) {
+    const auto ptr = frontend::mem_alloc(p, c, 1, 16);
+    const util::Bytes mark(16, std::byte{0x11});
+    frontend::memcpy_h2d(p, c, 1, ptr, mark);
+    const util::Bytes junk(4, std::byte{0xEE});
+    try {
+      // ~0 - 1 + 4 wraps around to 2.
+      frontend::memcpy_h2d(p, c, 1, ~gpusim::DevicePtr{0} - 1, junk);
+      FAIL() << "expected AcError";
+    } catch (const AcError& e) {
+      EXPECT_EQ(e.status(), Status::kInvalidValue);
+    }
+    EXPECT_EQ(frontend::memcpy_d2h(p, c, 1, ptr, mark.size()), mark);
+  });
+  EXPECT_EQ(devices_.device_for(1).stats().bytes_copied_in, 16u);
+}
+
 TEST_F(OffloadTest, DeviceInfo) {
   with_daemons(1, [](Proc& p, Comm& c) {
     const auto info = frontend::device_info(p, c, 1);

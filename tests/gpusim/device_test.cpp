@@ -2,7 +2,10 @@
 #include "simtime/clock.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -113,6 +116,61 @@ TEST(DeviceMemory, OutOfBoundsAccessThrows) {
   std::byte buf[16];
   EXPECT_THROW(dev.memcpy_d2h(buf, (1 << 20) - 8, 16), DeviceError);
   EXPECT_THROW((void)dev.at(kNullPtr, 1), DeviceError);
+}
+
+TEST(DeviceMemory, WrappedRangesThrow) {
+  Device dev(small_config());
+  // kTop + 4 wraps around to 2: a bounds check on the sum would pass it.
+  constexpr DevicePtr kTop = ~DevicePtr{0} - 1;
+  std::byte buf[4]{};
+  EXPECT_THROW((void)dev.at(kTop, 4), DeviceError);
+  EXPECT_THROW(dev.memcpy_h2d(kTop, buf, sizeof(buf)), DeviceError);
+  EXPECT_THROW(dev.memcpy_d2h(buf, kTop, sizeof(buf)), DeviceError);
+  EXPECT_THROW(dev.memset_d(kTop, std::byte{0xAB}, sizeof(buf)), DeviceError);
+  EXPECT_THROW(dev.memcpy_d2d(0, kTop, sizeof(buf)), DeviceError);
+  // A length that wraps from a valid pointer.
+  EXPECT_THROW((void)dev.at(256, ~std::size_t{0} - 8), DeviceError);
+  EXPECT_EQ(dev.stats().bytes_copied_in, 0u);
+}
+
+TEST(DeviceMemory, EmptyDeviceHasNoMemory) {
+  DeviceConfig cfg = small_config();
+  cfg.memory_bytes = 0;
+  Device dev(cfg);
+  EXPECT_EQ(dev.bytes_free(), 0u);
+  EXPECT_THROW(dev.mem_alloc(1), DeviceError);
+  dev.memcpy_h2d(0, nullptr, 0);
+  EXPECT_THROW((void)dev.at(0, 1), DeviceError);
+  dev.mem_reset();
+}
+
+// Pages of the arena's first `bytes` the host holds in RAM. mincore() reads
+// the mapping itself, so unlike sampling the process's RSS it is exact.
+std::size_t resident_pages(Device& dev, std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  EXPECT_EQ(::mincore(dev.at(0, bytes), bytes, vec.data()), 0);
+  return static_cast<std::size_t>(std::count_if(
+      vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+TEST(DeviceMemory, ArenaIsResidentOnlyWhereWritten) {
+  Device dev;  // the default 64 MiB arena
+  const auto size = dev.config().memory_bytes;
+  EXPECT_EQ(resident_pages(dev, size), 0u);
+
+  const std::vector<std::byte> data(8 << 10, std::byte{0x5A});
+  const auto p = dev.mem_alloc(data.size());
+  dev.memcpy_h2d(p, data.data(), data.size());
+  EXPECT_GE(resident_pages(dev, size), 2u);
+  EXPECT_LE(resident_pages(dev, size), 3u);
+
+  dev.mem_reset();
+  EXPECT_EQ(resident_pages(dev, size), 0u);
+  const auto q = dev.mem_alloc(data.size());
+  std::vector<std::byte> back(data.size(), std::byte{0xFF});
+  dev.memcpy_d2h(back.data(), q, back.size());
+  EXPECT_EQ(back, std::vector<std::byte>(data.size()));
 }
 
 TEST(DeviceMemory, StatsTrackUsage) {

@@ -87,6 +87,41 @@ TEST_F(SvcTest, CallerRetransmitsUntilServerAppears) {
   EXPECT_GE(fabric_.drops_to(server_addr), 1u);
 }
 
+TEST(CallerLingerTest, RepliesToRetransmitsAfterTheCallAreAbsorbed) {
+  // A server slower than the first backoffs answers the call, then serves
+  // another client, then answers the call's two retransmits from its dedup
+  // cache: those replies reach the caller's port after the call returned,
+  // and the fabric absorbs them instead of counting drops.
+  auto model = fast_model();
+  model.latency = 2ms;  // the other client's request lands between the copies
+  vnet::Fabric fabric(model);
+  vnet::Node node(0, "n0", fabric, 0us);
+  vnet::Node other(1, "n1", fabric, 0us);
+  auto ep = node.open_endpoint();
+  ServiceLoop loop(*ep, ServiceConfig{.name = "slow", .service_cost = 30ms});
+  loop.on(MsgType::kStatJobs,
+          [](const Request&, Responder& resp) { resp.ok(); });
+  simtime::ActorThread t([&] { loop.run(); });
+
+  auto client = other.open_endpoint();
+  client->send(ep->address(), as_u32(MsgType::kStatJobs),
+               envelope(next_request_id(), {}));
+  RetryPolicy rp;
+  rp.max_attempts = 3;
+  rp.initial_backoff = 5ms;
+  (void)Caller(node, ep->address(), rp)
+      .call(MsgType::kStatJobs, {}, {.deadline = 5000ms});
+  // Queued behind the retransmits, so answered after their replies landed.
+  (void)Caller(node, ep->address(), RetryPolicy::none())
+      .call(MsgType::kStatJobs, {}, {.deadline = 5000ms});
+  EXPECT_EQ(loop.deduped(), 2u);
+  EXPECT_EQ(fabric.messages_absorbed(), 2u);
+  EXPECT_EQ(fabric.messages_dropped(), 0u);
+
+  ep->close();
+  t.join();
+}
+
 TEST_F(SvcTest, DeadlineExceededThrowsDeadlineNotCallError) {
   const auto nowhere = node_.allocate_address();  // never registered
   const Caller caller(node_, nowhere, RetryPolicy::none());

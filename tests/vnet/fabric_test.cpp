@@ -202,5 +202,31 @@ TEST_F(FabricTest, UnregisterDropsSubsequentSends) {
   EXPECT_EQ(fabric.messages_dropped(), 1u);
 }
 
+TEST_F(FabricTest, LingeringAddressAbsorbsLateMessagesUntilItExpires) {
+  Fabric fabric(fast_model());
+  const Address live{1, 0};
+  const Address lingering{1, 1};
+  const Address expired{1, 2};
+  auto box = std::make_shared<Mailbox>();
+  fabric.register_mailbox(live, box);
+  fabric.register_mailbox(lingering, std::make_shared<Mailbox>());
+  fabric.register_mailbox(expired, std::make_shared<Mailbox>());
+  const auto now = dac::simtime::now();
+  fabric.unregister_mailbox(lingering, now + 1s);
+  // Over before the 100 us latency brings anything.
+  fabric.unregister_mailbox(expired, now + 50us);
+
+  // One sender, so the message to `live` arrives last: once it is there,
+  // the other two have been delivered.
+  fabric.send(Message{Address{0, 0}, lingering, 1, {}});
+  fabric.send(Message{Address{0, 0}, expired, 1, {}});
+  fabric.send(Message{Address{0, 0}, live, 1, {}});
+  ASSERT_TRUE(box->pop_for(1000ms).has_value());
+  EXPECT_EQ(fabric.messages_absorbed(), 1u);
+  EXPECT_EQ(fabric.drops_to(lingering), 0u);
+  EXPECT_EQ(fabric.drops_to(expired), 1u);
+  EXPECT_EQ(fabric.messages_dropped(), 1u);
+}
+
 }  // namespace
 }  // namespace dac::vnet
