@@ -395,6 +395,15 @@ void register_daemon_executables(minimpi::Runtime& runtime,
         // compute node's AC_Init waits exactly for this (Figure 7(a)).
         proc.barrier(proc.world());
         if (proc.rank() == 0) proc.publish_port(port);
+        // The port is the job's: it closes when these daemons end, whether
+        // the job connected or never did (MPI_Close_port).
+        struct ClosePort {
+          Proc& proc;
+          const std::string& port;
+          ~ClosePort() {
+            if (proc.rank() == 0) proc.runtime().close_port(port);
+          }
+        } close_port{proc, port};
         Comm inter = proc.comm_accept(port, proc.world(), 0);
         Comm merged = proc.intercomm_merge(inter, /*high=*/true);
         serve(proc, std::move(merged), device,

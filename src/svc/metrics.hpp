@@ -1,7 +1,10 @@
 // Per-RPC metrics: every call type accumulates a call count, error count,
-// and latency samples. Daemons record handling latency through their
+// and a latency histogram. Daemons record handling latency through their
 // ServiceLoop; clients record round-trip latency through their Caller. The
-// snapshot is what DacCluster dumps and what the CLI renders.
+// snapshot is what DacCluster dumps and what the CLI renders. Each series
+// has a fixed size, however many calls it counts: count, errors, mean and
+// max are exact, p50 and p99 come from its log buckets (util::LogHistogram),
+// and a snapshot costs one pass over them.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +42,7 @@ class MetricsRegistry {
 
  private:
   struct Series {
-    util::Samples latency_ms;
+    util::LogHistogram latency_ms;
     std::uint64_t errors = 0;
   };
 

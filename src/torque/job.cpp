@@ -1,5 +1,7 @@
 #include "torque/job.hpp"
 
+#include <algorithm>
+
 namespace dac::torque {
 
 const char* job_state_name(JobState s) {
@@ -12,6 +14,46 @@ const char* job_state_name(JobState s) {
     case JobState::kCancelled: return "X";
   }
   return "?";
+}
+
+void RetiredJobs::add(const JobInfo& info) {
+  const auto slot = info.id % capacity_;
+  const auto c = slot / kChunk;
+  if (c >= chunks_.size()) chunks_.resize(c + 1);
+  auto& chunk = chunks_[c];
+  if (chunk.empty()) chunk.resize(std::min(kChunk, capacity_));
+  auto& t = chunk[slot % kChunk];
+  if (t.id < info.id) t = Tombstone{info.id, info.state, info.exit_status};
+}
+
+std::optional<JobInfo> RetiredJobs::find(JobId id) const {
+  const auto slot = id % capacity_;
+  const auto c = slot / kChunk;
+  if (id == kInvalidJob || c >= chunks_.size() || chunks_[c].empty() ||
+      chunks_[c][slot % kChunk].id != id) {
+    return std::nullopt;
+  }
+  return info_of(chunks_[c][slot % kChunk]);
+}
+
+std::vector<JobInfo> RetiredJobs::list() const {
+  std::vector<JobInfo> out;
+  for (const auto& chunk : chunks_) {
+    for (const auto& t : chunk) {
+      if (t.id != kInvalidJob) out.push_back(info_of(t));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const JobInfo& a, const JobInfo& b) { return a.id < b.id; });
+  return out;
+}
+
+JobInfo RetiredJobs::info_of(const Tombstone& t) {
+  JobInfo info;
+  info.id = t.id;
+  info.state = t.state;
+  info.exit_status = t.exit_status;
+  return info;
 }
 
 void put_resource_request(util::ByteWriter& w, const ResourceRequest& r) {

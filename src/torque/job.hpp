@@ -6,7 +6,9 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,6 +80,39 @@ struct JobInfo {
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitKilled = 1;
 inline constexpr int kExitWalltime = 2;
+
+// Jobs pbs_server has retired: a terminal job's record is replaced, once
+// its retention window has passed, by a compact tombstone (id, final state,
+// exit status) in this ring. Slot `id % capacity` keeps the newest id that
+// retired into it, so a retired id stays answerable until an id `capacity`
+// higher retires; after that it is unknown. Slots are allocated a chunk at
+// a time as ids first reach them, so memory follows the ids retired, up to
+// `capacity` tombstones.
+class RetiredJobs {
+ public:
+  explicit RetiredJobs(std::size_t capacity) : capacity_(capacity) {}
+
+  void add(const JobInfo& info);
+  // The tombstone as a JobInfo: id, state and exit status; the rest
+  // defaulted.
+  [[nodiscard]] std::optional<JobInfo> find(JobId id) const;
+  // Every tombstone in the ring, in id order.
+  [[nodiscard]] std::vector<JobInfo> list() const;
+
+ private:
+  struct Tombstone {
+    JobId id = kInvalidJob;
+    JobState state = JobState::kComplete;
+    int exit_status = 0;
+  };
+  static constexpr std::size_t kChunk = 1024;  // tombstones per allocation
+
+  static JobInfo info_of(const Tombstone& t);
+
+  std::size_t capacity_;
+  // Chunk i holds slots [i * kChunk, (i + 1) * kChunk); empty until used.
+  std::vector<std::vector<Tombstone>> chunks_;
+};
 
 void put_resource_request(util::ByteWriter& w, const ResourceRequest& r);
 ResourceRequest get_resource_request(util::ByteReader& r);

@@ -514,8 +514,10 @@ void PbsMom::on_dynjoin(const rpc::Request& req, svc::Responder& resp) {
   const auto job_id = r.get<std::uint64_t>();
   const auto client_id = r.get<std::uint64_t>();
   auto hosts = get_host_refs(r);
-  auto& job = jobs_[job_id];  // may create a thin record on a new accel mom
+  const auto [it, fresh] = jobs_.try_emplace(job_id);
+  auto& job = it->second;
   job.info.id = job_id;
+  if (fresh) job.dyn_only = true;
   job.dyn_sets[client_id] = std::move(hosts);
   kLog.debug("mom '{}': DYNJOIN job {} set {}", node_.hostname(), job_id,
              client_id);
@@ -532,11 +534,17 @@ void PbsMom::on_disjoin(const rpc::Request& req, svc::Responder& resp) {
   // compute node must not lose the job script itself.
   tasks_.kill_node_tasks(job_id, node_.id(), client_id);
   if (auto it = jobs_.find(job_id); it != jobs_.end()) {
-    if (client_id == 0) {
-      jobs_.erase(it);
-    } else {
-      it->second.dyn_sets.erase(client_id);
-    }
+    auto& job = it->second;
+    job.dyn_sets.erase(client_id);
+    // A full disjoin ends the job here. So does the release of the last set
+    // on this node of a job that is here only through its sets.
+    const bool holds_set = std::any_of(
+        job.dyn_sets.begin(), job.dyn_sets.end(), [this](const auto& set) {
+          return std::any_of(
+              set.second.begin(), set.second.end(),
+              [this](const HostRef& h) { return h.node == node_.id(); });
+        });
+    if (client_id == 0 || (job.dyn_only && !holds_set)) jobs_.erase(it);
   }
   kLog.debug("mom '{}': DISJOIN job {} (set {})", node_.hostname(), job_id,
              client_id);

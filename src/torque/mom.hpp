@@ -70,6 +70,9 @@ class PbsMom {
     JobInfo info;
     std::vector<HostRef> hosts;  // every host of the job (computes first)
     bool is_ms = false;
+    // Made by a DYNJOIN on a mom outside the job's static hosts: the job is
+    // here only through its dynamic sets.
+    bool dyn_only = false;
     int tasks_done = 0;
     std::map<std::uint64_t, std::vector<HostRef>> dyn_sets;  // client-id
     // Local start time, for walltime enforcement by the mother superior.

@@ -14,6 +14,13 @@ namespace dac::torque {
 namespace {
 const util::Logger kLog("pbs_server");
 
+// How long a terminal job keeps its full record, in virtual seconds, as
+// TORQUE's keep_completed does. After it, the job answers from its
+// tombstone, and a late call answer for it finds no record.
+constexpr double kJobRetentionS = 1.0;
+// Tombstones kept: a retired id answers until 65,536 later ids retire.
+constexpr std::size_t kRetiredJobs = 1 << 16;
+
 std::uint64_t steady_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -93,7 +100,8 @@ PbsServer::PbsServer(vnet::Node& node, BatchTiming timing,
       timing_(timing),
       tuning_(tuning),
       endpoint_(node.open_endpoint()),
-      start_(simtime::now()) {}
+      start_(simtime::now()),
+      retired_(kRetiredJobs) {}
 
 double PbsServer::now_s() const {
   return std::chrono::duration<double>(simtime::now() -
@@ -116,8 +124,7 @@ void PbsServer::run(vnet::Process& proc) {
   loop.add_tick(timing_.mom_heartbeat_interval, [this] {
     ScopedLock lock(state_mu_);
     refresh_liveness();
-    settle_job_waits();
-    flush_wake();
+    end_change();
   });
   loop.run();
   loop_ = nullptr;
@@ -129,18 +136,16 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   using svc::Responder;
 
   // Every handler runs on the serialized lane under the state lock. Any
-  // that may move a job ends by answering the waits it satisfied and by
-  // sending the scheduler the wake it asked for.
+  // that may move a job ends with end_change().
   const auto mut = [&](MsgType type,
                        void (PbsServer::*fn)(const rpc::Request&, Responder&)) {
     loop.on(type, [this, fn](const Request& req, Responder& resp) {
       ScopedLock lock(state_mu_);
       (this->*fn)(req, resp);
-      settle_job_waits();
-      flush_wake();
+      end_change();
     });
   };
-  // Requests that move no job: no waits to settle.
+  // Requests that move no job: nothing to end.
   const auto read = [&](MsgType type,
                         void (PbsServer::*fn)(const rpc::Request&,
                                               Responder&)) {
@@ -163,8 +168,7 @@ void PbsServer::register_handlers(svc::ServiceLoop& loop) {
   loop.on(MsgType::kJobComplete, [this](const Request& req, Responder&) {
     ScopedLock lock(state_mu_);
     on_job_complete(req);
-    settle_job_waits();
-    flush_wake();
+    end_change();
   });
 
   read(MsgType::kStatJobs, &PbsServer::on_stat_jobs);
@@ -244,8 +248,7 @@ void PbsServer::call(const vnet::Address& to, MsgType type,
                   [this, then, job, key](std::vector<svc::Outcome> out) {
                     ScopedLock lock(state_mu_);
                     (this->*then)(job, key, out.front());
-                    settle_job_waits();
-                    flush_wake();
+                    end_change();
                   });
 }
 
@@ -302,9 +305,17 @@ void PbsServer::on_submit(const rpc::Request& req, svc::Responder& resp) {
 
 void PbsServer::on_stat_jobs(const rpc::Request& req, svc::Responder& resp) {
   (void)req;
+  // Records and tombstones, merged in id order.
+  const auto retired = retired_.list();
   util::ByteWriter w;
-  w.put<std::uint32_t>(static_cast<std::uint32_t>(jobs_.size()));
-  for (const auto& [id, rec] : jobs_) put_job_info(w, rec.info);
+  w.put<std::uint32_t>(
+      static_cast<std::uint32_t>(jobs_.size() + retired.size()));
+  auto t = retired.begin();
+  for (const auto& [id, rec] : jobs_) {
+    for (; t != retired.end() && t->id < id; ++t) put_job_info(w, *t);
+    put_job_info(w, rec.info);
+  }
+  for (; t != retired.end(); ++t) put_job_info(w, *t);
   resp.ok(std::move(w).take());
 }
 
@@ -317,6 +328,9 @@ void PbsServer::on_stat_job(const rpc::Request& req, svc::Responder& resp) {
   if (auto it = jobs_.find(id); it != jobs_.end()) {
     w.put_bool(true);
     put_job_info(w, it->second.info);
+  } else if (const auto retired = retired_.find(id)) {
+    w.put_bool(true);
+    put_job_info(w, *retired);
   } else {
     w.put_bool(false);
   }
@@ -331,7 +345,9 @@ void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp) {
   trace::note("job", std::to_string(id));
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {
-    resp.ok(wait_reply(nullptr));
+    // A retired job is terminal, so it has reached every state.
+    const auto retired = retired_.find(id);
+    resp.ok(wait_reply(retired ? &*retired : nullptr));
     return;
   }
   if (wait_reached(it->second.info, state)) {
@@ -352,6 +368,12 @@ void PbsServer::on_wait_job(const rpc::Request& req, svc::Responder& resp) {
   job_waits_.emplace(wait_id, JobWait{id, state, resp, timer});
 }
 
+void PbsServer::end_change() {
+  settle_job_waits();
+  retire_jobs();
+  flush_wake();
+}
+
 void PbsServer::settle_job_waits() {
   for (auto w = job_waits_.begin(); w != job_waits_.end();) {
     const auto& info = jobs_.at(w->second.job).info;
@@ -362,6 +384,24 @@ void PbsServer::settle_job_waits() {
     w->second.responder.ok(wait_reply(&info));
     loop_->cancel_timer(w->second.timer);
     w = job_waits_.erase(w);
+  }
+}
+
+void PbsServer::finish_record(JobId id, JobRecord& rec, JobState state) {
+  rec.info.state = state;
+  rec.info.end_time = now_s();
+  ended_.emplace_back(rec.info.end_time, id);
+}
+
+void PbsServer::retire_jobs() {
+  const double horizon = now_s() - kJobRetentionS;
+  while (!ended_.empty() && ended_.front().first <= horizon) {
+    const auto id = ended_.front().second;
+    ended_.pop_front();
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end() || it->second.info.end_time > horizon) continue;
+    retired_.add(it->second.info);
+    jobs_.erase(it);
   }
 }
 
@@ -411,9 +451,8 @@ void PbsServer::fail_jobs_on(const std::string& hostname) {
       record_event(MsgType::kEvJobRequeue);
     } else {
       kLog.warn("failing job {}: compute node '{}' went down", id, hostname);
-      rec.info.state = JobState::kCancelled;
+      finish_record(id, rec, JobState::kCancelled);
       rec.info.exit_status = kExitKilled;
-      rec.info.end_time = now_s();
       record_event(MsgType::kEvJobFailed);
     }
   }
@@ -475,8 +514,7 @@ void PbsServer::on_delete_job(const rpc::Request& req, svc::Responder& resp) {
   auto& rec = it->second;
   if (rec.info.state == JobState::kQueued) --queued_jobs_;
   end_job(id, rec, /*kill=*/true);
-  rec.info.state = JobState::kCancelled;
-  rec.info.end_time = now_s();
+  finish_record(id, rec, JobState::kCancelled);
   resp.ok();
 }
 
@@ -630,7 +668,9 @@ void PbsServer::on_released(JobId job_id, std::uint64_t client_id,
               answer.error);
     return;
   }
-  auto& rec = jobs_.at(job_id);
+  const auto it = jobs_.find(job_id);
+  if (it == jobs_.end()) return;  // ended and retired meanwhile
+  auto& rec = it->second;
   // The release is over, whether a dynfree or an accepted shrink started
   // it, so dyngets that waited for it may go to the scheduler. It sees the
   // slots freed below: this answer is settled first.
@@ -692,7 +732,9 @@ void PbsServer::on_started(JobId job, std::uint64_t /*key*/,
     kLog.warn("job {}: start not confirmed ({})", job, answer.error);
     return;
   }
-  jobs_.at(job).info.start_time = now_s();
+  const auto it = jobs_.find(job);
+  if (it == jobs_.end()) return;  // ended and retired meanwhile
+  it->second.info.start_time = now_s();
   touch_job(job);
   kLog.info("job {} started", job);
 }
@@ -711,9 +753,8 @@ void PbsServer::on_job_complete(const rpc::Request& req) {
   }
   auto& rec = it->second;
   end_job(id, rec, /*kill=*/false);
-  rec.info.state = JobState::kComplete;
+  finish_record(id, rec, JobState::kComplete);
   rec.info.exit_status = exit_status;
-  rec.info.end_time = now_s();
   kLog.info("job {} complete", id);
 }
 
@@ -785,10 +826,12 @@ SchedDelta PbsServer::take_delta(std::uint64_t client_epoch,
   } else {
     for (const auto id : fetch.jobs) {
       // Terminal jobs ARE shipped in a delta — the mirror needs to see the
-      // transition to drop them. (Job records are never erased server-side,
-      // so every dirty id resolves.)
+      // transition to drop them. A job retired since it changed ships its
+      // tombstone, which is terminal too.
       if (const auto it = jobs_.find(id); it != jobs_.end()) {
         d.jobs.push_back(it->second.info);
+      } else if (auto retired = retired_.find(id)) {
+        d.jobs.push_back(*std::move(retired));
       }
     }
     for (const auto& host : nodes_.drain_dirty()) {
@@ -842,8 +885,7 @@ bool PbsServer::run_apply(const RunStart& start) {
   if (rec.info.spec.program.empty()) {
     // Load-only job (no script): completes immediately.
     rec.info.start_time = now_s();
-    rec.info.state = JobState::kComplete;
-    rec.info.end_time = now_s();
+    finish_record(id, rec, JobState::kComplete);
     nodes_.release_all(id);
     wake_scheduler();
     return true;

@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <map>
 #include <memory>
@@ -163,10 +164,20 @@ class PbsServer {
   // Responder until settle_job_waits or the budget timer answers it.
   void on_wait_job(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
-  // Answers every held wait whose job is now where it was awaited. Runs
-  // after each mutating handler, notification, call answer and liveness
-  // tick, so no path that changes a job's state can skip it.
+  // Ends each mutating handler, notification, call answer and liveness
+  // tick, so no path that changes a job's state can skip it: answers the
+  // held waits it satisfied, retires the records whose window has passed
+  // and sends the scheduler the wake it asked for.
+  void end_change() DAC_REQUIRES(state_mu_);
+  // Answers every held wait whose job is now where it was awaited.
   void settle_job_waits() DAC_REQUIRES(state_mu_);
+  // Moves `rec` to terminal `state` now, and starts its retention window.
+  void finish_record(JobId id, JobRecord& rec, JobState state)
+      DAC_REQUIRES(state_mu_);
+  // Replaces each record whose retention window has passed with its
+  // tombstone (docs/PROTOCOLS.md, "Retired jobs"). A held wait never names
+  // such a job: its end already answered the wait.
+  void retire_jobs() DAC_REQUIRES(state_mu_);
   void on_delete_job(const rpc::Request& req, svc::Responder& resp)
       DAC_REQUIRES(state_mu_);
   void on_alter_job(const rpc::Request& req, svc::Responder& resp)
@@ -362,7 +373,12 @@ class PbsServer {
   Mutex state_mu_{"server.state"};
 
   NodeDb nodes_ DAC_GUARDED_BY(state_mu_);
+  // Every live job, and every terminal one inside its retention window.
   std::map<JobId, JobRecord> jobs_ DAC_GUARDED_BY(state_mu_);
+  // Each job end (end_time, id) in order, for retire_jobs. A job qdel'd
+  // after it completed is here twice; its later end counts.
+  std::deque<std::pair<double, JobId>> ended_ DAC_GUARDED_BY(state_mu_);
+  RetiredJobs retired_ DAC_GUARDED_BY(state_mu_);
   // Every open SetOp, in the order each was created or queued: the queued
   // dyngets, read in this order, are the scheduler's FIFO.
   std::list<SetOp> ops_ DAC_GUARDED_BY(state_mu_);

@@ -1,7 +1,5 @@
 #include "torque/task_registry.hpp"
 
-#include <algorithm>
-
 namespace dac::torque {
 
 void TaskRegistry::add(JobId job, vnet::NodeId node, vnet::ProcessPtr process,
@@ -59,19 +57,6 @@ std::size_t TaskRegistry::task_count(JobId job) const {
     if (key.first == job) n += tasks.size();
   }
   return n;
-}
-
-void TaskRegistry::reap() {
-  ScopedLock lock(mu_);
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    auto& tasks = it->second;
-    std::erase_if(tasks, [](const Task& t) {
-      if (!t.process->finished()) return false;
-      t.process->join();
-      return true;
-    });
-    it = tasks.empty() ? tasks_.erase(it) : std::next(it);
-  }
 }
 
 }  // namespace dac::torque

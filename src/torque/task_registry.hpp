@@ -33,8 +33,6 @@ class TaskRegistry {
   void join_job(JobId job);
 
   [[nodiscard]] std::size_t task_count(JobId job) const;
-  // Drops finished tasks of all jobs from the table.
-  void reap();
 
  private:
   struct Task {

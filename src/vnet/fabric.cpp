@@ -13,6 +13,18 @@ namespace dac::vnet {
 namespace {
 const util::Logger kLog("fabric");
 
+// Drops the entries of `table` whose time has passed once it has reached
+// `prune_at`, then sets the next threshold to twice what is left: the cost
+// is amortised over the inserts, and the table follows the live entries.
+template <typename Table>
+void prune_passed(Table& table, std::size_t& prune_at,
+                  std::chrono::steady_clock::time_point now) {
+  if (table.size() < prune_at) return;
+  std::erase_if(table,
+                [now](const auto& entry) { return entry.second <= now; });
+  prune_at = std::max<std::size_t>(64, 2 * table.size());
+}
+
 // Message types print in hex, as protocol.hpp spells them.
 std::string type_hex(std::uint32_t type) {
   char buf[16];
@@ -45,11 +57,7 @@ void Fabric::unregister_mailbox(
   ScopedLock lock(boxes_mu_);
   boxes_.erase(addr);
   if (linger_until <= now) return;
-  if (lingering_.size() >= prune_at_) {
-    std::erase_if(lingering_,
-                  [now](const auto& entry) { return entry.second <= now; });
-    prune_at_ = std::max<std::size_t>(64, 2 * lingering_.size());
-  }
+  prune_passed(lingering_, lingering_prune_at_, now);
   lingering_[addr] = linger_until;
 }
 
@@ -138,6 +146,9 @@ void Fabric::enqueue_locked(Message msg,
     const auto rem = deliver_at.time_since_epoch() % kGrid;
     if (rem.count() != 0) deliver_at += kGrid - rem;
   }
+  // A floor that has passed clamps nothing: every delivery lands at now or
+  // later. Such floors go when the table doubles.
+  prune_passed(pair_last_, pair_prune_at_, simtime::now());
   auto& last = pair_last_[{msg.from, msg.to}];
   if (deliver_at < last) deliver_at = last;
   last = deliver_at;
@@ -234,6 +245,11 @@ void Fabric::deliver(Message msg) {
       kLog.debug("dropped message to {} ({})", to.str(), reason);
     }
   }
+}
+
+std::size_t Fabric::pair_floors() const {
+  ScopedLock lock(mu_);
+  return pair_last_.size();
 }
 
 std::uint64_t Fabric::drops_to(const Address& addr) const {

@@ -89,6 +89,8 @@ class Fabric {
   [[nodiscard]] std::uint64_t bytes_sent() const {
     return bytes_sent_.load(std::memory_order_relaxed);
   }
+  // (from, to) pairs that still hold a per-pair FIFO floor.
+  [[nodiscard]] std::size_t pair_floors() const;
 
  private:
   struct Pending {
@@ -110,16 +112,18 @@ class Fabric {
 
   NetworkModel model_;
 
-  Mutex mu_{"fabric.pending"};
+  mutable Mutex mu_{"fabric.pending"};
   CondVar cv_;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>> pending_
       DAC_GUARDED_BY(mu_);
   // Per (from, to) pair: last scheduled delivery time. Deliveries between a
   // pair of endpoints are FIFO regardless of message size, modeling a
   // stream transport (and matching MPI's per-pair ordering guarantee).
+  // Floors that have passed go when the table doubles.
   std::map<std::pair<Address, Address>,
            std::chrono::steady_clock::time_point>
       pair_last_ DAC_GUARDED_BY(mu_);
+  std::size_t pair_prune_at_ DAC_GUARDED_BY(mu_) = 64;
   // Per source node: when its NIC finishes the current transmission.
   std::map<NodeId, std::chrono::steady_clock::time_point> link_free_
       DAC_GUARDED_BY(mu_);
@@ -141,7 +145,7 @@ class Fabric {
   // go when a lookup finds them or when the table doubles.
   std::map<Address, std::chrono::steady_clock::time_point> lingering_
       DAC_GUARDED_BY(boxes_mu_);
-  std::size_t prune_at_ DAC_GUARDED_BY(boxes_mu_) = 64;
+  std::size_t lingering_prune_at_ DAC_GUARDED_BY(boxes_mu_) = 64;
 
   // Drop accounting per destination; the first drop to a node warns, the
   // rest only count (drop storms would otherwise flood the log).

@@ -1,6 +1,8 @@
 #include "vnet/node.hpp"
 #include "simtime/clock.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -158,7 +160,21 @@ ProcessPtr Node::spawn(SpawnOptions opts, Process::Entry entry) {
   const auto pid = next_pid_.fetch_add(1, std::memory_order_relaxed);
   auto proc = ProcessPtr(new Process(*this, pid, std::move(opts),
                                      std::move(entry)));
+  // Swept processes are destroyed, and so joined, after the lock is let go.
+  std::vector<ProcessPtr> swept;
   ScopedLock lock(procs_mu_);
+  if (procs_.size() >= sweep_at_) {
+    // Nobody else holds a process whose count is 1, and nobody can take it
+    // but through this table, under this lock.
+    std::erase_if(procs_, [&swept](auto& entry) {
+      if (!entry.second->finished() || entry.second.use_count() != 1) {
+        return false;
+      }
+      swept.push_back(std::move(entry.second));
+      return true;
+    });
+    sweep_at_ = std::max<std::size_t>(64, 2 * procs_.size());
+  }
   procs_[pid] = proc;
   return proc;
 }
@@ -186,18 +202,6 @@ void Node::stop_all_processes() {
   }
   for (auto& p : procs) p->request_stop();
   for (auto& p : procs) p->join();
-}
-
-void Node::reap() {
-  ScopedLock lock(procs_mu_);
-  for (auto it = procs_.begin(); it != procs_.end();) {
-    if (it->second->finished()) {
-      it->second->join();
-      it = procs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace dac::vnet

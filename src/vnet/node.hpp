@@ -171,11 +171,8 @@ class Node {
   [[nodiscard]] std::vector<ProcessPtr> processes() const;
   [[nodiscard]] ProcessPtr find_process(std::uint64_t pid) const;
 
-  // Requests stop on all processes (optionally filtered by name prefix) and
-  // joins them.
+  // Requests stop on all processes and joins them.
   void stop_all_processes();
-  // Drops finished processes from the table.
-  void reap();
 
  private:
   friend class Process;
@@ -188,8 +185,12 @@ class Node {
   std::atomic<std::int32_t> next_port_{0};
   std::atomic<std::uint64_t> next_pid_{1};
 
+  // Every process spawned here that is running or that someone still
+  // holds. A finished process that only this table holds goes when the
+  // table doubles (spawn), so the table follows live work, not history.
   mutable Mutex procs_mu_{"node.procs"};
   std::map<std::uint64_t, ProcessPtr> procs_ DAC_GUARDED_BY(procs_mu_);
+  std::size_t sweep_at_ DAC_GUARDED_BY(procs_mu_) = 64;
 };
 
 }  // namespace dac::vnet

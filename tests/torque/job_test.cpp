@@ -182,5 +182,53 @@ TEST(JobSerialization, StateNames) {
   EXPECT_STREQ(job_state_name(JobState::kComplete), "C");
 }
 
+JobInfo ended(JobId id, JobState state, int exit_status) {
+  JobInfo info;
+  info.id = id;
+  info.state = state;
+  info.exit_status = exit_status;
+  info.compute_hosts = {"cn0"};
+  info.start_time = 1.0;
+  return info;
+}
+
+TEST(RetiredJobs, TombstoneKeepsIdStateAndExitStatusOnly) {
+  RetiredJobs ring(4);
+  ring.add(ended(3, JobState::kCancelled, kExitKilled));
+  const auto t = ring.find(3);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->id, 3u);
+  EXPECT_EQ(t->state, JobState::kCancelled);
+  EXPECT_EQ(t->exit_status, kExitKilled);
+  EXPECT_TRUE(t->compute_hosts.empty());
+  EXPECT_LT(t->start_time, 0.0);
+  EXPECT_FALSE(ring.find(2).has_value());
+  EXPECT_FALSE(ring.find(kInvalidJob).has_value());
+}
+
+TEST(RetiredJobs, AnIdIsForgottenOnceTheRingMovesPastIt) {
+  RetiredJobs ring(4);
+  for (JobId id = 1; id <= 4; ++id) ring.add(ended(id, JobState::kComplete, 0));
+  EXPECT_TRUE(ring.find(1).has_value());
+  ring.add(ended(5, JobState::kComplete, 0));  // 5 takes 1's slot
+  EXPECT_FALSE(ring.find(1).has_value());
+  EXPECT_TRUE(ring.find(5).has_value());
+  // An id that retires after a newer one took its slot is not kept.
+  ring.add(ended(10, JobState::kComplete, 0));
+  ring.add(ended(6, JobState::kComplete, 0));
+  EXPECT_TRUE(ring.find(10).has_value());
+  EXPECT_FALSE(ring.find(6).has_value());
+}
+
+TEST(RetiredJobs, ListsInIdOrder) {
+  RetiredJobs ring(8);
+  for (const JobId id : {7u, 2u, 9u, 4u}) {
+    ring.add(ended(id, JobState::kComplete, 0));
+  }
+  std::vector<JobId> ids;
+  for (const auto& t : ring.list()) ids.push_back(t.id);
+  EXPECT_EQ(ids, (std::vector<JobId>{2, 4, 7, 9}));
+}
+
 }  // namespace
 }  // namespace dac::torque

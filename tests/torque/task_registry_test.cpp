@@ -88,15 +88,25 @@ TEST_F(TaskRegistryTest, JoinJobWaitsWithoutKilling) {
   EXPECT_EQ(registry_.task_count(3), 0u);
 }
 
-TEST_F(TaskRegistryTest, ReapDropsFinished) {
-  std::atomic<int> ignored{0};
-  auto quick = cluster_.node(0).spawn({.name = "q"}, [](vnet::Process&) {});
-  quick->join();
-  registry_.add(1, 0, quick);
-  registry_.add(1, 1, spawn_blocker(1, ignored));
-  registry_.reap();
-  EXPECT_EQ(registry_.task_count(1), 1u);  // the blocker remains
-  registry_.kill_job(1);
+TEST_F(TaskRegistryTest, FinishedTaskLeavesTheNodeOnceTheRegistryLetsGo) {
+  auto& node = cluster_.node(0);
+  auto task = node.spawn({.name = "q"}, [](vnet::Process&) {});
+  const auto pid = task->pid();
+  registry_.add(1, 0, std::move(task));
+  const auto spawn_quick = [&node](int n) {
+    for (int i = 0; i < n; ++i) {
+      node.spawn({.name = "other"}, [](vnet::Process&) {})->join();
+    }
+  };
+  // Finished, but the registry holds it: the node's sweeps keep it.
+  spawn_quick(200);
+  EXPECT_NE(node.find_process(pid), nullptr);
+  EXPECT_EQ(registry_.task_count(1), 1u);
+  // The job's end takes the task from the registry; the next sweep drops it.
+  registry_.join_job(1);
+  spawn_quick(200);
+  EXPECT_EQ(node.find_process(pid), nullptr);
+  EXPECT_LE(node.processes().size(), 64u);
 }
 
 }  // namespace

@@ -93,5 +93,50 @@ TEST(Samples, UnsortedInputSortsForPercentile) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
+TEST(LogHistogram, EmptyIsZero) {
+  LogHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+  EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+TEST(LogHistogram, CountMeanMinMaxAreExact) {
+  LogHistogram h;
+  for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
+  EXPECT_EQ(h.count(), 100u);
+  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
+  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.max(), 100.0);
+}
+
+TEST(LogHistogram, PercentilesTrackSamplesWithinABucket) {
+  // Spread over six decades, as RPC latencies in ms are.
+  LogHistogram h;
+  Samples exact;
+  double x = 0.003;
+  for (int i = 0; i < 5000; ++i) {
+    h.add(x);
+    exact.add(x);
+    x = std::fmod(x * 1.37 + 0.011, 3000.0);
+  }
+  for (const double p : {1.0, 10.0, 50.0, 90.0, 99.0}) {
+    const double want = exact.percentile(p);
+    EXPECT_NEAR(h.percentile(p), want, want / 16.0 + 1e-3) << "p" << p;
+  }
+  EXPECT_DOUBLE_EQ(h.percentile(100), exact.max());
+  EXPECT_DOUBLE_EQ(h.percentile(0), exact.min());
+}
+
+TEST(LogHistogram, ZeroAndOutOfRangeValuesStayInBounds) {
+  LogHistogram h;
+  h.add(0.0);
+  h.add(0.0);
+  h.add(1e9);
+  EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
+  EXPECT_DOUBLE_EQ(h.percentile(100), 1e9);
+  EXPECT_DOUBLE_EQ(h.max(), 1e9);
+}
+
 }  // namespace
 }  // namespace dac::util

@@ -228,5 +228,25 @@ TEST_F(FabricTest, LingeringAddressAbsorbsLateMessagesUntilItExpires) {
   EXPECT_EQ(fabric.messages_dropped(), 1u);
 }
 
+TEST_F(FabricTest, OneShotEndpointsLeaveTheFloorTableBounded) {
+  // Each request comes from a fresh port, as an rpc call's does: 10,000
+  // pairs, each used once, in waves of 100. Their floors pass with their
+  // deliveries.
+  Fabric fabric(fast_model());
+  auto box = std::make_shared<Mailbox>();
+  const Address server{1, 0};
+  fabric.register_mailbox(server, box);
+  for (std::int32_t wave = 0; wave < 100; ++wave) {
+    for (std::int32_t i = 0; i < 100; ++i) {
+      fabric.send(Message{Address{0, wave * 100 + i}, server, 1, {}});
+    }
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(box->pop_for(1000ms).has_value());
+    }
+  }
+  EXPECT_EQ(fabric.messages_delivered(), 10'000u);
+  EXPECT_LE(fabric.pair_floors(), 256u);
+}
+
 }  // namespace
 }  // namespace dac::vnet

@@ -99,10 +99,46 @@ TEST_F(NodeTest, StopAllProcessesJoinsEverything) {
   EXPECT_TRUE(node_.processes().empty());
 }
 
-TEST_F(NodeTest, ReapRemovesFinished) {
-  auto p = node_.spawn({.name = "quick"}, [](Process&) {});
-  p->join();
-  node_.reap();
+// Spawns `n` processes that return at once, each joined and let go.
+void run_quick(Node& node, int n) {
+  for (int i = 0; i < n; ++i) {
+    node.spawn({.name = "quick"}, [](Process&) {})->join();
+  }
+}
+
+TEST_F(NodeTest, FinishedProcessesLeaveTheTable) {
+  run_quick(node_, 1000);
+  // The table is swept whenever it doubles: what is left is bounded by the
+  // sweep threshold, not by the 1,000 processes that ran.
+  EXPECT_LE(node_.processes().size(), 64u);
+}
+
+TEST_F(NodeTest, HeldFinishedProcessStaysFindableUntilReleased) {
+  auto held = node_.spawn({.name = "held"}, [](Process&) {});
+  held->join();
+  const auto pid = held->pid();
+  run_quick(node_, 200);
+  EXPECT_EQ(node_.find_process(pid), held);
+  held.reset();
+  run_quick(node_, 200);
+  EXPECT_EQ(node_.find_process(pid), nullptr);
+}
+
+TEST_F(NodeTest, SweepsSpareLiveProcessesAndStopAllStopsThem) {
+  std::atomic<bool> returned{false};
+  auto daemon = node_.spawn({.name = "daemon"}, [&](Process& proc) {
+    auto ep = proc.open_endpoint();
+    while (auto msg = ep->recv()) {
+    }
+    returned = true;
+  });
+  const auto pid = daemon->pid();
+  daemon.reset();  // only the table holds it now
+  run_quick(node_, 200);
+  ASSERT_NE(node_.find_process(pid), nullptr);
+  EXPECT_FALSE(returned);
+  node_.stop_all_processes();
+  EXPECT_TRUE(returned);
   EXPECT_TRUE(node_.processes().empty());
 }
 

@@ -114,7 +114,7 @@ TEST(ProcessChurn, SpawnAndKillManyProcesses) {
   Cluster c(topo(3, std::chrono::microseconds(20)));
   std::atomic<int> started{0};
   std::atomic<int> finished{0};
-  for (int round = 0; round < 10; ++round) {
+  for (int round = 0; round < 100; ++round) {
     std::vector<ProcessPtr> procs;
     for (std::size_t n = 0; n < c.size(); ++n) {
       procs.push_back(c.node(n).spawn({.name = "churn"},
@@ -132,10 +132,13 @@ TEST(ProcessChurn, SpawnAndKillManyProcesses) {
     }
     for (auto& p : procs) p->request_stop();
     for (auto& p : procs) p->join();
-    for (std::size_t n = 0; n < c.size(); ++n) c.node(n).reap();
   }
   // Every process that entered its loop also left it.
   EXPECT_EQ(started.load(), finished.load());
+  // And the 100 killed processes per node were swept from its table.
+  for (std::size_t n = 0; n < c.size(); ++n) {
+    EXPECT_LE(c.node(n).processes().size(), 64u) << "node " << n;
+  }
 }
 
 TEST(ProcessChurn, ManyEndpointsPerProcess) {
