@@ -116,9 +116,8 @@ void PrototypeArm::run(vnet::Process& proc) {
   }
 }
 
-ArmClient::ArmClient(vnet::Node& node, vnet::Address arm,
-                     svc::RetryPolicy retry)
-    : caller_(node, arm, retry), arm_(arm) {}
+ArmClient::ArmClient(vnet::Node& node, vnet::Address arm)
+    : caller_(node, arm), arm_(arm) {}
 
 util::Bytes ArmClient::call(std::uint32_t type, util::Bytes body) {
   return caller_.call(msg(type), std::move(body),

@@ -83,8 +83,7 @@ class PrototypeArm {
 // Client side: allocation/release calls a compute node issues.
 class ArmClient {
  public:
-  ArmClient(vnet::Node& node, vnet::Address arm,
-            svc::RetryPolicy retry = {});
+  ArmClient(vnet::Node& node, vnet::Address arm);
 
   // Subject to availability; a rejection returns granted == false (the ARM,
   // like the batch system, never queues dynamic requests).

@@ -60,8 +60,7 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
   // The server object must exist before the daemon executables register:
   // back-end heartbeats need its address, and the fault plan exports its
   // event counters into the server's metrics registry.
-  server_ = std::make_unique<torque::PbsServer>(head(), config_.timing,
-                                                config_.svc);
+  server_ = std::make_unique<torque::PbsServer>(head(), config_.timing);
 
   fault_plan_ = config_.fault_plan ? config_.fault_plan : plan_from_env();
   if (fault_plan_) {
@@ -93,7 +92,6 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
   sched.dynamic_first = config_.dynamic_first;
   sched.dyn_owner_pool_cap = config_.dyn_owner_pool_cap;
   sched.elastic_policy = config_.elastic_policy;
-  sched.retry = config_.svc.retry;
   sched.full_rescan_every = config_.sched_full_rescan_every;
   sched.batched_dyn = config_.sched_batched_dyn;
   scheduler_ = std::make_unique<maui::MauiScheduler>(head(), sched);
@@ -111,8 +109,6 @@ DacCluster::DacCluster(DacClusterConfig config) : config_(std::move(config)) {
     mc.server = server_->address();
     mc.timing = config_.timing;
     mc.enforce_walltime = config_.enforce_walltime;
-    mc.retry = config_.svc.retry;
-    mc.dedup_window = config_.svc.dedup_window;
     auto mom = std::make_unique<torque::PbsMom>(node, mc, *runtime_, tasks_);
     auto* mom_ptr = mom.get();
     moms_.push_back(std::move(mom));
@@ -209,7 +205,7 @@ void DacCluster::register_program(const std::string& name,
 }
 
 torque::Ifl DacCluster::client() {
-  return torque::Ifl(head(), server_->address(), config_.svc.retry);
+  return torque::Ifl(head(), server_->address());
 }
 
 torque::JobId DacCluster::submit(const torque::JobSpec& spec) {
@@ -246,7 +242,6 @@ rmlib::AcSessionConfig DacCluster::session_base() const {
   base.transfer = config_.transfer;
   base.call_timeout = config_.ac_call_timeout;
   base.tasks = const_cast<torque::TaskRegistry*>(&tasks_);
-  base.retry = config_.svc.retry;
   return base;
 }
 

@@ -12,7 +12,6 @@
 #include "faults/fault_plan.hpp"
 #include "gpusim/device.hpp"
 #include "maui/scheduler.hpp"
-#include "svc/config.hpp"
 #include "torque/batch_config.hpp"
 #include "vnet/network_model.hpp"
 
@@ -43,10 +42,6 @@ struct DacClusterConfig {
   std::chrono::milliseconds ac_call_timeout{0};
   // Mother superiors kill jobs exceeding their requested walltime.
   bool enforce_walltime = true;
-
-  // Service-runtime knobs (dedup window, client retries). The defaults keep
-  // the seed behavior — and the Figure 7-9 shapes — unchanged.
-  svc::ServiceTuning svc;
 
   // ---- high-throughput scheduling (docs/SCHEDULING.md) ------------------
   // Cycles between forced full kGetSched fetches; the ones between fetch

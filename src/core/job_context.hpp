@@ -52,8 +52,8 @@ class JobContext {
 
   // ---- elastic negotiation (src/elastic) -------------------------------
   // Base configuration for an ElasticAgent of this job: pre-filled with the
-  // job id, server address and retry policy; the caller sets capabilities
-  // and wires grow/shrink callbacks before announce(). Typically:
+  // job id and server address; the caller sets capabilities and wires
+  // grow/shrink callbacks before announce(). Typically:
   //
   //   elastic::ElasticAgent agent(ctx.mpi().process(), ctx.elastic_config());
   //   agent.on_shrink([&](const elastic::Reconfig& r) {
@@ -65,7 +65,6 @@ class JobContext {
     elastic::AgentConfig cfg;
     cfg.job = info_.job;
     cfg.server = session_base_.server;
-    cfg.retry = session_base_.retry;
     return cfg;
   }
 

@@ -62,7 +62,7 @@ void ElasticAgent::send_registration() {
   reg.appetite = config_.appetite;
   util::ByteWriter w;
   put_registration(w, reg);
-  const svc::Caller caller(proc_, config_.server, config_.retry);
+  const svc::Caller caller(proc_, config_.server);
   (void)caller.call(MsgType::kElastRegister, std::move(w).take(),
                     {.deadline = svc::deadlines::kControl});
 }

@@ -40,7 +40,6 @@ struct AgentConfig {
   bool accept_grow = false;
   bool accept_shrink = false;
   std::int32_t appetite = 0;  // max extra accelerators this job would absorb
-  svc::RetryPolicy retry;
 };
 
 class ElasticAgent {

@@ -50,6 +50,7 @@ SchedulerStatsSnapshot MauiScheduler::stats() const {
 void MauiScheduler::run(vnet::Process& proc) {
   trace::set_thread_actor("maui");
   ep_ = proc.open_endpoint();
+  calls_.emplace(*ep_);
 
   util::ByteWriter reg;
   reg.put<std::int32_t>(ep_->address().node);
@@ -80,43 +81,18 @@ void MauiScheduler::run(vnet::Process& proc) {
   kLog.info("maui shutting down");
 }
 
-std::uint64_t MauiScheduler::send(torque::MsgType type,
-                                  const util::Bytes& body, Done done,
-                                  Assumed assumed) {
-  const auto id = svc::next_request_id();
-  // Client-side span for the whole exchange, resends included; the
-  // server's handler span becomes its child.
-  auto span = std::make_unique<trace::DetachedSpan>(
-      "rpc." + svc::msg_type_name(torque::as_u32(type)), trace::current());
-  auto payload = svc::envelope(id, span->context(), body);
-  auto backoff = config_.retry.backoff(id);
-  const auto now = simtime::now();
-  const auto deadline = now + svc::deadlines::kDefault;
-  const auto resend_at = config_.retry.max_attempts > 1
-                             ? std::min(deadline, now + backoff.next())
-                             : deadline;
-  ep_->send(config_.server, torque::as_u32(type), payload);
-  in_flight_.emplace(id, InFlight{.type = type,
-                                  .payload = std::move(payload),
-                                  .span = std::move(span),
-                                  .backoff = backoff,
-                                  .resend_at = resend_at,
-                                  .deadline = deadline,
-                                  .assumed = std::move(assumed),
-                                  .done = std::move(done)});
-  return id;
-}
-
 util::Bytes MauiScheduler::call(torque::MsgType type, const util::Bytes& body) {
   std::optional<svc::Outcome> answer;
-  const auto id =
-      send(type, body, [&answer](const Assumed&, svc::Outcome o) {
+  const auto id = calls_->call(
+      config_.server, type, body, svc::deadlines::kDefault,
+      [this, &answer](svc::Outcome o) {
+        if (!o.answered()) refetch_ = true;
         answer = std::move(o);
       });
   try {
     while (!answer) pump(simtime::TimePoint::max());
   } catch (...) {
-    in_flight_.erase(id);  // its continuation refers to this frame
+    calls_->cancel(id);  // its continuation refers to this frame
     throw;
   }
   if (!answer->ok()) {
@@ -128,9 +104,18 @@ util::Bytes MauiScheduler::call(torque::MsgType type, const util::Bytes& body) {
 
 void MauiScheduler::ship(torque::MsgType type, const util::Bytes& body,
                          Done done, Assumed assumed) {
-  const auto id = send(type, body, std::move(done), std::move(assumed));
+  const auto id = calls_->call(
+      config_.server, type, body, svc::deadlines::kDefault,
+      [this, done = std::move(done)](svc::Outcome answer) {
+        const auto batch = assumed_.extract(answer.id);
+        // The server may have applied an unanswered request or not: drop
+        // what it assumed, and let a full fetch say.
+        if (!answer.answered()) refetch_ = true;
+        done(batch.mapped(), std::move(answer));
+      });
+  assumed_.emplace(id, std::move(assumed));
   if (config_.batched_dyn) return;
-  while (in_flight_.contains(id)) pump(simtime::TimePoint::max());
+  while (assumed_.contains(id)) pump(simtime::TimePoint::max());
 }
 
 void MauiScheduler::drain() {
@@ -138,10 +123,8 @@ void MauiScheduler::drain() {
 }
 
 void MauiScheduler::pump(simtime::TimePoint until) {
-  auto wake_at = until;
-  for (const auto& [id, req] : in_flight_) {
-    wake_at = std::min(wake_at, req.resend_at);  // never past its deadline
-  }
+  const auto wake_at =
+      std::min(until, calls_->next_due().value_or(simtime::TimePoint::max()));
   auto msg = ep_->try_recv();
   if (const auto now = simtime::now(); !msg && wake_at > now) {
     msg = wake_at == simtime::TimePoint::max()
@@ -155,70 +138,16 @@ void MauiScheduler::pump(simtime::TimePoint until) {
     handle(*msg);
     drain();
   }
-  resend_due();
+  calls_->fire_due();
 }
 
 void MauiScheduler::handle(const vnet::Message& msg) {
-  if (msg.type == torque::as_u32(torque::MsgType::kReply)) {
-    settle(msg);
-    return;
-  }
+  if (calls_->settle(msg)) return;
   if (msg.type != torque::as_u32(torque::MsgType::kSchedWake)) return;
   woken_ = true;
   const auto req = svc::parse_request(msg);
   util::ByteReader r(req.body);
   (void)mirror_.apply(torque::get_sched_delta(r));
-}
-
-void MauiScheduler::settle(const vnet::Message& msg) {
-  svc::Outcome outcome;
-  decltype(in_flight_)::iterator it;
-  try {
-    const auto id = util::ByteReader(msg.payload).get<std::uint64_t>();
-    it = in_flight_.find(id);
-    if (it == in_flight_.end()) return;
-    outcome.reply = svc::parse_reply(msg, id);
-  } catch (const svc::CallError& e) {
-    outcome.error = e.what();
-  } catch (const util::DecodeError& e) {
-    kLog.warn("malformed reply from {}: {}", msg.from.str(), e.what());
-    return;
-  }
-  auto req = std::move(in_flight_.extract(it).mapped());
-  if (!outcome.ok()) req.span->note("error", "call");
-  req.span->end();
-  req.done(req.assumed, std::move(outcome));
-}
-
-void MauiScheduler::resend_due() {
-  const auto now = simtime::now();
-  const int attempts = std::max(1, config_.retry.max_attempts);
-  std::vector<InFlight> expired;
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    auto& req = it->second;
-    if (now >= req.deadline) {
-      kLog.warn("{} req {} unanswered after {} attempt(s)",
-                svc::msg_type_name(torque::as_u32(req.type)), it->first,
-                req.sent);
-      req.span->note("error", "deadline");
-      req.span->end();
-      expired.push_back(std::move(req));
-      it = in_flight_.erase(it);
-      continue;
-    }
-    if (now >= req.resend_at) {
-      ep_->send(config_.server, torque::as_u32(req.type), req.payload);
-      ++req.sent;
-      req.resend_at = req.sent < attempts
-                          ? std::min(req.deadline, now + req.backoff.next())
-                          : req.deadline;
-    }
-    ++it;
-  }
-  // The server may have applied an expired batch or not: drop what it
-  // assumed, and let a full fetch say.
-  if (!expired.empty()) refetch_ = true;
-  for (auto& req : expired) req.done(req.assumed, {.error = "deadline"});
 }
 
 void MauiScheduler::cycle(vnet::Process& proc) {
@@ -238,7 +167,7 @@ void MauiScheduler::cycle(vnet::Process& proc) {
   if (poll || force_full) {
     // The fetch must not see a batch the overlay still assumes: wait for
     // every reply first.
-    while (!in_flight_.empty()) pump(simtime::TimePoint::max());
+    while (!assumed_.empty()) pump(simtime::TimePoint::max());
     util::ByteWriter w;
     w.put<std::uint64_t>(mirror_.epoch());
     w.put_bool(force_full);
@@ -276,8 +205,8 @@ void MauiScheduler::assume(torque::QueueSnapshot& snap,
       if (n != nodes.end() && n->hostname == host) n->free -= slots;
     }
   };
-  for (const auto& [id, req] : in_flight_) {
-    for (const auto& start : req.assumed.starts) {
+  for (const auto& [id, batch] : assumed_) {
+    for (const auto& start : batch.starts) {
       auto* j = job(start.job);
       if (j == nullptr || j->state != torque::JobState::kQueued) continue;
       j->state = torque::JobState::kRunning;
@@ -286,7 +215,7 @@ void MauiScheduler::assume(torque::QueueSnapshot& snap,
       take(start.compute, j->spec.resources.ppn);
       take(start.accel, 1);
     }
-    for (const auto& item : req.assumed.items) {
+    for (const auto& item : batch.items) {
       if (item.kind == Kind::kGrow || item.kind == Kind::kShrink) {
         const auto v = std::find_if(
             snap.elastic.begin(), snap.elastic.end(),
@@ -799,7 +728,7 @@ void MauiScheduler::schedule_static(vnet::Process& proc,
 
   // Ship. The server applies the starts in order and answers one outcome
   // per start; only accepted starts count, when the reply is folded. A
-  // resend is safe: the server de-duplicates request ids.
+  // retransmit is safe: the server de-duplicates request ids.
   struct Started {
     std::string owner;
     double usage = 0.0;  // node-seconds, fairshare

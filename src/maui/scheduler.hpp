@@ -29,14 +29,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "elastic/policy.hpp"
 #include "maui/queue_mirror.hpp"
 #include "simtime/clock.hpp"
-#include "svc/caller.hpp"
-#include "svc/service_loop.hpp"
+#include "svc/call_table.hpp"
 #include "torque/batch_config.hpp"
 #include "torque/node_db.hpp"
 #include "torque/server.hpp"
@@ -67,11 +67,6 @@ struct SchedulerConfig {
   // at most this fraction of the accelerator pool after a grant. 1.0
   // disables the cap (the paper's behaviour).
   double dyn_owner_pool_cap = 1.0;
-  // Resend schedule for the scheduler's requests to the server: an
-  // unanswered request goes out again with the same request id, as
-  // svc::Caller retransmits. The server deduplicates request ids, so
-  // run/reject decisions are retry-safe.
-  svc::RetryPolicy retry;
   // Elastic negotiation policy (src/elastic). Null disables elasticity
   // entirely — no proposals, no deferrals, cycle behaviour identical to the
   // seed scheduler.
@@ -128,48 +123,31 @@ class MauiScheduler {
     std::vector<torque::RunStart> starts;
     std::vector<torque::DynDecision> items;
   };
-  // Runs once per request, with what it assumed and the reply or the error
+  // Runs once per batch, with what it assumed and the reply or the error
   // ("deadline" when none came).
   using Done = std::function<void(const Assumed&, svc::Outcome)>;
-  // One request sent to the server and not yet answered.
-  struct InFlight {
-    torque::MsgType type{};
-    util::Bytes payload;  // the envelope, resent unchanged
-    std::unique_ptr<trace::DetachedSpan> span;  // rpc.<TYPE>, ends at reply
-    svc::Backoff backoff;
-    int sent = 1;
-    simtime::TimePoint resend_at;
-    simtime::TimePoint deadline;
-    Assumed assumed;
-    Done done;
-  };
 
   // One scheduling pass. A cycle started by a wake decides on the deltas
   // folded so far; any other (first contact, the idle poll) fetches first.
   void cycle(vnet::Process& proc);
-  // Sends a request from the mailbox endpoint and returns its id at once.
-  std::uint64_t send(torque::MsgType type, const util::Bytes& body, Done done,
-                     Assumed assumed = {});
-  // send(), then handles the mailbox until the reply arrives. Throws when
-  // the server answered with an error or never did.
+  // Sends a request from the mailbox, then handles the mailbox until the
+  // reply arrives. Throws when the server answered with an error or never
+  // did.
   util::Bytes call(torque::MsgType type, const util::Bytes& body);
-  // Ships a cycle's batch. Batched, it returns at once; serial, it returns
-  // once the reply is folded.
+  // Sends a cycle's batch and assumes it took effect until it is answered;
+  // a batch still unanswered at its deadline makes the next cycle fetch in
+  // full. Batched, it returns at once; serial, it returns once the reply is
+  // folded.
   void ship(torque::MsgType type, const util::Bytes& body, Done done,
             Assumed assumed);
   // Handles every message already in the mailbox.
   void drain();
-  // drain(); when nothing was queued, waits until `until` (or the next
-  // resend) for a message first. Then resends and expires what fell due.
+  // drain(); when nothing was queued, waits until `until` (or the next call
+  // due) for a message first. Then fires what fell due in the call table.
   void pump(simtime::TimePoint until);
-  // A pushed kSchedWake delta (a wake asks for a cycle), or a reply.
+  // A pushed kSchedWake delta (a wake asks for a cycle), or a reply, which
+  // settles its call.
   void handle(const vnet::Message& msg);
-  // Retires the batch a reply answers and runs its continuation; a reply to
-  // no request in flight (a duplicate, or one past its deadline) is ignored.
-  void settle(const vnet::Message& msg);
-  // Resends each request whose backoff slot has come, on the schedule
-  // svc::Caller uses, and gives up the ones past their deadline.
-  void resend_due();
   // The cycle's inputs: the mirror with every batch in flight applied. An
   // assumed start is running on its hosts, an assumed decision has left the
   // dyn queue (a grant's hosts join its job), a proposal's job has an offer
@@ -217,12 +195,14 @@ class MauiScheduler {
   // The one mailbox, opened by run(): every request leaves from it, and the
   // server's wakes and replies arrive in it, in the order it sent them.
   std::unique_ptr<vnet::Endpoint> ep_;
+  // The requests sent from the mailbox and not yet answered.
+  std::optional<svc::CallTable> calls_;
   // A wake arrived that no cycle has started on yet.
   bool woken_ = false;
-  // A batch passed its deadline unanswered: the next cycle fetches in full.
+  // A request passed its deadline unanswered: the next cycle fetches in full.
   bool refetch_ = false;
-  // By request id.
-  std::map<std::uint64_t, InFlight> in_flight_;
+  // What each batch not yet answered assumed, by request id.
+  std::map<std::uint64_t, Assumed> assumed_;
 
   std::map<std::string, double> usage_;  // owner -> node-seconds (decayed)
   double last_decay_s_ = -1.0;

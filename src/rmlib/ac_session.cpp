@@ -16,7 +16,7 @@ const util::Logger kLog("rmlib");
 AcSession::AcSession(minimpi::Proc& proc, AcSessionConfig config)
     : proc_(proc),
       config_(std::move(config)),
-      ifl_(proc.process(), config_.server, config_.retry) {
+      ifl_(proc.process(), config_.server) {
   // Before AC_Init the session's communicator is the compute node alone.
   current_ = proc_.self();
   if (config_.transfer.reply_timeout.count() == 0) {

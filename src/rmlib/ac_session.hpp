@@ -57,9 +57,6 @@ struct AcSessionConfig {
   dacc::TransferOptions transfer;
   // Optional: lets dynamically spawned daemons be killed by DISJOIN_JOB.
   torque::TaskRegistry* tasks = nullptr;
-  // Retry policy for the session's IFL calls to the server (dynget/dynfree;
-  // the server deduplicates retransmits, so these are retry-safe).
-  svc::RetryPolicy retry;
   // Reply-wait bound for every computation call (acMemAlloc, acKernelRun,
   // ...). Zero waits forever; nonzero turns a dead accelerator into
   // AcError(kNodeLost), after which the app calls ac_report_lost() and may

@@ -1,14 +1,14 @@
-// Exponential backoff with optional jitter, behind the retransmissions of
-// svc::Caller and the Maui scheduler (RetryPolicy::backoff). Waits for an event do not poll: port waits block on the
-// port registry (minimpi::Runtime::await_port) and job waits are one held
-// WAIT_JOB request.
+// Exponential backoff with optional jitter, and the one retransmission
+// schedule every outbound call follows (RetryPolicy): svc::CallTable resends
+// each unanswered request on RetryPolicy::backoff(id), whether the call is a
+// Caller's, a ServiceLoop fan-out's or the Maui scheduler's. Waits for an
+// event do not poll: port waits block on the port registry
+// (minimpi::Runtime::await_port) and job waits are one held WAIT_JOB request.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-
-#include "simtime/clock.hpp"
 
 namespace dac::svc {
 
@@ -41,8 +41,6 @@ class Backoff {
     return delay;
   }
 
-  void sleep() { simtime::sleep_for(next()); }
-
   void reset() { next_ = policy_.initial; }
 
  private:
@@ -58,6 +56,35 @@ class Backoff {
   BackoffPolicy policy_;
   std::chrono::microseconds next_;
   std::uint64_t state_;
+};
+
+// The retransmission schedule of outbound calls. The defaults are the one
+// schedule the cluster uses; tests and the single-attempt rpc::call shim
+// (none()) pick another through svc::Caller.
+struct RetryPolicy {
+  // Total send attempts per call (1 = no retransmits).
+  int max_attempts = 3;
+  std::chrono::milliseconds initial_backoff{5};
+  double multiplier = 2.0;
+  std::chrono::milliseconds max_backoff{200};
+  double jitter = 0.25;
+
+  [[nodiscard]] static RetryPolicy none() {
+    RetryPolicy p;
+    p.max_attempts = 1;
+    return p;
+  }
+
+  // The retransmission schedule of one request, seeded by its id.
+  [[nodiscard]] Backoff backoff(std::uint64_t seed) const {
+    using std::chrono::microseconds;
+    return Backoff(
+        {.initial = std::chrono::duration_cast<microseconds>(initial_backoff),
+         .multiplier = multiplier,
+         .cap = std::chrono::duration_cast<microseconds>(max_backoff),
+         .jitter = jitter},
+        seed);
+  }
 };
 
 }  // namespace dac::svc

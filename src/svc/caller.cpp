@@ -2,23 +2,11 @@
 #include "simtime/clock.hpp"
 
 #include <algorithm>
+#include <optional>
 
-#include "trace/trace.hpp"
-#include "util/logging.hpp"
+#include "svc/call_table.hpp"
 
 namespace dac::svc {
-
-namespace {
-
-const util::Logger kLog("svc.caller");
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             simtime::now() - start)
-      .count();
-}
-
-}  // namespace
 
 Caller::Caller(vnet::Node& node, vnet::Address to, RetryPolicy policy,
                MetricsRegistry* metrics)
@@ -34,68 +22,35 @@ std::unique_ptr<vnet::Endpoint> Caller::open_endpoint() const {
 
 util::Bytes Caller::call(MsgType type, util::Bytes body,
                          CallOptions opts) const {
-  const auto id = next_request_id();
-  // Client-side span for the whole call (all retransmits). Its context is
-  // stamped into the envelope, so the callee's handler span becomes a child
-  // of this one; with no recorder installed this is inert and the call
-  // propagates the ambient context unchanged.
-  trace::SpanScope span("rpc." + msg_type_name(as_u32(type)));
-  const auto payload = envelope(id, span.context(), body);
-  auto ep = open_endpoint();
-
   const auto start = simtime::now();
-  const auto deadline = start + opts.deadline;
-  const int attempts = opts.idempotent ? std::max(1, policy_.max_attempts) : 1;
-  auto backoff = policy_.backoff(id);
-
-  int sent = 0;
-  while (true) {
-    ep->send(to_, as_u32(type), payload);
-    ++sent;
-    if (sent > 1) {
-      kLog.debug("retransmit #{} of {} req {} to {}", sent - 1,
-                 msg_type_name(as_u32(type)), id, to_.str());
-      // Every copy may be answered, some after this call has its reply and
-      // closed the endpoint: those answers are expected, not lost.
-      ep->linger_until(deadline);
-    }
-    // Wait for the reply until either the overall deadline or the next
-    // retransmission slot, whichever comes first.
-    const auto resend_at =
-        (sent < attempts)
-            ? std::min(deadline,
-                       simtime::now() + backoff.next())
-            : deadline;
-    while (true) {
-      const auto now = simtime::now();
-      if (now >= resend_at) break;
-      const auto remaining =
-          std::chrono::ceil<std::chrono::milliseconds>(resend_at - now);
-      auto msg = ep->recv_for(std::max(remaining, std::chrono::milliseconds(1)));
-      if (!msg) {
-        if (ep->closed()) throw util::StoppedError();
-        continue;
+  const auto ep = open_endpoint();
+  CallTable calls(*ep, policy_);
+  std::optional<Outcome> answer;
+  (void)calls.call(to_, type, body, opts.deadline,
+                   [&answer](Outcome o) { answer = std::move(o); });
+  while (!answer) {
+    const auto now = simtime::now();
+    if (const auto due = *calls.next_due(); now < due) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(due - now);
+      if (auto msg = ep->recv_for(std::max(wait, std::chrono::milliseconds(1)))) {
+        (void)calls.settle(*msg);
+      } else if (ep->closed()) {
+        throw util::StoppedError();
       }
-      try {
-        if (auto reply = parse_reply(*msg, id)) {
-          if (metrics_) metrics_->record(as_u32(type), ms_since(start), false);
-          return std::move(*reply);
-        }
-      } catch (const CallError&) {
-        span.note("error", "call");
-        if (metrics_) metrics_->record(as_u32(type), ms_since(start), true);
-        throw;
-      }
+      continue;
     }
-    if (simtime::now() >= deadline) {
-      span.note("error", "deadline");
-      if (metrics_) metrics_->record(as_u32(type), ms_since(start), true);
-      throw DeadlineError("svc: deadline exceeded calling " +
-                          msg_type_name(as_u32(type)) + " on " + to_.str() +
-                          " (req " + std::to_string(id) + ", " +
-                          std::to_string(sent) + " attempt(s))");
-    }
+    calls.fire_due();
   }
+  if (metrics_) {
+    const std::chrono::duration<double, std::milli> took =
+        simtime::now() - start;
+    metrics_->record(as_u32(type), took.count(), !answer->ok());
+  }
+  if (answer->ok()) return std::move(*answer->reply);
+  if (answer->answered()) throw CallError(answer->code, answer->error);
+  throw DeadlineError("svc: deadline exceeded calling " +
+                      msg_type_name(as_u32(type)) + " on " + to_.str() +
+                      " (req " + std::to_string(answer->id) + ")");
 }
 
 }  // namespace dac::svc

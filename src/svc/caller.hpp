@@ -1,8 +1,9 @@
-// Client side of the service runtime: a Caller issues request/reply calls
-// against one target address with per-call deadlines and bounded retransmits
-// (exponential backoff + jitter). A retried request reuses its request-id, so
-// a ServiceLoop on the far side deduplicates it instead of executing twice.
-// A daemon's fan-out to many targets is ServiceLoop::call_all.
+// Client side of the service runtime: a Caller issues blocking
+// request/reply calls against one target address. Each call is one
+// svc::CallTable entry on a per-call endpoint, and the Caller waits on it:
+// the table retransmits on RetryPolicy::backoff() under the same request id
+// (a ServiceLoop on the far side deduplicates it) and ends the call at its
+// deadline. A daemon's fan-out to many targets is ServiceLoop::call_all.
 #pragma once
 
 #include <chrono>
@@ -16,42 +17,15 @@
 
 namespace dac::svc {
 
-struct RetryPolicy {
-  // Total send attempts per call (1 = no retransmits).
-  int max_attempts = 3;
-  std::chrono::milliseconds initial_backoff{5};
-  double multiplier = 2.0;
-  std::chrono::milliseconds max_backoff{200};
-  double jitter = 0.25;
-
-  [[nodiscard]] static RetryPolicy none() {
-    RetryPolicy p;
-    p.max_attempts = 1;
-    return p;
-  }
-
-  // The retransmission schedule of one request, seeded by its id.
-  [[nodiscard]] Backoff backoff(std::uint64_t seed) const {
-    using std::chrono::microseconds;
-    return Backoff(
-        {.initial = std::chrono::duration_cast<microseconds>(initial_backoff),
-         .multiplier = multiplier,
-         .cap = std::chrono::duration_cast<microseconds>(max_backoff),
-         .jitter = jitter},
-        seed);
-  }
-};
-
 struct CallOptions {
   std::chrono::milliseconds deadline{deadlines::kDefault};
-  // Non-idempotent calls are never retransmitted, regardless of policy.
-  // Requests to ServiceLoop daemons are dedup-protected and can stay true.
-  bool idempotent = true;
 };
 
 class Caller {
  public:
   // Calls from a non-process context (client commands, tests, benches).
+  // `policy` is the cluster's one schedule unless a test or the
+  // single-attempt rpc::call shim picks another.
   Caller(vnet::Node& node, vnet::Address to, RetryPolicy policy = {},
          MetricsRegistry* metrics = nullptr);
   // Calls from a process context (daemons): the ephemeral per-call endpoint
@@ -67,7 +41,6 @@ class Caller {
                                  CallOptions opts = {}) const;
 
   [[nodiscard]] const vnet::Address& target() const { return to_; }
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
 
  private:
   std::unique_ptr<vnet::Endpoint> open_endpoint() const;

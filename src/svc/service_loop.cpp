@@ -35,7 +35,7 @@ void Responder::error(ReplyCode code, const std::string& message) const {
 
 ServiceLoop::ServiceLoop(vnet::Endpoint& ep, ServiceConfig config,
                          MetricsRegistry* metrics)
-    : ep_(ep), cfg_(std::move(config)), metrics_(metrics) {}
+    : ep_(ep), cfg_(std::move(config)), metrics_(metrics), calls_(ep) {}
 
 void ServiceLoop::on(MsgType type, Handler handler) {
   handlers_[as_u32(type)] = std::move(handler);
@@ -70,63 +70,25 @@ void ServiceLoop::call_all(const std::vector<vnet::Address>& targets,
     done({});
     return;
   }
-  auto fan = std::make_shared<FanOut>();
-  fan->ctx = trace::current();
-  fan->done = std::move(done);
-  fan->out.resize(targets.size());
-  fan->pending = targets.size();
+  auto join = std::make_shared<Join>();
+  join->ctx = trace::current();
+  join->done = std::move(done);
+  join->out.resize(targets.size());
+  join->pending = targets.size();
   // Scatter: every request leaves before any reply can be served.
-  const auto span_name = "rpc." + msg_type_name(as_u32(type));
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    fan->ids.push_back(next_request_id());
-    awaited_[fan->ids.back()] = Awaited{fan, i};
-    const auto& span = fan->spans.emplace_back(span_name, fan->ctx);
-    ep_.send(targets[i], as_u32(type),
-             envelope(fan->ids.back(), span.context(), body));
+    (void)calls_.call(targets[i], type, body, deadline,
+                      [this, join, i](Outcome outcome) {
+                        join->out[i] = std::move(outcome);
+                        if (--join->pending == 0) finish_fan_out(*join);
+                      });
   }
-  fan->deadline = add_timer(simtime::now() + deadline,
-                            [this, fan] { expire_fan_out(*fan); });
 }
 
-void ServiceLoop::settle_reply(const vnet::Message& msg) {
-  Outcome outcome;
-  decltype(awaited_)::iterator it;
+void ServiceLoop::finish_fan_out(Join& join) {
+  const trace::ScopedContext ctx(join.ctx);
   try {
-    const auto id = util::ByteReader(msg.payload).get<std::uint64_t>();
-    it = awaited_.find(id);
-    if (it == awaited_.end()) return;  // stray, stale or duplicate
-    outcome.reply = parse_reply(msg, id);
-  } catch (const CallError& e) {
-    outcome.error = e.what();
-  } catch (const util::DecodeError& e) {
-    kLog.warn("{}: malformed reply from {}: {}", cfg_.name, msg.from.str(),
-              e.what());
-    return;
-  }
-  const auto fan = std::move(it->second.fan_out);
-  const auto i = it->second.target;
-  awaited_.erase(it);
-  if (!outcome.ok()) fan->spans[i].note("error", "call");
-  fan->spans[i].end();
-  fan->out[i] = std::move(outcome);
-  if (--fan->pending == 0) finish_fan_out(*fan);
-}
-
-void ServiceLoop::expire_fan_out(FanOut& fan) {
-  for (std::size_t i = 0; i < fan.ids.size(); ++i) {
-    if (awaited_.erase(fan.ids[i]) == 0) continue;  // already settled
-    fan.spans[i].note("error", "deadline");
-    fan.spans[i].end();
-    fan.out[i].error = "deadline";
-  }
-  finish_fan_out(fan);
-}
-
-void ServiceLoop::finish_fan_out(FanOut& fan) {
-  cancel_timer(fan.deadline);
-  const trace::ScopedContext ctx(fan.ctx);
-  try {
-    fan.done(std::move(fan.out));
+    join.done(std::move(join.out));
   } catch (const util::StoppedError&) {
     throw;  // cooperative kill: unwind the loop
   } catch (const std::exception& e) {
@@ -141,23 +103,22 @@ void ServiceLoop::run() {
   trace::set_thread_actor(cfg_.name);
 
   while (true) {
-    auto timeout = next_tick_timeout();
+    auto timeout = next_timeout();
     auto msg = timeout ? ep_.recv_for(*timeout) : ep_.recv();
     if (msg) {
       serve(std::move(*msg));
     } else if (ep_.closed()) {
       break;
     }
-    fire_due_ticks();
+    fire_due();
   }
   // Pending fan-outs are dropped: their continuations never run.
-  awaited_.clear();
   timers_.clear();
 }
 
 void ServiceLoop::serve(vnet::Message msg) {
   if (msg.type == as_u32(MsgType::kReply)) {
-    settle_reply(msg);
+    (void)calls_.settle(msg);
     return;
   }
   Request req;
@@ -249,13 +210,11 @@ void ServiceLoop::finish_reply(detail::ResponderState& st,
                                const util::Bytes& payload, bool error) {
   DAC_DCHECK(std::this_thread::get_id() == loop_thread_,
              "{}: reply sent off the loop thread", cfg_.name);
-  if (cfg_.dedup_window > 0) {
-    completed_[st.id] = payload;
-    completed_order_.push_back(st.id);
-    while (completed_order_.size() > cfg_.dedup_window) {
-      completed_.erase(completed_order_.front());
-      completed_order_.pop_front();
-    }
+  completed_[st.id] = payload;
+  completed_order_.push_back(st.id);
+  while (completed_order_.size() > kDedupWindow) {
+    completed_.erase(completed_order_.front());
+    completed_order_.pop_front();
   }
   pending_.erase(st.id);
   // Record before sending: a caller that already has the reply must find
@@ -272,17 +231,17 @@ void ServiceLoop::finish_reply(detail::ResponderState& st,
 
 void ServiceLoop::remember_notification(std::uint64_t id) {
   pending_.erase(id);
-  if (cfg_.dedup_window == 0) return;
   notified_.insert(id);
   notified_order_.push_back(id);
-  while (notified_order_.size() > cfg_.dedup_window) {
+  while (notified_order_.size() > kDedupWindow) {
     notified_.erase(notified_order_.front());
     notified_order_.pop_front();
   }
 }
 
-std::optional<std::chrono::milliseconds> ServiceLoop::next_tick_timeout() {
-  if (ticks_.empty() && timers_.empty()) return std::nullopt;
+std::optional<std::chrono::milliseconds> ServiceLoop::next_timeout() {
+  const auto call_due = calls_.next_due();
+  if (ticks_.empty() && timers_.empty() && !call_due) return std::nullopt;
   const auto now = simtime::now();
   auto soonest = std::chrono::milliseconds::max();
   const auto until = [&](std::chrono::steady_clock::time_point due) {
@@ -291,10 +250,11 @@ std::optional<std::chrono::milliseconds> ServiceLoop::next_tick_timeout() {
   };
   for (const auto& t : ticks_) until(t.last + t.interval);
   if (!timers_.empty()) until(timers_.begin()->first.at);
+  if (call_due) until(*call_due);
   return std::max(soonest, std::chrono::milliseconds(1));
 }
 
-void ServiceLoop::fire_due_ticks() {
+void ServiceLoop::fire_due() {
   const auto now = simtime::now();
   for (auto& t : ticks_) {
     if (now - t.last >= t.interval) {
@@ -308,6 +268,7 @@ void ServiceLoop::fire_due_ticks() {
     timers_.erase(timers_.begin());
     fn();
   }
+  calls_.fire_due();
 }
 
 }  // namespace dac::svc

@@ -13,17 +13,18 @@
 //
 // Outbound calls (a mother superior's JOIN/DYNJOIN/DISJOIN fan-outs,
 // pbs_server's MOM_RUN_JOB, MOM_RELEASE and ELAST_OFFER) leave from the
-// loop's own endpoint through call_all and end in a continuation: the loop
-// settles their replies by request id as it drains the endpoint, and a
-// timer ends the wait at the call's deadline.
+// loop's own endpoint through call_all: one svc::CallTable entry per target
+// and a join that runs the continuation. The loop hands the table every
+// reply it drains and fires what falls due between requests, so each call
+// is resent on its backoff until it is answered or its deadline passes.
 //
-// The loop remembers the last `dedup_window` completed request-ids together
+// The loop remembers the last kDedupWindow completed request-ids together
 // with their reply payloads: a retransmitted request is answered from the
-// cache instead of being executed twice, which is what makes client-side
-// retransmission (svc::Caller) safe for non-idempotent operations. A
-// retransmit of a still-pending request just retargets the eventual reply.
-// Notifications (handled without a reply) are remembered by id in a window
-// of their own, so a duplicated notification is dropped, not run again.
+// cache instead of being executed twice, which is what makes every
+// retransmission safe for non-idempotent operations. A retransmit of a
+// still-pending request just retargets the eventual reply. Notifications
+// (handled without a reply) are remembered by id in a window of their own,
+// so a duplicated notification is dropped, not run again.
 #pragma once
 
 #include <atomic>
@@ -39,26 +40,18 @@
 #include <unordered_set>
 #include <vector>
 
+#include "svc/call_table.hpp"
 #include "svc/metrics.hpp"
 #include "svc/wire.hpp"
 #include "trace/trace.hpp"
 
 namespace dac::svc {
 
-// One target's answer to a call_all fan-out.
-struct Outcome {
-  std::optional<util::Bytes> reply;  // the reply body when it answered ok
-  std::string error;  // the CallError text, or "deadline" when it never did
-
-  [[nodiscard]] bool ok() const { return reply.has_value(); }
-};
-
 struct ServiceConfig {
   std::string name = "svc";
   // Simulated per-request service cost charged before each handler runs (the
   // paper's server_service_cost).
   std::chrono::microseconds service_cost{0};
-  std::size_t dedup_window = 256;
 };
 
 class ServiceLoop;
@@ -130,15 +123,15 @@ class ServiceLoop {
   void cancel_timer(const TimerId& id);
 
   // Scatter/gather from the loop's own endpoint: sends `type` with `body` to
-  // every target at once, one request id each, and returns. Each reply
+  // every target at once, one CallTable entry each, and returns. Each reply
   // settles the target whose request id it carries (stray, stale and
-  // duplicate replies settle nothing); one timer marks the targets still
-  // silent at `deadline` as "deadline". `done` then runs once on the loop
-  // thread, under the calling thread's trace context, with one Outcome per
-  // target in target order; with no targets it runs before call_all
-  // returns. Each target gets its own rpc.<TYPE> client span, a child of
-  // that context, ended when the target settles. Loop thread only. A
-  // fan-out still pending when the endpoint closes is dropped, and its
+  // duplicate replies settle nothing); a silent target is resent on its
+  // backoff and marked "deadline" once `deadline` passes. `done` then runs
+  // once on the loop thread, under the calling thread's trace context, with
+  // one Outcome per target in target order; with no targets it runs before
+  // call_all returns. Each target gets its own rpc.<TYPE> client span, a
+  // child of that context, ended when the target settles. Loop thread only.
+  // A fan-out still pending when the endpoint closes is dropped, and its
   // `done` never runs.
   void call_all(const std::vector<vnet::Address>& targets, MsgType type,
                 const util::Bytes& body, std::chrono::milliseconds deadline,
@@ -157,19 +150,16 @@ class ServiceLoop {
  private:
   friend class Responder;
 
-  struct FanOut {
-    std::vector<std::uint64_t> ids;  // request id per target
+  // Completed request-ids (and as many notification ids) remembered for
+  // duplicate suppression.
+  static constexpr std::size_t kDedupWindow = 256;
+
+  // The targets of one call_all still to settle.
+  struct Join {
     std::vector<Outcome> out;
-    std::deque<trace::DetachedSpan> spans;
     std::size_t pending = 0;
     trace::Context ctx;  // the caller's, restored around `done`
     FanOutDone done;
-    TimerId deadline;
-  };
-  // A request a fan-out still waits on: its fan-out and target index.
-  struct Awaited {
-    std::shared_ptr<FanOut> fan_out;
-    std::size_t target = 0;
   };
   struct Tick {
     std::chrono::milliseconds interval{};
@@ -185,15 +175,12 @@ class ServiceLoop {
   // Drops the pending entry of a request handled without a reply and
   // remembers its id, so a duplicate of that notification is not run again.
   void remember_notification(std::uint64_t id);
-  // Settles the fan-out target that a kReply message answers, if any.
-  void settle_reply(const vnet::Message& msg);
-  // Marks every target of `fan` still silent as "deadline" and finishes it.
-  void expire_fan_out(FanOut& fan);
   // Runs the continuation of a fan-out whose targets have all settled.
-  void finish_fan_out(FanOut& fan);
-  // Time until the next tick or timer is due (nullopt: none armed).
-  std::optional<std::chrono::milliseconds> next_tick_timeout();
-  void fire_due_ticks();
+  void finish_fan_out(Join& join);
+  // Time until the next tick, timer or call is due (nullopt: none).
+  std::optional<std::chrono::milliseconds> next_timeout();
+  // Runs the due ticks and timers, then the calls' due resends and expiries.
+  void fire_due();
 
   vnet::Endpoint& ep_;
   ServiceConfig cfg_;
@@ -205,7 +192,8 @@ class ServiceLoop {
   std::uint64_t next_timer_seq_ = 0;
   std::thread::id loop_thread_;
 
-  // Dedup state and outstanding fan-outs: loop thread only.
+  // Outbound calls and dedup state: loop thread only.
+  CallTable calls_;
   std::unordered_map<std::uint64_t, util::Bytes> completed_;
   std::deque<std::uint64_t> completed_order_;
   std::unordered_map<std::uint64_t, std::weak_ptr<detail::ResponderState>>
@@ -213,7 +201,6 @@ class ServiceLoop {
   std::unordered_set<std::uint64_t> notified_;
   std::deque<std::uint64_t> notified_order_;
   std::atomic<std::uint64_t> deduped_{0};  // read from any thread
-  std::unordered_map<std::uint64_t, Awaited> awaited_;  // by request id
 };
 
 }  // namespace dac::svc

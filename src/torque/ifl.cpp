@@ -4,11 +4,11 @@
 
 namespace dac::torque {
 
-Ifl::Ifl(vnet::Node& node, vnet::Address server, svc::RetryPolicy retry)
-    : caller_(node, server, retry), server_(server) {}
+Ifl::Ifl(vnet::Node& node, vnet::Address server)
+    : caller_(node, server), server_(server) {}
 
-Ifl::Ifl(vnet::Process& proc, vnet::Address server, svc::RetryPolicy retry)
-    : caller_(proc, server, retry), server_(server) {}
+Ifl::Ifl(vnet::Process& proc, vnet::Address server)
+    : caller_(proc, server), server_(server) {}
 
 util::Bytes Ifl::call(MsgType type, util::Bytes body,
                       std::chrono::milliseconds timeout) {

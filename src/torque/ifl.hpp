@@ -19,9 +19,9 @@ namespace dac::torque {
 class Ifl {
  public:
   // Client bound to a node (command-line tools, tests).
-  Ifl(vnet::Node& node, vnet::Address server, svc::RetryPolicy retry = {});
+  Ifl(vnet::Node& node, vnet::Address server);
   // Client bound to a process (job scripts; calls are then killable).
-  Ifl(vnet::Process& proc, vnet::Address server, svc::RetryPolicy retry = {});
+  Ifl(vnet::Process& proc, vnet::Address server);
 
   [[nodiscard]] const vnet::Address& server() const { return server_; }
 

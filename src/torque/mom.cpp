@@ -42,7 +42,7 @@ void PbsMom::run(vnet::Process& proc) {
   util::ByteWriter w;
   put_node_status(w, status);
   try {
-    svc::Caller registrar(proc, config_.server, config_.retry);
+    const svc::Caller registrar(proc, config_.server);
     (void)registrar.call(MsgType::kRegisterNode, std::move(w).take(),
                          {.deadline = svc::deadlines::kDefault});
   } catch (const util::StoppedError&) {
@@ -56,7 +56,6 @@ void PbsMom::run(vnet::Process& proc) {
 
   svc::ServiceConfig cfg;
   cfg.name = "pbs_mom." + node_.hostname();
-  cfg.dedup_window = config_.dedup_window;
   svc::ServiceLoop loop(*endpoint_, cfg);
   loop_ = &loop;
   register_handlers(loop);

@@ -45,10 +45,6 @@ struct MomConfig {
   BatchTiming timing;
   // The mother superior kills jobs exceeding their requested walltime.
   bool enforce_walltime = true;
-  // Retry policy for the mom's own calls to the server (registration).
-  svc::RetryPolicy retry;
-  // Completed request-ids remembered for duplicate suppression.
-  std::size_t dedup_window = 256;
   // Executable names (registered with the MPI runtime by higher layers).
   std::string ac_daemon_exe = "dac.acdaemon";
   std::string job_wrapper_exe = "dac.jobwrapper";

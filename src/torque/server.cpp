@@ -94,11 +94,9 @@ QueueSnapshot get_queue_snapshot(util::ByteReader& r) {
   return s;
 }
 
-PbsServer::PbsServer(vnet::Node& node, BatchTiming timing,
-                     svc::ServiceTuning tuning)
+PbsServer::PbsServer(vnet::Node& node, BatchTiming timing)
     : node_(node),
       timing_(timing),
-      tuning_(tuning),
       endpoint_(node.open_endpoint()),
       start_(simtime::now()),
       retired_(kRetiredJobs) {}
@@ -115,7 +113,6 @@ void PbsServer::run(vnet::Process& proc) {
   svc::ServiceConfig cfg;
   cfg.name = "pbs_server";
   cfg.service_cost = timing_.server_service_cost;
-  cfg.dedup_window = tuning_.dedup_window;
   svc::ServiceLoop loop(*endpoint_, cfg, &metrics_);
   loop_ = &loop;
   register_handlers(loop);

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "elastic/protocol.hpp"
-#include "svc/config.hpp"
 #include "svc/metrics.hpp"
 #include "svc/service_loop.hpp"
 #include "torque/batch_config.hpp"
@@ -73,8 +72,7 @@ class PbsServer {
   // Opens the server endpoint on `node` immediately so the address is known
   // before any mom or client starts; run() must then be invoked inside a
   // process on that node.
-  PbsServer(vnet::Node& node, BatchTiming timing,
-            svc::ServiceTuning tuning = {});
+  PbsServer(vnet::Node& node, BatchTiming timing);
 
   PbsServer(const PbsServer&) = delete;
   PbsServer& operator=(const PbsServer&) = delete;
@@ -362,7 +360,6 @@ class PbsServer {
 
   vnet::Node& node_;
   BatchTiming timing_;
-  svc::ServiceTuning tuning_;
   std::unique_ptr<vnet::Endpoint> endpoint_;
   svc::ServiceLoop* loop_ = nullptr;  // set in run(); loop thread only
   std::chrono::steady_clock::time_point start_;

@@ -156,6 +156,14 @@ TEST(PerFileRules, FanOutNamesItsDeadline) {
             "src/fixture/fan_out.cpp:25:deadline-literal");
 }
 
+TEST(PerFileRules, CallTableCallNamesItsDeadline) {
+  const auto report =
+      analyze({fixture("call_table.cpp", "src/fixture/call_table.cpp")});
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(diag_key(report.diagnostics[0]),
+            "src/fixture/call_table.cpp:16:deadline-literal");
+}
+
 TEST(PerFileRules, CheckSideEffect) {
   const auto report = analyze(
       {fixture("check_side_effect.cpp", "src/fixture/check_side_effect.cpp")});

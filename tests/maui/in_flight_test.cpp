@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "harness/clock_mode.hpp"
+#include "harness/fault_one.hpp"
 #include "harness/scenario.hpp"
 #include "simtime/clock.hpp"
 #include "torque/ifl.hpp"
 #include "util/sync.hpp"
-#include "vnet/fault_injector.hpp"
 
 namespace dac::maui {
 namespace {
@@ -31,30 +31,9 @@ using torque::JobId;
 using torque::JobState;
 using torque::MsgType;
 
-// Applies `fault` to the `nth` (1-based) message of one type and lets
-// everything else through; counts every message of that type, resends
-// included.
-class FaultOne : public vnet::FaultInjector {
- public:
-  FaultOne(MsgType type, int nth, vnet::FaultDecision fault)
-      : type_(torque::as_u32(type)), nth_(nth), fault_(fault) {}
+using testing::FaultOne;
+using testing::kDrop;
 
-  vnet::FaultDecision on_message(vnet::NodeId, vnet::NodeId,
-                                 std::uint32_t type, std::size_t) override {
-    if (type != type_) return {};
-    return ++seen_ == nth_ ? fault_ : vnet::FaultDecision{};
-  }
-
-  [[nodiscard]] int seen() const { return seen_.load(); }
-
- private:
-  const std::uint32_t type_;
-  const int nth_;
-  const vnet::FaultDecision fault_;
-  std::atomic<int> seen_{0};
-};
-
-constexpr vnet::FaultDecision kDrop{.drop = true};
 constexpr vnet::FaultDecision kDelay20ms{.extra_delay = 20ms};
 
 class InFlightTest : public ::testing::TestWithParam<Mode> {

@@ -3,8 +3,9 @@
 // served, replies are matched by request id, one deadline bounds the whole
 // fan-out, each target gets its own client span, the continuation runs under
 // the caller's context, and closing the endpoint drops a pending fan-out.
-// Runs on the DiscreteEvent clock, so the elapsed times are exact virtual
-// durations.
+// FanOutTest runs on the DiscreteEvent clock, so the elapsed times are exact
+// virtual durations; FanOutRetransmitTest, which loses requests, runs under
+// both clock modes.
 #include "svc/service_loop.hpp"
 #include "simtime/clock.hpp"
 
@@ -17,6 +18,8 @@
 #include <vector>
 
 #include "harness/clock_mode.hpp"
+#include "harness/fault_one.hpp"
+#include "svc/backoff.hpp"
 #include "svc/deadlines.hpp"
 #include "trace/trace.hpp"
 #include "util/sync.hpp"
@@ -43,8 +46,9 @@ std::string text_of(const util::Bytes& b) {
 class FanOutTest : public ::testing::Test {
  protected:
   // Caller on node 0, targets on node 1: each round trip costs 2 x 50 us.
-  FanOutTest()
-      : cluster_([] {
+  explicit FanOutTest(simtime::Mode mode = simtime::Mode::kDiscreteEvent)
+      : mode_(mode),
+        cluster_([] {
           vnet::ClusterTopology t;
           t.node_count = 2;
           t.network.latency = 50us;
@@ -107,7 +111,7 @@ class FanOutTest : public ::testing::Test {
     return out;
   }
 
-  dac::testing::ClockModeGuard mode_{simtime::Mode::kDiscreteEvent};
+  dac::testing::ClockModeGuard mode_;
   vnet::Cluster cluster_;
   std::vector<std::unique_ptr<vnet::Endpoint>> endpoints_;
   std::vector<vnet::ProcessPtr> procs_;
@@ -289,6 +293,61 @@ TEST_F(FanOutTest, ClosingTheEndpointDropsThePendingFanOut) {
   // run() returned at the stop, long before the fan-out's deadline.
   EXPECT_LT(returned_at - kill_at, 1ms);
 }
+
+// A lost request is resent on the caller's backoff under its own request
+// id, and the target's dedup cache keeps any copy from running twice.
+class FanOutRetransmitTest
+    : public FanOutTest,
+      public ::testing::WithParamInterface<simtime::Mode> {
+ protected:
+  FanOutRetransmitTest() : FanOutTest(GetParam()) {}
+};
+
+TEST_P(FanOutRetransmitTest, TargetWhoseFirstJoinIsLostAnswersOnce) {
+  std::atomic<int> runs{0};
+  const auto target = serve(MsgType::kJoinJob, 0us,
+                            [&runs](const Request&, Responder& resp) {
+                              ++runs;
+                              resp.ok(text("joined"));
+                            });
+  const auto fault = std::make_shared<dac::testing::FaultOne>(
+      MsgType::kJoinJob, 1, dac::testing::kDrop);
+  cluster_.fabric().set_fault_injector(fault);
+
+  constexpr auto kDeadline = 1000ms;
+  const auto out = fan_out({target}, kDeadline);
+
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_TRUE(out[0].ok()) << out[0].error;
+  EXPECT_EQ(text_of(*out[0].reply), "joined");
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_GE(fault->seen(), 2) << "the lost JOIN_JOB was never resent";
+  EXPECT_LT(elapsed_, kDeadline);
+}
+
+TEST_P(FanOutRetransmitTest, SilentTargetEndsAtItsDeadline) {
+  const auto silent = cluster_.node(1).allocate_address();  // never bound
+
+  constexpr auto kDeadline = 100ms;
+  const auto out = fan_out({silent}, kDeadline);
+
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].ok());
+  EXPECT_EQ(out[0].error, "deadline");
+  const auto sent = cluster_.fabric().drops_to(silent);
+  EXPECT_GE(sent, 2u) << "the silent target was never resent";
+  EXPECT_GE(elapsed_, kDeadline);
+  // RealTime cannot promise every attempt or the upper bound on a loaded
+  // host.
+  if (GetParam() == simtime::Mode::kDiscreteEvent) {
+    EXPECT_EQ(sent, static_cast<std::uint64_t>(RetryPolicy{}.max_attempts));
+    EXPECT_LE(elapsed_, kDeadline + 1ms);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Clocks, FanOutRetransmitTest,
+                         dac::testing::kBothClocks,
+                         dac::testing::clock_mode_name);
 
 }  // namespace
 }  // namespace dac::svc

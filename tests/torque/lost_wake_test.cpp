@@ -11,34 +11,16 @@
 #include <string>
 #include <vector>
 
+#include "harness/fault_one.hpp"
 #include "harness/scenario.hpp"
 #include "simtime/clock.hpp"
 #include "torque/ifl.hpp"
 #include "util/sync.hpp"
-#include "vnet/fault_injector.hpp"
 
 namespace dac::torque {
 namespace {
 
 using namespace std::chrono_literals;
-
-// Drops the `nth` (1-based) SCHED_WAKE and lets everything else through.
-class DropOneWake : public vnet::FaultInjector {
- public:
-  explicit DropOneWake(int nth) : nth_(nth) {}
-
-  vnet::FaultDecision on_message(vnet::NodeId, vnet::NodeId,
-                                 std::uint32_t type, std::size_t) override {
-    if (type != as_u32(MsgType::kSchedWake)) return {};
-    return {.drop = ++wakes_ == nth_};
-  }
-
-  [[nodiscard]] int wakes() const { return wakes_.load(); }
-
- private:
-  const int nth_;
-  std::atomic<int> wakes_{0};
-};
 
 TEST(LostWake, EveryJobAndDyngetIsDecidedOnce) {
   constexpr int kJobs = 4;
@@ -52,7 +34,8 @@ TEST(LostWake, EveryJobAndDyngetIsDecidedOnce) {
   auto& cluster = s.boot();
   // The second wake: the first started a job, so the scheduler's mirror
   // holds deltas and the third wake arrives one epoch too far ahead.
-  const auto drop = std::make_shared<DropOneWake>(2);
+  const auto drop = std::make_shared<testing::FaultOne>(MsgType::kSchedWake, 2,
+                                                        testing::kDrop);
   cluster.vcluster().fabric().set_fault_injector(drop);
 
   const auto submitted = simtime::now();
@@ -97,7 +80,7 @@ TEST(LostWake, EveryJobAndDyngetIsDecidedOnce) {
   for (const auto id : ids) ASSERT_TRUE(s.wait_job(id, 60'000ms).has_value());
   for (const auto id : ids) ASSERT_NE(s.await_job_trace(id), 0u);
 
-  EXPECT_GE(drop->wakes(), 3) << "the lost wake was never followed by one";
+  EXPECT_GE(drop->seen(), 3) << "the lost wake was never followed by one";
   EXPECT_EQ(decided, kJobs);
   const auto view = s.trace();
   std::map<std::string, int> starts;

@@ -35,10 +35,10 @@
 //                         ReplyCode) carry [[nodiscard]].
 //   unchecked-status      statement-expression calls that silently drop a
 //                         must-check result ((void) is an explicit opt-out).
-//   deadline-literal      Caller::call / rpc::call / ServiceLoop::call_all
-//                         sites outside tests/ name their deadline (constant or
-//                         config field) — no implicit default, no bare
-//                         chrono literal.
+//   deadline-literal      Caller::call / rpc::call / ServiceLoop::call_all /
+//                         CallTable::call sites outside tests/ name their
+//                         deadline (constant or config field) — no implicit
+//                         default, no bare chrono literal.
 //   check-side-effect     no ++/--/assignment/mutating calls inside
 //                         DAC_CHECK / DAC_DCHECK conditions (DCHECK bodies
 //                         vanish in release builds).

@@ -400,7 +400,8 @@ void check_deadlines(CleanFile& file, Sink& sink) {
     for (std::size_t i = 0; i < line.size(); ++i) {
       // Caller::call(type, body[, opts]); rpc::call(ctx, to, type, body
       // [, timeout]); ServiceLoop::call_all(targets, type, body, deadline,
-      // done), whose continuation follows the deadline and is not checked.
+      // done) and CallTable::call(to, type, body, deadline, done), whose
+      // continuations after the deadline are not checked.
       const char* what = nullptr;
       std::size_t required = 0;
       std::size_t checked = std::string::npos;  // args after the deadline
@@ -423,6 +424,11 @@ void check_deadlines(CleanFile& file, Sink& sink) {
       if (open == std::string::npos) break;
       const auto args =
           split_args(balanced_args(file, li, open));
+      if (what == std::string("Caller::call") && args.size() > 3) {
+        what = "CallTable::call";  // a Caller::call takes at most 3
+        required = 4;
+        checked = required;
+      }
       const int lineno = static_cast<int>(li) + 1;
       if (args.size() < required) {
         sink.report(file, lineno, Rule::kDeadlineLiteral,
